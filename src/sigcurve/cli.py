@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Machine output goes to stdout (or ``--out``), diagnostics to stderr.  Exit
-codes: 0 success, 2 exceptional input, 3 elimination budget exceeded,
-4 parse error.
+codes: 0 success, 2 exceptional input or an invalid argument, 3 elimination
+budget exceeded, 4 parse error.
 """
 
 from __future__ import annotations
@@ -55,6 +55,21 @@ def _group(value: str) -> GroupId:
         )
 
 
+def _int_at_least(low: int):
+    def parse_int(value: str) -> int:
+        number = int(value)  # argparse reports a ValueError as an invalid int
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {number}")
+        return number
+
+    parse_int.__name__ = "int"
+    return parse_int
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
 def _curve(text: str) -> CurveInput:
     return CurveInput.from_poly(parse(text))
 
@@ -86,14 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degree", help="degree prediction via the multiplicity formula")
     p.add_argument("--curve", required=True)
     p.add_argument("--group", type=_group, required=True)
-    p.add_argument("--n", type=int, default=None, help="known symmetry order")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_positive, default=None, help="known symmetry order")
+    p.add_argument("--trials", type=_positive, default=3)
+    p.add_argument("--seed", type=_nonnegative, default=0)
 
     p = sub.add_parser("symmetry", help="symmetry group cardinality")
     p.add_argument("--curve", required=True)
     p.add_argument("--group", type=_group, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
 
     p = sub.add_parser("equiv", help="group equivalence of two curves")
     p.add_argument("--curve", required=True)
@@ -103,11 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("samples", help="numeric signature samples as CSV")
     p.add_argument("--curve", required=True)
     p.add_argument("--group", type=_group, required=True)
-    p.add_argument("--count", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_positive, default=25)
+    p.add_argument("--seed", type=_nonnegative, default=0)
 
     p = sub.add_parser("fermat", help="built-in Fermat family x^d + y^d + 1")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--group", type=_group, required=True)
     p.add_argument(
         "--what", choices=("signature", "symmetry", "degree"), default="signature"
@@ -118,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    budget = budget_from_env()
     out_stream = open(args.out, "w") if args.out else sys.stdout
     fmt = args.format or "text"
 
@@ -130,7 +144,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(text, file=out_stream)
 
     try:
-        code = _dispatch(args, budget, emit)
+        code = _dispatch(args, budget_from_env(), emit)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         code = EXIT_PARSE
@@ -150,17 +164,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _dispatch(args, budget: EliminationBudget, emit) -> int:
-    from .config import RunConfig
-
     cmd = args.command
-    # validates the run parameters (positivity invariants) in one place
-    RunConfig(
-        group=getattr(args, "group", GroupId.SE2),
-        trials=getattr(args, "trials", 3),
-        seed=max(getattr(args, "seed", 0), 0),
-        budget=budget,
-        output_format=args.format or "text",
-    )
     if cmd == "theta":
         cv = _curve(args.curve)
         t = theta(cv, args.index)

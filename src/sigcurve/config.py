@@ -1,28 +1,13 @@
-"""Run configuration shared by the CLI and the experiment scripts."""
+"""Run configuration read from the environment by the CLI."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
+from .errors import SigcurveError
 from .groebner import EliminationBudget
-from .jets import GroupId
 
 BUDGET_ENV = "SIGCURVE_BUDGET"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    group: GroupId = GroupId.SE2
-    trials: int = 3
-    seed: int = 0
-    budget: EliminationBudget = field(default_factory=EliminationBudget)
-    output_format: str = "text"  # text | json | csv
-    truncation: int = 80
-
-    def __post_init__(self):
-        if self.trials <= 0 or self.seed < 0 or self.truncation <= 0:
-            raise ValueError("trials, seed and truncation must be positive")
 
 
 def budget_from_env(default: EliminationBudget | None = None) -> EliminationBudget:
@@ -36,7 +21,7 @@ def budget_from_env(default: EliminationBudget | None = None) -> EliminationBudg
         if len(parts) != 2 or parts[0] <= 0 or parts[1] <= 0:
             raise ValueError
     except ValueError:
-        raise ValueError(
+        raise SigcurveError(
             f"{BUDGET_ENV} must be 'MAX_BASIS,MAX_DEGREE', got {raw!r}"
         ) from None
     return EliminationBudget(max_basis=parts[0], max_degree=parts[1])

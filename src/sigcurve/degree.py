@@ -9,10 +9,15 @@ those branches, computed on truncated series whose coefficients live in
 Q[W]/(q(W)) with q = Fh(0, 1, w): one series handles the whole conjugate
 fiber and gcd-splitting against q recovers the per-fiber sums exactly.
 
-Two routes produce the same sums: evaluating an explicit homogeneous triple
-along the branches (feasible for small degrees), and assembling the
-component series directly from the jet series of the branch (never builds
-the T_i polynomials; the only route feasible for PGL(3) at d >= 4).
+One pipeline computes the multiplicity sum for every kind of triple:
+``infinity_pieces`` yields the branch pieces at infinity, a components
+function gives the three sigma series on each piece (an explicit triple is
+evaluated there; the canonical triple is assembled from the jet series and
+never builds the T_i products, the only feasible way for PGL(3) at d >= 4),
+one driver runs the trial lines, the lower bound and the truncation
+doubling, and one affine routine adds the affine base points of special
+curves.  ``mult_sum_line_resultant`` is an independent resultant oracle for
+tests.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     ExceptionalCurveError,
@@ -41,18 +46,22 @@ from .jets import (
     HomogeneousTriple,
     apply_group_element,
     require_non_exceptional,
+    theta,
     theta_table,
 )
-from .poly import SparsePoly, gcd, resultant
+from .poly import SparsePoly, _lc_in, exact_div, gcd, resultant, square_free_part
 from .series import (
     INF,
     SeriesRing,
     TruncatedSeries,
-    evaluate_poly_at_series,
+    evaluate_polys_at_series,
     fiber_min_valuation_sum,
     fiber_valuation_sum,
-    intpoly_normalize,
+    intpoly_from_poly,
+    intpoly_gcd,
+    intpoly_squarefree,
     newton_branch,
+    ring_poly_gcd,
 )
 
 CHART_RING = ("v", "w")
@@ -77,73 +86,36 @@ GROUP_START_TRUNC = {
 
 @dataclass(frozen=True)
 class InfinityChart:
-    """The curve seen around the line at infinity in the chart x1 = 1."""
+    """The curve whose branches at infinity are expanded, and the group
+    element applied to the input when it had to be sheared first."""
 
     curve: CurveInput
-    H: SparsePoly  # Fh(v, 1, w) over CHART_RING
-    q: tuple[int, ...]  # Fh(0, 1, w), integer primitive
     sheared_with: Optional[tuple] = None  # 3x3 matrix applied to the input
 
 
 def _chart_polys(curve: CurveInput) -> tuple[SparsePoly, tuple[int, ...], Fraction]:
     Fh = curve.homogenized()
-    H = SparsePoly(
-        CHART_RING, {(e[0], e[1]): c for e, c in Fh.dehomogenize("x1").terms.items()}
-    )
+    H = Fh.dehomogenize("x1").rename_ring(CHART_RING)
     # q(w) = Fh(0,1,w) cuts out the finite-w fiber at infinity
-    qpoly = H.evaluate_partial({"v": Fraction(0)})
-    coeffs = [Fraction(0)] * (int(qpoly.degree_in("w")) + 1 if qpoly.terms else 1)
-    for e, c in qpoly.terms.items():
-        coeffs[e[1]] += c
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _g(den, c.denominator)
-    q = intpoly_normalize([int(c * den) for c in coeffs])
+    q = intpoly_from_poly(H.evaluate_partial({"v": Fraction(0)}), "w")
     top = Fh.evaluate_partial({"x0": Fraction(0), "x1": Fraction(0), "x2": Fraction(1)})
     return H, q, top.constant_value()
 
 
-def _g(a, b):
-    import math
-
-    return math.gcd(a, b)
-
-
-def chart_conditions_hold(curve: CurveInput) -> bool:
-    """Strict chart conditions: [0:0:1] off the curve and a simple fiber."""
-    H, q, corner = _chart_polys(curve)
-    if corner == 0:
-        return False
-    if len(q) - 1 != curve.d:
-        return False
-    dq = [i * q[i] for i in range(1, len(q))]
-    from .series import intpoly_gcd
-
-    return len(intpoly_gcd(q, dq)) == 1
+def _corner_chart(curve: CurveInput) -> tuple[SparsePoly, Fraction, Fraction]:
+    """Fh in the chart x2 = 1 over (s, u) = (x0, x1), with its partial
+    derivatives in s and u at the corner [0:0:1]."""
+    H2 = curve.homogenized().dehomogenize("x2").rename_ring(("s", "u"))
+    ds, du = (H2.partial_derivative(v).evaluate({"s": 0, "u": 0}) for v in ("s", "u"))
+    return H2, ds, du
 
 
 def chart_workable(curve: CurveInput) -> bool:
-    """Relaxed conditions the branch machinery can handle without shearing:
-    the finite-w fiber must be simple, and when [0:0:1] lies on the curve it
+    """Conditions the branch machinery can handle without shearing: the
+    finite-w fiber must be simple, and when [0:0:1] lies on the curve it
     must be a smooth point (its branch gets its own chart)."""
-    Fh = curve.homogenized()
-    H, q, corner = _chart_polys(curve)
-    if len(q) >= 2:
-        dq = [i * q[i] for i in range(1, len(q))]
-        from .series import intpoly_gcd
-
-        if len(intpoly_gcd(q, dq)) != 1:
-            return False
-    if corner == 0:
-        grad = [
-            Fh.partial_derivative(v).evaluate(
-                {"x0": Fraction(0), "x1": Fraction(0), "x2": Fraction(1)}
-            )
-            for v in HOMOG_RING
-        ]
-        if all(g == 0 for g in grad):
-            return False
-    return True
+    _, q, corner = _chart_polys(curve)
+    return intpoly_squarefree(q) and (corner != 0 or any(_corner_chart(curve)[1:]))
 
 
 def _shear_matrix(group: GroupId, rng: random.Random, attempt: int) -> list[list[Fraction]]:
@@ -162,19 +134,17 @@ def _shear_matrix(group: GroupId, rng: random.Random, attempt: int) -> list[list
 def infinity_chart(
     curve: CurveInput, group: GroupId, seed: int = 0, max_retries: int = 5
 ) -> InfinityChart:
-    """Chart data, shearing with an element of the group when even the
-    relaxed conditions fail (multiplicity sums are group-invariant, so the
-    sheared curve answers for the original)."""
+    """The curve itself when its branches at infinity are workable, else a
+    sheared copy under an element of the group (multiplicity sums are
+    group-invariant, so the sheared curve answers for the original)."""
     if chart_workable(curve):
-        H, q, _ = _chart_polys(curve)
-        return InfinityChart(curve, H, q)
+        return InfinityChart(curve)
     rng = random.Random(seed ^ 0x5EED)
     for attempt in range(max_retries):
         m = _shear_matrix(group, rng, attempt)
         cur2 = apply_group_element(curve, m, group)
         if chart_workable(cur2):
-            H, q, _ = _chart_polys(cur2)
-            return InfinityChart(cur2, H, q, sheared_with=tuple(map(tuple, m)))
+            return InfinityChart(cur2, sheared_with=tuple(map(tuple, m)))
     raise ShearRequiredError(
         "could not normalize the chart at infinity after shearing retries"
     )
@@ -204,14 +174,10 @@ def infinity_pieces(curve: CurveInput, trunc: int) -> list[BranchPiece]:
     """Branch pieces covering all points of the curve on the line at
     infinity: the finite-w fiber as one quotient-ring piece plus the corner
     branch when [0:0:1] lies on the (there smooth) curve."""
-    Fh = curve.homogenized()
     H, q, corner = _chart_polys(curve)
     pieces: list[BranchPiece] = []
     if len(q) >= 2:
-        dq = [i * q[i] for i in range(1, len(q))]
-        from .series import intpoly_gcd
-
-        if len(intpoly_gcd(q, dq)) != 1:
+        if not intpoly_squarefree(q):
             raise ShearRequiredError("infinite fiber is not simple; shear required")
         ring = SeriesRing(q)
         w = newton_branch(H, "v", "w", ring, ring.generator(), trunc)
@@ -219,25 +185,61 @@ def infinity_pieces(curve: CurveInput, trunc: int) -> list[BranchPiece]:
         pieces.append(BranchPiece(ring, q, TruncatedSeries.variable(ring), one, w))
     if corner == 0:
         ring = SeriesRing([0, 1])
-        ring2 = ("s", "u")
-        H2 = SparsePoly(
-            ring2, {(e[0], e[1]): c for e, c in Fh.dehomogenize("x2").terms.items()}
-        )
-        zero_pt = {"s": Fraction(0), "u": Fraction(0)}
-        ds = H2.partial_derivative("s").evaluate(zero_pt)
-        du = H2.partial_derivative("u").evaluate(zero_pt)
+        H2, ds, du = _corner_chart(curve)
         one = TruncatedSeries.constant(ring, Fraction(1))
         t = TruncatedSeries.variable(ring)
         if du != 0:
             br = newton_branch(H2, "s", "u", ring, ring.generator(), trunc)
             pieces.append(BranchPiece(ring, None, t, br, one))
         elif ds != 0:
-            H2s = SparsePoly(ring2, {(e[1], e[0]): c for e, c in H2.terms.items()})
+            H2s = SparsePoly(H2.ring, {(e[1], e[0]): c for e, c in H2.terms.items()})
             br = newton_branch(H2s, "s", "u", ring, ring.generator(), trunc)
             pieces.append(BranchPiece(ring, None, br, t, one))
         else:
             raise ShearRequiredError("[0:0:1] is a singular point of the curve")
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# sigma components along a branch piece
+
+
+def _triple_components_on_piece(
+    sigma: HomogeneousTriple, piece: BranchPiece
+) -> list[TruncatedSeries]:
+    """An explicit triple along a branch piece: each component evaluated at
+    the piece's (x0, x1, x2)."""
+    at = {"x0": piece.x0, "x1": piece.x1, "x2": piece.x2}
+    return evaluate_polys_at_series(sigma.sigma, at, piece.ring)
+
+
+def _jet_series(
+    curve: CurveInput, piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
+) -> tuple[TruncatedSeries, list[TruncatedSeries]]:
+    """F_y and the Theta_i for i in ``needed`` along a branch piece, from the
+    jets u_k = d^k y / dx^k of the branch; every series is capped ``rel``
+    orders past its first known term."""
+    ring = piece.ring
+    x0_inv = piece.x0.invert(trunc + 8)
+    x_series = (piece.x1 * x0_inv).rel_capped(rel)
+    y_series = (piece.x2 * x0_inv).rel_capped(rel)
+    dx_inv = x_series.derivative().invert(trunc + 8).rel_capped(rel)
+    n_max = max(
+        (n + 1 for i in needed for e in theta_table()[i].terms for n, k in enumerate(e) if k),
+        default=1,
+    )
+    u: dict[str, TruncatedSeries] = {}
+    cur = y_series
+    for k in range(1, n_max + 1):
+        cur = (cur.derivative() * dx_inv).rel_capped(rel)
+        u[f"u{k}"] = cur
+    for k in range(n_max + 1, 9):
+        u[f"u{k}"] = TruncatedSeries.zero(ring, trunc)
+    fy = evaluate_polys_at_series(
+        [curve.fy()], {"x": x_series, "y": y_series}, ring, rel_cap=rel
+    )[0]
+    thetas = evaluate_polys_at_series([theta_table()[i] for i in needed], u, ring, rel_cap=rel)
+    return fy, thetas
 
 
 def canonical_components_on_piece(
@@ -250,36 +252,9 @@ def canonical_components_on_piece(
     ``rel`` caps every series ``rel`` orders past its first known term;
     relative precision survives multiplication, and insufficient caps
     surface as TruncationError in the downstream valuation queries."""
-    from .series import evaluate_polys_at_series
-
     ring = piece.ring
-
-    def rcap(s: TruncatedSeries) -> TruncatedSeries:
-        return s.with_trunc(min(s.trunc, s.min_exp() + rel))
-
-    x0_inv = piece.x0.invert(trunc + 8)
-    x_series = rcap(piece.x1 * x0_inv)
-    y_series = rcap(piece.x2 * x0_inv)
-    dx = x_series.derivative()
-    dx_inv = rcap(dx.invert(trunc + 8))
     needed = GROUP_THETAS[group]
-    n_max = max(
-        (n + 1 for i in needed for e in theta_table()[i].terms for n, k in enumerate(e) if k),
-        default=1,
-    )
-    u: dict[str, TruncatedSeries] = {}
-    cur = y_series
-    for k in range(1, n_max + 1):
-        cur = rcap(cur.derivative() * dx_inv)
-        u[f"u{k}"] = cur
-    for k in range(n_max + 1, 9):
-        u[f"u{k}"] = TruncatedSeries.zero(ring, trunc)
-    fy = evaluate_polys_at_series(
-        [curve.fy()], {"x": x_series, "y": y_series}, ring, rel_cap=rel
-    )[0]
-    theta_series = evaluate_polys_at_series(
-        [theta_table()[i] for i in needed], u, ring, rel_cap=rel
-    )
+    fy, theta_series = _jet_series(curve, piece, trunc, rel, needed)
     fy_pows: dict[int, TruncatedSeries] = {}
 
     def fy_pow(k: int) -> TruncatedSeries:
@@ -298,269 +273,212 @@ def canonical_components_on_piece(
     t_series: dict[int, TruncatedSeries] = {}
     for i, th in zip(needed, theta_series):
         a, b = TAU_COEFFS[i]
-        t_series[i] = rcap(th * fy_pow(FY_EXPONENT[i]) * x0_pow(a * d + b))
+        t_series[i] = (th * fy_pow(FY_EXPONENT[i]) * x0_pow(a * d + b)).rel_capped(rel)
     comps = []
     for x0p, factors in SIGMA_RECIPES[group]:
         c = x0_pow(x0p)
         for i, p in factors:
-            c = rcap(c * _pow_rel(t_series[i], p, rel))
+            c = (c * _pow_rel(t_series[i], p, rel)).rel_capped(rel)
         comps.append(c)
     return comps
 
 
 def _pow_rel(s: TruncatedSeries, n: int, rel: int) -> TruncatedSeries:
-    def rcap(x: TruncatedSeries) -> TruncatedSeries:
-        return x.with_trunc(min(x.trunc, x.min_exp() + rel))
-
     result = TruncatedSeries.constant(s.ring, Fraction(1))
     base = s
     while n:
         if n & 1:
-            result = rcap(result * base)
+            result = (result * base).rel_capped(rel)
         n >>= 1
         if n:
-            base = rcap(base * base)
+            base = (base * base).rel_capped(rel)
     return result
 
 
-# ---------------------------------------------------------------------------
-# branch series and component series
-
-
-@dataclass
-class BranchData:
-    """Jet and Theta series along the generic branch above v = 0."""
-
-    ring: SeriesRing
-    q: tuple[int, ...]
-    w: TruncatedSeries  # w(v)
-    fy_beta: TruncatedSeries
-    theta_beta: dict[int, TruncatedSeries]
-    trunc: int
-
-
-def branch_data(
-    chart: InfinityChart, needed_thetas: Sequence[int], trunc: int = DEFAULT_TRUNC
-) -> BranchData:
-    """Expand w(v), the jets u_k, F_y and the needed Thetas along the fiber."""
-    ring = SeriesRing(chart.q)
-    w = newton_branch(chart.H, "v", "w", ring, ring.generator(), trunc)
-    v_inv = TruncatedSeries(ring, {(-1, 0): 1}, 1, INF)
-    x_series = v_inv
-    y_series = w * v_inv
-    # u_{k+1} = -v^2 d/dv of u_k along x = 1/v
-    n_max = max(
-        (n + 1 for i in needed_thetas for e in theta_table()[i].terms for n, k in enumerate(e) if k),
-        default=1,
-    )
-    u: dict[str, TruncatedSeries] = {}
-    cur = y_series
-    for k in range(1, n_max + 1):
-        cur = -(cur.derivative().shift(2))
-        u[f"u{k}"] = cur
-    for k in range(n_max + 1, 9):
-        u[f"u{k}"] = TruncatedSeries.zero(ring, trunc)
-    fy = evaluate_poly_at_series(
-        chart.curve.fy(), {"x": x_series, "y": y_series}, ring
-    )
-    thetas = {}
-    for i in needed_thetas:
-        thetas[i] = evaluate_poly_at_series(theta_table()[i], u, ring)
-    return BranchData(ring, chart.q, w, fy, thetas, trunc)
-
-
-def component_series(data: BranchData, group: GroupId, d: int) -> list[TruncatedSeries]:
-    """The three sigma components along the branch: each T_i contributes
-    v^tau_i * Theta_i(beta) * F_y(beta)^(d_i), and the recipe's x0 powers
-    contribute plain v powers."""
-    fy_pows: dict[int, TruncatedSeries] = {}
-
-    def fy_pow(k: int) -> TruncatedSeries:
-        if k not in fy_pows:
-            fy_pows[k] = data.fy_beta**k
-        return fy_pows[k]
-
-    t_series: dict[int, TruncatedSeries] = {}
-    for i, th in data.theta_beta.items():
-        a, b = TAU_COEFFS[i]
-        t_series[i] = (th * fy_pow(FY_EXPONENT[i])).shift(a * d + b)
-    comps = []
-    for x0_pow, factors in SIGMA_RECIPES[group]:
-        c = TruncatedSeries.constant(data.ring, Fraction(1))
-        for i, p in factors:
-            c = c * t_series[i] ** p
-        comps.append(c.shift(x0_pow))
-    return comps
-
-
-def sigma_series_from_triple(
-    data: BranchData, sigma: HomogeneousTriple
+def _certify_zero_components(
+    curve: CurveInput, group: GroupId, comps: list[TruncatedSeries]
 ) -> list[TruncatedSeries]:
-    """Explicit-triple route: evaluate each component at (v, 1, w(v))."""
-    v = TruncatedSeries.variable(data.ring)
-    assignment = {"x0": v, "x1": TruncatedSeries.constant(data.ring, Fraction(1)), "x2": data.w}
-    return [evaluate_poly_at_series(s, assignment, data.ring) for s in sigma.sigma]
+    """Replace component series that are empty to their trusted order by
+    exact zeros once a factor is proven to vanish on the curve.
 
+    Degenerate invariants (e.g. kappa_s on a circle) make a sigma component
+    identically zero along every branch; without the exact certificate the
+    valuation scans would keep doubling the truncation forever.
+    """
+    from .jets import _vanishes_on_curve
 
-# ---------------------------------------------------------------------------
-# corner point [0:0:1] (only reachable on the explicit-triple route)
-
-
-def _corner_valuation(curve: CurveInput, sigma: HomogeneousTriple, a: Sequence[Fraction]) -> int:
-    """m_p(F, a.sigma) at [0:0:1] when that corner lies on the curve."""
-    Fh = curve.homogenized()
-    G = _combine(sigma, a)
-    ring2 = ("s", "u")
-    H2 = SparsePoly(ring2, {(e[0], e[1]): c for e, c in Fh.dehomogenize("x2").terms.items()})
-    G2 = SparsePoly(ring2, {(e[0], e[1]): c for e, c in G.dehomogenize("x2").terms.items()})
-    ds = H2.partial_derivative("s").evaluate({"s": Fraction(0), "u": Fraction(0)})
-    du = H2.partial_derivative("u").evaluate({"s": Fraction(0), "u": Fraction(0)})
-    ring = SeriesRing([0, 1])
-    trunc = DEFAULT_TRUNC
-    while True:
-        try:
-            if du != 0:
-                br = newton_branch(H2, "s", "u", ring, ring.generator(), trunc)
-                s_var = TruncatedSeries.variable(ring)
-                val = evaluate_poly_at_series(G2, {"s": s_var, "u": br}, ring).valuation()
-            elif ds != 0:
-                H2s = SparsePoly(ring2, {(e[1], e[0]): c for e, c in H2.terms.items()})
-                G2s = SparsePoly(ring2, {(e[1], e[0]): c for e, c in G2.terms.items()})
-                br = newton_branch(H2s, "s", "u", ring, ring.generator(), trunc)
-                s_var = TruncatedSeries.variable(ring)
-                val = evaluate_poly_at_series(G2s, {"s": s_var, "u": br}, ring).valuation()
-            else:
-                raise ShearRequiredError(
-                    "corner point [0:0:1] is singular on the curve; shear required"
-                )
-            return val
-        except TruncationError:
-            if trunc >= MAX_TRUNC:
-                raise
-            trunc *= 2
-
-
-def _combine(sigma: HomogeneousTriple, a: Sequence[Fraction]) -> SparsePoly:
-    acc = SparsePoly.zero(HOMOG_RING)
-    for coeff, comp in zip(a, sigma.sigma):
-        acc = acc + comp.scale(Fraction(coeff))
-    return acc
+    out = []
+    for comp, (_x0p, factors) in zip(comps, SIGMA_RECIPES[group]):
+        if comp.is_known_zero() and any(
+            _vanishes_on_curve(theta(curve, i).T, curve) for i, _pw in factors
+        ):
+            comp = TruncatedSeries.zero(comp.ring, INF)
+        out.append(comp)
+    if all(c.is_known_zero() and c.trunc >= INF for c in out):
+        raise ExceptionalCurveError(
+            "signature map undefined on curve: all components vanish"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
 # affine base points (non-generic inputs; absent for generic curves of
 # degree >= 4, but present for special curves like the cubic fixture)
 
+# The sigma components are given in affine form, each as a product of
+# (factor, power) pairs: a single factor for an explicit triple, T_i powers
+# for the canonical triple.
 
-def _resultant_y(curve: CurveInput, g: SparsePoly) -> SparsePoly:
-    return resultant(curve.F, g, "y")
+
+def _curve_resultant(F: SparsePoly, p: SparsePoly) -> SparsePoly:
+    r = resultant(F, p, "y")
+    if r.is_zero():
+        raise ShearRequiredError("a base component vanishes on the curve")
+    return r
 
 
-def affine_base_candidates(
-    curve: CurveInput, affine_components: Sequence[SparsePoly]
-) -> Optional[SparsePoly]:
-    """Squarefree polynomial in x cutting out the x-coordinates of possible
-    affine base points on the curve; None when provably empty."""
-    from .poly import square_free_part
+def _view(p: SparsePoly, images: Optional[tuple]) -> SparsePoly:
+    return p if images is None else p.compose_linear(images)
 
-    if curve.F.degree_in("y") <= 0:
-        return None
-    g: Optional[SparsePoly] = None
-    for s in affine_components:
-        if s.is_zero():
+
+def _affine_projections(curve: CurveInput, cut: Sequence[SparsePoly]):
+    """Project the common zeros of ``cut`` on the curve to the x-axis: in
+    the given coordinates, after the shears x -> x + k*y, and with x and y
+    swapped.  Yields (images, F, gsf, res) for every view whose squarefree
+    candidate polynomial gsf (in x, from the resultant gcd) avoids the zeros
+    of the leading y-coefficient of F, with the resultants of the cut by
+    polynomial; gsf None means the gcd is constant, so no affine base point
+    exists, and ends the views."""
+    x, y = SparsePoly.var(CURVE_RING, "x"), SparsePoly.var(CURVE_RING, "y")
+    for images in [None] + [(x + y.scale(k), y) for k in (1, 2, 3)] + [(y, x)]:
+        F = _view(curve.F, images)
+        res: dict[SparsePoly, SparsePoly] = {}
+        g: Optional[SparsePoly] = None
+        for p in cut:
+            res[p] = _curve_resultant(F, _view(p, images))
+            g = res[p] if g is None else gcd(g, res[p])
+            if g.is_constant():
+                yield images, F, None, res
+                return
+        gsf = square_free_part(g)
+        lc = _lc_in(F, 1)
+        if lc.is_constant() or gcd(gsf, lc).total_degree() <= 0:
+            yield images, F, gsf, res
+
+
+def _one_point_per_fiber(
+    F: SparsePoly, gsf: SparsePoly, factors: Sequence[SparsePoly]
+) -> bool:
+    """Certificate that each fiber above a root of ``gsf`` holds exactly one
+    point of F = 0 where some factor vanishes.  The zeros on the fiber are
+    the gcd in y of F and each factor over Q[W]/(gsf); zero divisors split
+    gsf and both parts are checked."""
+    ring = SeriesRing(intpoly_from_poly(gsf, "x"))
+    at = {"x": ring.generator(), "y": TruncatedSeries.variable(ring)}
+    try:
+        Fw, *ps = evaluate_polys_at_series([F, *factors], at, ring)
+        h = TruncatedSeries.constant(ring, Fraction(1))
+        for p in ps:
+            h = h * ring_poly_gcd(Fw, p)
+        repeated = ring_poly_gcd(h, h.derivative())
+        return max(h.terms)[0] - max(repeated.terms)[0] == 1
+    except ZeroDivisionError as err:
+        g = SparsePoly(CURVE_RING, {(k, 0): Fraction(c) for k, c in enumerate(err.gcd) if c})
+        return all(_one_point_per_fiber(F, part, factors) for part in (g, exact_div(gsf, g)))
+
+
+def _affine_term(
+    curve: CurveInput,
+    cut: Sequence[SparsePoly],
+    factored: Callable[[], Sequence[Sequence[tuple[SparsePoly, int]]]],
+) -> tuple[int, str]:
+    """The affine term of the lower bound, with its status.  ``factored()``
+    is called only when candidates exist: the T_i outside the cut are
+    costly to build.
+
+    In a view with one base point per candidate fiber the per-component
+    resultant orders are that point's multiplicities, and the term is
+    ``included`` (or ``verified-empty`` when it is 0).  When no view
+    separates the points the term is 0 (always sound) with status
+    ``per-line``: each trial line then counts its own affine intersections."""
+    for images, F, gsf, res in _affine_projections(curve, cut):
+        if gsf is None:
+            return 0, "verified-empty"
+        components = factored()
+        factors = list(dict.fromkeys(f for comp in components for f, _ in comp))
+        viewed = {f: _view(f, images) for f in factors}
+        if not _one_point_per_fiber(F, gsf, list(viewed.values())):
             continue
-        if s.is_constant():
-            return None
-        r = _resultant_y(curve, s)
-        g = r if g is None else gcd(g, r)
-        if g.is_constant():
-            return None
-    if g is None or g.is_constant():
-        return None
-    gsf = square_free_part(g)
-    lcy = _lc_y(curve.F)
-    if not lcy.is_constant() and gcd(gsf, lcy).total_degree() > 0:
-        raise ShearRequiredError(
-            "affine base candidates collide with the leading y-coefficient of F"
-        )
-    return gsf
+        # Res(F, prod f^k) = prod Res(F, f)^k
+        for f in factors:
+            if f not in res:
+                res[f] = _curve_resultant(F, viewed[f])
+        total = _affine_ideal([[(res[f], k) for f, k in comp] for comp in components], gsf)
+        return total, ("included" if total else "verified-empty")
+    return 0, "per-line"
 
 
-def _lc_y(F: SparsePoly) -> SparsePoly:
-    d = int(F.degree_in("y"))
-    terms = {}
-    for e, c in F.terms.items():
-        if e[1] == d:
-            terms[(e[0], 0)] = c
-    return SparsePoly(F.ring, terms)
+def _affine_line_sums(
+    curve: CurveInput,
+    cut: Sequence[SparsePoly],
+    factored: Sequence[Sequence[tuple[SparsePoly, int]]],
+    lines: Sequence[Sequence[Fraction]],
+) -> list[int]:
+    """Per line a: the sum over the curve points above the candidates of
+    m_p(F, a0*s0 + a1*s1 + a2*s2), as the resultant order over V(gsf)."""
+    for images, F, gsf, _res in _affine_projections(curve, cut):
+        if gsf is None:
+            return [0] * len(lines)
+        viewed = []
+        for comp in factored:
+            c = SparsePoly.const(CURVE_RING, 1)
+            for f, k in comp:
+                c = c * _view(f, images) ** k
+            viewed.append(c)
+        return [
+            _affine_ideal(
+                [[(_curve_resultant(F, _combine(a, viewed, SparsePoly.zero(CURVE_RING))), 1)]], gsf
+            )
+            for a in lines
+        ]
+    raise ShearRequiredError("affine base candidates collide with the leading coefficient of F")
 
 
-def _ord_over_locus(R: SparsePoly, gsf: SparsePoly) -> int:
-    """Sum over the roots of gsf of the vanishing order of R (R nonzero)."""
-    from .poly import exact_div
-
-    total = 0
-    while True:
-        h = gcd(R, gsf)
-        if h.total_degree() <= 0:
-            return total
-        total += int(h.total_degree())
-        R = exact_div(R, h)
-
-
-def affine_trial_sum(
-    curve: CurveInput, affine_combination: SparsePoly, gsf: SparsePoly
-) -> int:
-    """Sum over the curve points above V(gsf) of m_p(F, combination): with a
-    non-vanishing leading y-coefficient the x-resultant order counts exactly
-    the fiber multiplicities."""
-    if affine_combination.is_zero():
-        raise ValueError("zero combination")
-    R = _resultant_y(curve, affine_combination)
-    if R.is_zero():
-        raise ValueError("combination shares a factor with F (unlucky line)")
-    return _ord_over_locus(R, gsf)
-
-
-def affine_ideal_sum(
-    curve: CurveInput, affine_components: Sequence[SparsePoly], gsf: SparsePoly
-) -> int:
-    """Sum over curve points above V(gsf) of min_i m_p(F, component_i)."""
-    from .poly import exact_div
-
-    Rs = []
-    for s in affine_components:
-        if s.is_zero():
-            continue
-        R = _resultant_y(curve, s)
-        if R.is_zero():
-            raise ValueError("component vanishes on the curve")
-        Rs.append(R)
-    active = gsf
+def _vanishing_orders(R: SparsePoly, gsf: SparsePoly) -> list[tuple[SparsePoly, int]]:
+    """gsf split into factors on whose roots R vanishes to one order each."""
+    parts = []
     level = 0
-    total = 0
-    while active.total_degree() > 0:
-        g_all = active
-        for R in Rs:
-            g_all = gcd(g_all, R)
-            if g_all.is_constant():
-                break
-        resolved_deg = int(active.total_degree()) - max(int(g_all.total_degree()), 0)
-        total += level * resolved_deg
-        if g_all.is_constant():
-            return total
-        active = g_all
-        # every surviving root has ord >= level+1 in every component: divide
-        # each resultant once by the (squarefree) active factor to descend
-        Rs = [exact_div(R, active) for R in Rs]
-        level += 1
-        if level > 10_000:
-            raise RuntimeError("affine ideal recursion did not terminate")
-    return total
+    while gsf.total_degree() > 0:
+        # the roots with order >= level + 1 stay active; R drops one order
+        deeper = gcd(gsf, R)
+        exact = exact_div(gsf, deeper)
+        if exact.total_degree() > 0:
+            parts.append((exact, level))
+        gsf, R, level = deeper, exact_div(R, deeper), level + 1
+    return parts
+
+
+def _affine_ideal(
+    factored: Sequence[Sequence[tuple[SparsePoly, int]]], gsf: SparsePoly
+) -> int:
+    """Sum over the roots of gsf of min over the components of the order of
+    prod R^k, from the vanishing orders of each resultant R."""
+    cells: list[tuple[SparsePoly, dict]] = [(gsf, {})]
+    for R in dict.fromkeys(R for comp in factored for R, _ in comp):
+        cells = [
+            (common, {**orders, R: level})
+            for part, level in _vanishing_orders(R, gsf)
+            for cell, orders in cells
+            if (common := gcd(cell, part)).total_degree() > 0
+        ]
+    return sum(
+        int(cell.total_degree()) * min(sum(k * orders[R] for R, k in comp) for comp in factored)
+        for cell, orders in cells
+    )
 
 
 # ---------------------------------------------------------------------------
-# multiplicity sums
+# the multiplicity driver
 
 
 @dataclass(frozen=True)
@@ -572,67 +490,125 @@ class MultiplicityReport:
     sandwich_closed: Optional[bool] = None
 
 
+def _combine(a: Sequence, items: Sequence, acc):
+    for coeff, item in zip(a, items):
+        acc = acc + item.scale(Fraction(coeff))
+    return acc
+
+
+def _random_lines(rng: random.Random, trials: int) -> Iterable[tuple[Fraction, ...]]:
+    for _ in range(trials):
+        a = tuple(Fraction(rng.randint(-10_000, 10_000)) for _ in range(3))
+        while all(x == 0 for x in a):
+            a = tuple(Fraction(rng.randint(-10_000, 10_000)) for _ in range(3))
+        yield a
+
+
+def _piece_val(comb: TruncatedSeries, piece: BranchPiece) -> int:
+    if piece.q is not None:
+        return fiber_valuation_sum(comb, piece.q)
+    return comb.valuation()
+
+
+def _piece_min(comps: Sequence[TruncatedSeries], piece: BranchPiece) -> int:
+    if piece.q is not None:
+        return fiber_min_valuation_sum(comps, piece.q)
+    return min(c.valuation() for c in comps)
+
+
+def _doubling(attempt: Callable, trunc: int):
+    """attempt(t) for t = trunc, 2*trunc, ... until it stops raising
+    TruncationError; past MAX_TRUNC the error propagates."""
+    t = trunc
+    while True:
+        try:
+            return attempt(t)
+        except TruncationError:
+            if t >= MAX_TRUNC:
+                raise
+            t *= 2
+
+
+def _mult_report(
+    curve: CurveInput,
+    components: Callable[[BranchPiece, int, int], list[TruncatedSeries]],
+    affine: Callable[[list], tuple[list[int], int, str]],
+    lines: Callable[[], Iterable[Sequence[Fraction]]],
+    trunc: int,
+) -> tuple[MultiplicityReport, str]:
+    """Multiplicity sums over the base locus on the curve for each trial
+    line, and the lower bound sum_p min_k m_p(F, sigma_k).
+
+    ``components(piece, trunc, rel)`` gives the three sigma series on a
+    branch piece; ``lines()`` yields the trial a-vectors of one attempt;
+    ``affine(lines)`` gives the per-line affine terms, the affine term of
+    the lower bound and its status.  Truncation (and the relative cap)
+    doubles until every valuation is certified.
+    """
+
+    def attempt(t: int):
+        pieces = infinity_pieces(curve, t)
+        all_comps = [components(p, t, 32 * t // trunc) for p in pieces]
+        results = []
+        for a in lines():
+            total = sum(
+                _piece_val(_combine(a, comps, TruncatedSeries.zero(piece.ring)), piece)
+                for piece, comps in zip(pieces, all_comps)
+            )
+            results.append((a, total))
+        lower = sum(_piece_min(comps, piece) for piece, comps in zip(pieces, all_comps))
+        return results, lower
+
+    results, lower = _doubling(attempt, trunc)
+    line_sums, affine_lower, status = affine([a for a, _ in results])
+    trials = tuple((tuple(a), s + t) for (a, s), t in zip(results, line_sums))
+    min_sum = min(s for _, s in trials)
+    lower += affine_lower
+    report = MultiplicityReport(
+        trials=trials,
+        min_sum=min_sum,
+        route="series-valuation",
+        lower_bound=lower,
+        sandwich_closed=(lower == min_sum),
+    )
+    return report, status
+
+
+# ---------------------------------------------------------------------------
+# explicit triples
+
+
+def _triple_report(
+    curve: CurveInput, sigma: HomogeneousTriple, lines: Callable, trunc: int
+) -> MultiplicityReport:
+    comps = sigma.dehomogenized()
+    nonzero = [c for c in comps if not c.is_zero()]
+
+    def affine_part(trial_lines: list) -> tuple[list[int], int, str]:
+        lower, status = _affine_term(curve, nonzero, lambda: [[(c, 1)] for c in nonzero])
+        sums = _affine_line_sums(curve, nonzero, [[(c, 1)] for c in comps], trial_lines)
+        return sums, lower, status
+
+    return _mult_report(
+        curve,
+        lambda piece, _t, _rel: _triple_components_on_piece(sigma, piece),
+        affine_part,
+        lines,
+        trunc,
+    )[0]
+
+
 def mult_sum_line(
     curve: CurveInput,
     sigma: HomogeneousTriple,
     a: Sequence,
     trunc: int = DEFAULT_TRUNC,
-    _data_cache: Optional[dict] = None,
 ) -> int:
-    """Sum over base-locus points on the curve of m_p(F, a0*s0+a1*s1+a2*s2).
-
-    Covers the fiber at infinity (all base points of the canonical triples on
-    generic curves); the corner [0:0:1] is handled in its own chart when it
-    lies on the curve.  Affine base points are the caller's lookout (see
-    base_locus_on_curve).
-    """
-    a = [Fraction(x) for x in a]
-    Fh = curve.homogenized()
-    corner_on_curve = (
-        Fh.evaluate({"x0": Fraction(0), "x1": Fraction(0), "x2": Fraction(1)}) == 0
-    )
-    H, q, _corner = _chart_polys(curve)
-    from .series import intpoly_gcd
-
-    dq = [i * q[i] for i in range(1, len(q))]
-    if len(q) >= 2 and len(intpoly_gcd(q, dq)) != 1:
-        raise ShearRequiredError("infinite fiber is not simple; shear required")
-    total = 0
-    while True:
-        try:
-            if len(q) >= 2:
-                chart = InfinityChart(curve, H, q)
-                data = None if _data_cache is None else _data_cache.get(trunc)
-                if data is None:
-                    data = branch_data(chart, (), trunc)
-                    if _data_cache is not None:
-                        _data_cache[trunc] = data
-                comps = sigma_series_from_triple(data, sigma)
-                comb = TruncatedSeries.zero(data.ring)
-                for coeff, comp in zip(a, comps):
-                    comb = comb + comp.scale(coeff)
-                total = fiber_valuation_sum(comb, q)
-            break
-        except TruncationError:
-            if trunc >= MAX_TRUNC:
-                raise
-            trunc *= 2
-    if corner_on_curve:
-        total += _corner_valuation(curve, sigma, a)
-    affine = [s.dehomogenize("x0").rename_ring(CURVE_RING) for s in sigma.sigma]
-    gsf = affine_base_candidates(curve, affine)
-    if gsf is not None:
-        import warnings
-
-        warnings.warn(
-            "affine base-point candidates present (non-generic input): "
-            "adding local multiplicities above V(%s)" % gsf
-        )
-        comb_aff = SparsePoly.zero(CURVE_RING)
-        for coeff, comp in zip(a, affine):
-            comb_aff = comb_aff + comp.scale(coeff)
-        total += affine_trial_sum(curve, comb_aff, gsf)
-    return total
+    """Sum over base-locus points on the curve of m_p(F, a0*s0+a1*s1+a2*s2):
+    the branches at infinity (the corner [0:0:1] in its own chart when it
+    lies on the curve) plus the affine base points of this line."""
+    line = tuple(Fraction(x) for x in a)
+    return _triple_report(curve, sigma, lambda: [line], trunc).min_sum
 
 
 def mult_sum_line_resultant(
@@ -647,11 +623,8 @@ def mult_sum_line_resultant(
     H, q, corner = _chart_polys(curve)
     if corner == 0:
         raise ShearRequiredError("corner [0:0:1] on curve: resultant route invalid")
-    G = _combine(sigma, [Fraction(x) for x in a])
-    G_chart = SparsePoly(
-        CHART_RING, {(e[0], e[1]): c for e, c in G.dehomogenize("x1").terms.items()}
-    )
-    r = resultant(H, G_chart, "w")
+    G = _combine(a, sigma.sigma, SparsePoly.zero(HOMOG_RING))
+    r = resultant(H, G.dehomogenize("x1").rename_ring(CHART_RING), "w")
     if r.is_zero():
         raise ValueError("resultant vanished: common factor (unlucky line)")
     return min(e[0] for e in r.terms)
@@ -669,68 +642,11 @@ def mult_min(
     if trials < 3:
         raise ValueError("at least 3 trials required")
     rng = random.Random(seed * 9176 + 11)
-    cache: dict = {}
-    results = []
-    for _ in range(trials):
-        a = tuple(Fraction(rng.randint(-10_000, 10_000)) for _ in range(3))
-        while all(x == 0 for x in a):
-            a = tuple(Fraction(rng.randint(-10_000, 10_000)) for _ in range(3))
-        results.append((a, mult_sum_line(curve, sigma, a, trunc, _data_cache=cache)))
-    min_sum = min(s for _, s in results)
-    lower = _ideal_lower_bound(curve, sigma, cache, trunc)
-    return MultiplicityReport(
-        trials=tuple((tuple(a), s) for a, s in results),
-        min_sum=min_sum,
-        route="series-valuation",
-        lower_bound=lower,
-        sandwich_closed=(lower == min_sum) if lower is not None else None,
-    )
-
-
-def _ideal_lower_bound(curve, sigma, cache, trunc) -> Optional[int]:
-    H, q, _ = _chart_polys(curve)
-    if len(q) < 2:
-        return None
-    corner_on_curve = (
-        curve.homogenized().evaluate(
-            {"x0": Fraction(0), "x1": Fraction(0), "x2": Fraction(1)}
-        )
-        == 0
-    )
-    while True:
-        try:
-            data = cache.get(trunc)
-            if data is None:
-                chart = InfinityChart(curve, H, q)
-                data = branch_data(chart, (), trunc)
-                cache[trunc] = data
-            comps = sigma_series_from_triple(data, sigma)
-            total = fiber_min_valuation_sum(comps, q)
-            break
-        except TruncationError:
-            if trunc >= MAX_TRUNC:
-                return None
-            trunc *= 2
-    if corner_on_curve:
-        # per-component corner valuations: use unit vectors
-        vals = []
-        for k in range(3):
-            a = [Fraction(0)] * 3
-            a[k] = Fraction(1)
-            if sigma.sigma[k].is_zero():
-                continue
-            vals.append(_corner_valuation(curve, sigma, a))
-        if vals:
-            total += min(vals)
-    affine = [s.dehomogenize("x0").rename_ring(CURVE_RING) for s in sigma.sigma]
-    gsf = affine_base_candidates(curve, affine)
-    if gsf is not None:
-        total += affine_ideal_sum(curve, affine, gsf)
-    return total
+    return _triple_report(curve, sigma, lambda: _random_lines(rng, trials), trunc)
 
 
 # ---------------------------------------------------------------------------
-# multiplicity sums on the Theta route (canonical sigma, no polynomials)
+# the canonical triple (Theta route, no sigma polynomials)
 
 # radical pair of T indices cutting out the base locus of the canonical triple
 CANONICAL_AFFINE_PAIR = {
@@ -741,147 +657,28 @@ CANONICAL_AFFINE_PAIR = {
 }
 
 
+def _canonical_cut(curve: CurveInput, group: GroupId) -> list[SparsePoly]:
+    return [theta(curve, i).T for i in CANONICAL_AFFINE_PAIR[group]]
+
+
+def _canonical_factored(curve: CurveInput, group: GroupId) -> list[list[tuple[SparsePoly, int]]]:
+    return [[(theta(curve, i).T, k) for i, k in fs] for _x0, fs in SIGMA_RECIPES[group]]
+
+
 def canonical_affine_part(curve: CurveInput, group: GroupId) -> tuple[int, str]:
-    """Affine base-point contribution for the canonical triple.
+    """Affine base-point term of the lower bound for the canonical triple.
 
     Returns (sum, status).  For PGL(3) on dense curves of degree >= 4 the
     check is skipped (generic absence of affine base points holds there, and
     the required T_7/T_8 polynomials are not built at that scale); sparse
-    inputs such as the Fermat family are always checked.  The fiber counting
-    projects along y by default and falls back to projecting along x when
-    base candidates collide with the leading y-coefficient of F.
+    inputs such as the Fermat family are always checked.  Status
+    ``per-line`` means the sum is 0 and each trial line adds its own count.
     """
     if group is GroupId.PGL3 and curve.d >= 4 and len(curve.F.terms) > 6:
         return 0, "assumed-generic"
-    try:
-        return _canonical_affine_directional(curve, group, "y")
-    except ShearRequiredError:
-        return _canonical_affine_directional(curve, group, "x")
-
-
-def _canonical_affine_directional(
-    curve: CurveInput, group: GroupId, direction: str
-) -> tuple[int, str]:
-    from .jets import theta
-
-    other = "x" if direction == "y" else "y"
-    i, j = CANONICAL_AFFINE_PAIR[group]
-
-    def res(p: SparsePoly) -> SparsePoly:
-        r = resultant(curve.F, p, direction)
-        if r.is_zero():
-            raise ShearRequiredError("a base component vanishes on the curve")
-        return r
-
-    Ri = res(theta(curve, i).T)
-    Rj = res(theta(curve, j).T)
-    g = gcd(Ri, Rj)
-    if g.is_constant():
-        return 0, "verified-empty"
-    from .poly import square_free_part
-
-    gsf = square_free_part(g)
-    lc = _lc_in_direction(curve.F, direction)
-    if not lc.is_constant() and gcd(gsf, lc).total_degree() > 0:
-        raise ShearRequiredError(
-            f"affine base candidates collide with the leading {direction}-coefficient"
-        )
-    # per-component resultants via multiplicativity of the resultant:
-    # Res(F, prod T_i^k) = prod Res(F, T_i)^k; plain x0 powers contribute 1
-    t_res = {}
-    for idx in GROUP_THETAS[group]:
-        t_res[idx] = res(theta(curve, idx).T)
-    Rs = []
-    for _x0pow, factors in SIGMA_RECIPES[group]:
-        R = SparsePoly.const(CURVE_RING, 1)
-        for idx, p in factors:
-            R = R * t_res[idx] ** p
-        Rs.append(R)
-    total = _affine_ideal_from_resultants(Rs, gsf)
-    return total, ("included" if total else "verified-empty")
-
-
-def _lc_in_direction(F: SparsePoly, direction: str) -> SparsePoly:
-    axis = 1 if direction == "y" else 0
-    d = int(F.degree_in(direction))
-    terms = {}
-    for e, c in F.terms.items():
-        if e[axis] == d:
-            e2 = list(e)
-            e2[axis] = 0
-            terms[tuple(e2)] = c
-    return SparsePoly(F.ring, terms)
-
-
-def _affine_ideal_from_resultants(Rs: list[SparsePoly], gsf: SparsePoly) -> int:
-    from .poly import exact_div
-
-    active = gsf
-    level = 0
-    total = 0
-    Rs = list(Rs)
-    while active.total_degree() > 0:
-        g_all = active
-        for R in Rs:
-            g_all = gcd(g_all, R)
-            if g_all.is_constant():
-                break
-        resolved_deg = int(active.total_degree()) - max(int(g_all.total_degree()), 0)
-        total += level * resolved_deg
-        if g_all.is_constant():
-            return total
-        active = g_all
-        Rs = [exact_div(R, active) for R in Rs]
-        level += 1
-        if level > 10_000:
-            raise RuntimeError("affine ideal recursion did not terminate")
-    return total
-
-
-def _certify_zero_components(
-    curve: CurveInput, group: GroupId, comps: list[TruncatedSeries]
-) -> list[TruncatedSeries]:
-    """Replace component series that are empty to their trusted order by
-    exact zeros once a factor is proven to vanish on the curve.
-
-    Degenerate invariants (e.g. kappa_s on a circle) make a sigma component
-    identically zero along every branch; without the exact certificate the
-    valuation scans would keep doubling the truncation forever.
-    """
-    from .jets import _vanishes_on_curve, theta
-
-    out = []
-    for comps_idx, comp in enumerate(comps):
-        if not comp.is_known_zero():
-            out.append(comp)
-            continue
-        _x0p, factors = SIGMA_RECIPES[group][comps_idx]
-        vanish = False
-        for i, _pw in factors:
-            if _vanishes_on_curve(theta(curve, i).T, curve):
-                vanish = True
-                break
-        if vanish:
-            out.append(TruncatedSeries.zero(comp.ring, INF))
-        else:
-            out.append(comp)
-    if all(c.is_known_zero() and c.trunc >= INF for c in out):
-        raise ExceptionalCurveError(
-            "signature map undefined on curve: all components vanish"
-        )
-    return out
-
-
-def _piece_val(comb: TruncatedSeries, piece: BranchPiece) -> int:
-    if piece.q is not None:
-        return fiber_valuation_sum(comb, piece.q)
-    return comb.valuation()
-
-
-def _piece_min(comps: Sequence[TruncatedSeries], piece: BranchPiece) -> int:
-    if piece.q is not None:
-        return fiber_min_valuation_sum(comps, piece.q)
-    return min(c.valuation() for c in comps)
+    return _affine_term(
+        curve, _canonical_cut(curve, group), lambda: _canonical_factored(curve, group)
+    )
 
 
 def mult_min_canonical(
@@ -895,57 +692,34 @@ def mult_min_canonical(
     jet series of the infinite branches (fiber piece plus corner piece);
     shears with a group element only when the branches are not workable.
 
-    Affine base contributions (non-generic inputs only) are added at their
-    generic-line value, which coincides with the per-point minimum.
+    Certified affine base contributions (non-generic inputs only) are added
+    at their generic-line value, the per-point minimum; uncertified ones are
+    counted per trial line.
     """
-    if trials < 3:
-        trials = 3
     chart = infinity_chart(curve, group, seed)
     work = chart.curve
     rng = random.Random(seed * 9176 + 11)
-    cur_trunc = min(trunc, GROUP_START_TRUNC[group]) if trunc == DEFAULT_TRUNC else trunc
-    rel = 32
-    while True:
-        try:
-            pieces = infinity_pieces(work, cur_trunc)
-            all_comps = [
-                canonical_components_on_piece(work, group, p, cur_trunc, rel)
-                for p in pieces
-            ]
-            all_comps = [
-                _certify_zero_components(work, group, comps) for comps in all_comps
-            ]
-            results = []
-            for _ in range(trials):
-                a = tuple(Fraction(rng.randint(-10_000, 10_000)) for _ in range(3))
-                while all(x == 0 for x in a):
-                    a = tuple(Fraction(rng.randint(-10_000, 10_000)) for _ in range(3))
-                total = 0
-                for piece, comps in zip(pieces, all_comps):
-                    comb = TruncatedSeries.zero(piece.ring)
-                    for coeff, comp in zip(a, comps):
-                        comb = comb + comp.scale(coeff)
-                    total += _piece_val(comb, piece)
-                results.append((a, total))
-            lower = sum(
-                _piece_min(comps, piece) for piece, comps in zip(pieces, all_comps)
-            )
-            break
-        except TruncationError:
-            if cur_trunc >= MAX_TRUNC:
-                raise
-            cur_trunc *= 2
-            rel *= 2
-    affine_sum, affine_status = canonical_affine_part(work, group)
-    min_sum = min(s for _, s in results) + affine_sum
-    report = MultiplicityReport(
-        trials=tuple((tuple(a), s + affine_sum) for a, s in results),
-        min_sum=min_sum,
-        route="series-valuation",
-        lower_bound=lower + affine_sum,
-        sandwich_closed=(lower + affine_sum == min_sum),
+
+    def components(piece: BranchPiece, t: int, rel: int) -> list[TruncatedSeries]:
+        comps = canonical_components_on_piece(work, group, piece, t, rel)
+        return _certify_zero_components(work, group, comps)
+
+    def affine_part(trial_lines: list) -> tuple[list[int], int, str]:
+        lower, status = canonical_affine_part(work, group)
+        if status != "per-line":
+            return [lower] * len(trial_lines), lower, status
+        factored = _canonical_factored(work, group)
+        sums = _affine_line_sums(work, _canonical_cut(work, group), factored, trial_lines)
+        return sums, 0, status
+
+    report, status = _mult_report(
+        work,
+        components,
+        affine_part,
+        lambda: _random_lines(rng, max(trials, 3)),
+        min(trunc, GROUP_START_TRUNC[group]) if trunc == DEFAULT_TRUNC else trunc,
     )
-    return report, chart, affine_status
+    return report, chart, status
 
 
 # ---------------------------------------------------------------------------
@@ -974,36 +748,22 @@ def series_valuations(
     if dqv == 0:
         raise ShearRequiredError("root_w is a multiple root; shear required")
     ring = SeriesRing([-root_w.numerator, root_w.denominator])
-    cur_trunc = trunc
-    while True:
-        try:
-            chart = InfinityChart(curve, H, q)
-            # rational-root branch: modulus W - root_w
-            w = newton_branch(chart.H, "v", "w", ring, ring.generator(), cur_trunc)
-            v_inv = TruncatedSeries(ring, {(-1, 0): 1}, 1, INF)
-            y_series = w * v_inv
-            u: dict[str, TruncatedSeries] = {}
-            cur = y_series
-            for k in range(1, 9):
-                cur = -(cur.derivative().shift(2))
-                u[f"u{k}"] = cur
-            fy = evaluate_poly_at_series(
-                curve.fy(), {"x": v_inv, "y": y_series}, ring
-            )
-            val_fy = fy.valuation()
-            vth = []
-            vi = []
-            for i in range(1, 9):
-                th = evaluate_poly_at_series(theta_table()[i], u, ring)
-                vt = th.valuation()
-                a, b = TAU_COEFFS[i]
-                vth.append(vt)
-                vi.append(a * curve.d + b + vt + FY_EXPONENT[i] * val_fy)
-            return ValuationTable(root_w, tuple(vth), val_fy, tuple(vi))
-        except TruncationError:
-            if cur_trunc >= MAX_TRUNC:
-                raise
-            cur_trunc *= 2
+
+    def attempt(t: int) -> ValuationTable:
+        # rational-root branch: modulus W - root_w
+        w = newton_branch(H, "v", "w", ring, ring.generator(), t)
+        one = TruncatedSeries.constant(ring, Fraction(1))
+        piece = BranchPiece(ring, ring.q, TruncatedSeries.variable(ring), one, w)
+        fy, thetas = _jet_series(curve, piece, t, t, range(1, 9))
+        val_fy = fy.valuation()
+        vth = tuple(th.valuation() for th in thetas)
+        vi = tuple(
+            TAU_COEFFS[i][0] * curve.d + TAU_COEFFS[i][1] + vt + FY_EXPONENT[i] * val_fy
+            for i, vt in enumerate(vth, 1)
+        )
+        return ValuationTable(root_w, vth, val_fy, vi)
+
+    return _doubling(attempt, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,35 +779,21 @@ class BaseLocusReport:
 
 def base_locus_on_curve(curve: CurveInput, sigma: HomogeneousTriple) -> BaseLocusReport:
     """Partition of the base locus on the curve into affine and infinite
-    parts.  The affine test is two bivariate resultants plus a gcd
-    consistency check; a constant gcd certifies emptiness."""
+    parts.  The affine test is the gcd of the resultants of F with the
+    components; a constant gcd certifies emptiness."""
     if all(s.is_zero() for s in sigma.sigma):
         raise ValueError("signature map undefined on curve: zero triple")
-    affine = [s.dehomogenize("x0").rename_ring(CURVE_RING) for s in sigma.sigma]
-    F = curve.F
-    res = []
-    for g in affine:
-        if g.is_zero():
-            continue
-        if g.is_constant():
-            return BaseLocusReport(True, "a component is a nonzero constant", _inf_points(curve, sigma))
-        if gcd(F, g).total_degree() > 0:
-            return BaseLocusReport(
-                None, "a component shares a factor with F", _inf_points(curve, sigma)
-            )
-        res.append(resultant(F, g, "y"))
-    g = res[0]
-    for r in res[1:]:
-        g = gcd(g, r)
-        if g.is_constant():
-            break
-    if g.is_constant():
-        return BaseLocusReport(True, "resultant gcd is constant", _inf_points(curve, sigma))
-    return BaseLocusReport(
-        None,
-        f"common x-candidates cut out by a degree-{g.total_degree()} polynomial",
-        _inf_points(curve, sigma),
-    )
+    inf = _inf_points(curve, sigma)
+    affine = [c for c in sigma.dehomogenized() if not c.is_zero()]
+    try:
+        for _images, _F, gsf, _res in _affine_projections(curve, affine):
+            if gsf is None:
+                return BaseLocusReport(True, "resultant gcd is constant", inf)
+            evidence = f"common x-candidates cut out by a degree-{gsf.total_degree()} polynomial"
+            return BaseLocusReport(None, evidence, inf)
+    except ShearRequiredError:
+        return BaseLocusReport(None, "a component shares a factor with F", inf)
+    return BaseLocusReport(None, "candidates meet the leading coefficient of F in every view", inf)
 
 
 def _inf_points(curve: CurveInput, sigma: HomogeneousTriple) -> str:
@@ -1061,18 +807,10 @@ def _inf_points(curve: CurveInput, sigma: HomogeneousTriple) -> str:
     parts = []
     _, q, _ = _chart_polys(curve)
     if len(q) >= 2:
-        from .series import intpoly_gcd
-
-        g = list(q)
+        g = q
         for s in sigma.sigma:
             su = s.evaluate_partial({"x0": zero, "x1": one})
-            coeffs = [0] * (int(su.degree_in("x2")) + 1 if su.terms else 1)
-            den = 1
-            for e, c in su.terms.items():
-                den = den * c.denominator
-            for e, c in su.terms.items():
-                coeffs[e[2]] += int(c * den)
-            g = list(intpoly_gcd(g, coeffs))
+            g = intpoly_gcd(g, intpoly_from_poly(su, "x2"))
             if len(g) == 1:
                 break
         if len(g) > 1:

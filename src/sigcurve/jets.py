@@ -417,8 +417,9 @@ class HomogeneousTriple:
     group: GroupId
     cancelled: bool = False
 
-    def dehomogenized(self) -> tuple[SparsePoly, SparsePoly, SparsePoly]:
-        return tuple(s.dehomogenize("x0") for s in self.sigma)  # type: ignore[return-value]
+    def dehomogenized(self) -> list[SparsePoly]:
+        """The components in the affine chart x0 = 1, over (x, y)."""
+        return [s.dehomogenize("x0").rename_ring(CURVE_RING) for s in self.sigma]
 
 
 def homogeneous_gcd(polys: Sequence[SparsePoly]) -> SparsePoly:

@@ -472,10 +472,6 @@ def _int_form(p: SparsePoly) -> tuple[dict[Exponent, int], int]:
     return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
 
-def _from_int_form(ring, terms: dict[Exponent, int], den: int) -> SparsePoly:
-    return SparsePoly(ring, {e: Fraction(c, den) for e, c in terms.items() if c})
-
-
 # ---------------------------------------------------------------------------
 # division, gcd, resultants
 

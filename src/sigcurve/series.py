@@ -43,6 +43,16 @@ def intpoly_normalize(c: Sequence[int]) -> IntPoly:
     return tuple(c)
 
 
+def intpoly_from_poly(p: SparsePoly, var: str) -> IntPoly:
+    """Primitive integer coefficients of a polynomial in the one variable ``var``."""
+    i = p.ring.index(var)
+    coeffs = [Fraction(0)] * (int(p.degree_in(var)) + 1 if p.terms else 1)
+    for e, c in p.terms.items():
+        coeffs[e[i]] += c
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return intpoly_normalize([int(c * den) for c in coeffs])
+
+
 def intpoly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     """Primitive gcd of two integer polynomials (positive leading coeff)."""
     fa = [Fraction(x) for x in a]
@@ -68,6 +78,12 @@ def intpoly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     for x in fa:
         den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
     return intpoly_normalize([int(x * den_lcm) for x in fa])
+
+
+def intpoly_squarefree(q: Sequence[int]) -> bool:
+    """Whether q has no repeated root (constants count as squarefree)."""
+    dq = [i * q[i] for i in range(1, len(q))]
+    return len(q) < 2 or len(intpoly_gcd(q, dq)) == 1
 
 
 def intpoly_rem(a: Sequence[int], q: Sequence[int]) -> IntPoly:
@@ -266,6 +282,10 @@ class TruncatedSeries:
         terms = {jk: c for jk, c in self.terms.items() if jk[0] < trunc}
         return TruncatedSeries(self.ring, terms, self.den, trunc)
 
+    def rel_capped(self, rel: int) -> "TruncatedSeries":
+        """Truncate ``rel`` orders past the first known term."""
+        return self.with_trunc(min(self.trunc, self.min_exp() + rel))
+
     def min_exp(self) -> int:
         """Lower bound of the support (trunc when nothing is known)."""
         if not self.terms:
@@ -443,9 +463,7 @@ def evaluate_polys_at_series(
     one = TruncatedSeries.constant(ring, Fraction(1))
 
     def cap(s: TruncatedSeries) -> TruncatedSeries:
-        if rel_cap is None:
-            return s
-        return s.with_trunc(min(s.trunc, s.min_exp() + rel_cap))
+        return s if rel_cap is None else s.rel_capped(rel_cap)
 
     def power(name: str, k: int) -> TruncatedSeries:
         tab = pows.setdefault(name, [one])
@@ -492,6 +510,25 @@ def newton_branch(
         dv = evaluate_poly_at_series(dH, assignment, ring)
         w = (w_ext - hv * dv.invert(p)).with_trunc(p).normalized()
     return w
+
+
+def ring_poly_gcd(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Euclidean gcd of two polynomials in v over Q[W]/(q), given as exact
+    series (trunc INF).
+
+    Raises ZeroDivisionError carrying the offending gcd with q when a
+    leading coefficient is a zero divisor (callers split the fiber on it).
+    """
+    ring = a.ring
+    while b.terms:
+        db = max(j for j, _ in b.terms)
+        inv = ring.element(ring.invert_vec(b.coeff_fractions(db)))
+        while a.terms and max(j for j, _ in a.terms) >= db:
+            da = max(j for j, _ in a.terms)
+            lead = ring.element(a.coeff_fractions(da)) * inv
+            a = a - (b * lead).shift(da - db)
+        a, b = b, a
+    return a
 
 
 # ---------------------------------------------------------------------------

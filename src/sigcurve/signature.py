@@ -18,7 +18,6 @@ k1 > k2, enabling byte-exact comparisons.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from .jets import (
     require_non_exceptional,
     theta_table,
 )
-from .poly import SparsePoly, gcd, grlex_key, pseudo_remainder, square_free_part
+from .poly import SparsePoly, _lc_in, gcd, grlex_key, pseudo_remainder, square_free_part
 
 SIG_RING = ("k1", "k2")
 ELIM_RING = ("t", "x", "y", "k1", "k2")
@@ -94,7 +93,7 @@ def is_constant_signature(curve: CurveInput, group: GroupId) -> Optional[Fractio
     dy = int(F.degree_in("y"))
     if dy <= 0:
         return None
-    lcy = _lc_in_y(F)
+    lcy = _lc_in(F, 1)
 
     def reduce_with_scale(p: SparsePoly) -> tuple[SparsePoly, int]:
         k = max(int(p.degree_in("y")) - dy + 1, 0)
@@ -114,15 +113,6 @@ def is_constant_signature(curve: CurveInput, group: GroupId) -> Optional[Fractio
     if U == W.scale(c):
         return c
     return None
-
-
-def _lc_in_y(F: SparsePoly) -> SparsePoly:
-    d = int(F.degree_in("y"))
-    terms = {}
-    for e, c in F.terms.items():
-        if e[1] == d:
-            terms[(e[0], 0)] = c
-    return SparsePoly(F.ring, terms)
 
 
 def signature_polynomial(
@@ -442,7 +432,13 @@ def exact_signature_fit(
     pair evaluate exactly there, and S(K1, K2) = 0 contributes deg-many exact
     rational linear conditions on the coefficients of S.  No floats anywhere.
     """
-    from .series import SeriesRing, TruncatedSeries, newton_branch, intpoly_gcd
+    from .series import (
+        SeriesRing,
+        TruncatedSeries,
+        intpoly_from_poly,
+        intpoly_squarefree,
+        newton_branch,
+    )
 
     monos = [
         (i, j) for i in range(degree + 1) for j in range(degree + 1 - i)
@@ -459,20 +455,9 @@ def exact_signature_fit(
     needed = sorted({na, da, nc, de})
     for x0 in xs:
         x0 = Fraction(x0)
-        fiber = curve.F.evaluate_partial({"x": x0})
-        dy = int(fiber.degree_in("y")) if fiber.terms else 0
-        if dy < 1:
-            continue
-        coeffs = [Fraction(0)] * (dy + 1)
-        for e, c in fiber.terms.items():
-            coeffs[e[1]] += c
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        q = [int(c * den) for c in coeffs]
-        dq = [i * q[i] for i in range(1, len(q))]
-        if len(intpoly_gcd(q, dq)) != 1:
-            continue  # multiple y-roots: skip this fiber
+        q = intpoly_from_poly(curve.F.evaluate_partial({"x": x0}), "y")
+        if len(q) < 2 or not intpoly_squarefree(q):
+            continue  # no or multiple y-roots: skip this fiber
         ring = SeriesRing(q)
         ring2 = ("h", "u")
         h = SparsePoly.var(ring2, "h")

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -155,3 +157,21 @@ def test_out_file(tmp_path):
     assert r.returncode == 0
     assert r.stdout == ""
     assert out.read_text().startswith("S = 2916*k1^6")
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["degree", "--curve", "x^3+y^3+1", "--group", "A2", "--trials", "0"], None),
+        (["degree", "--curve", "x^3+y^3+1", "--group", "A2", "--n", "0"], None),
+        (["degree", "--curve", "x^3+y^3+1", "--group", "A2", "--seed", "-5"], None),
+        (["samples", "--curve", "x^2+y^2-1", "--group", "SE2", "--count", "0"], None),
+        (["fermat", "--d", "0", "--group", "A2"], None),
+        (["degree", "--curve", "x^3+y^3+1", "--group", "A2"], {"SIGCURVE_BUDGET": "abc"}),
+    ],
+)
+def test_invalid_run_parameters_rejected(args, env):
+    r = run_cli(*args, env_extra=env)
+    assert r.returncode != 0
+    assert "Traceback" not in r.stderr
+    assert r.stderr.strip()

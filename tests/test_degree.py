@@ -60,6 +60,15 @@ class TestCubicFixture:
         assert rep.min_sum == 30
         assert rep.lower_bound == 30 and rep.sandwich_closed
 
+    def test_sa2_affine_points_are_not_base_points(self, worked_cubic):
+        # each fiber above 11x^2 - 9 holds two curve points, and no point is a
+        # common zero of the components: the affine term is 0, not 10
+        rep = predict_degree(worked_cubic, GroupId.SA2)
+        assert rep.mult_sum == 54 and rep.n_times_deg_S == 66
+        assert rep.affine_status != "included"
+        tri = projective_extension(worked_cubic, GroupId.SA2)
+        assert mult_min(worked_cubic, tri).min_sum == 54
+
     def test_predicted_degree(self, worked_cubic):
         rep = predict_degree(worked_cubic, GroupId.A2, n=2)
         assert rep.deg_S_predicted == 24
@@ -139,6 +148,33 @@ class TestRoutesAgree:
         m26 = mult_min(worked_cubic, t26, seed=1).min_sum
         m36 = mult_min(worked_cubic, t36, seed=1).min_sum
         assert 3 * 26 - m26 == 3 * 36 - m36 == 48
+
+
+@pytest.mark.parametrize("text", ["y^2 - x^3", "x^2*y + y^2 + y + 64/121", "x^3 + y^3 + 1"])
+@pytest.mark.parametrize("group", [GroupId.SE2, GroupId.SA2, GroupId.A2])
+def test_explicit_and_canonical_triples_agree(text, group):
+    cv = CurveInput.from_poly(parse(text))
+    explicit = mult_min(cv, projective_extension(cv, group))
+    canonical, _, _ = mult_min_canonical(cv, group)
+    assert explicit.min_sum == canonical.min_sum
+    assert explicit.lower_bound == canonical.lower_bound
+    assert explicit.sandwich_closed and canonical.sandwich_closed
+
+
+def test_affine_term_per_line_when_no_view_separates_points():
+    # base point at the origin of a circle through it; the third component
+    # also vanishes on every line through the origin that a view projects
+    # along, so each candidate fiber holds a second curve point where some
+    # component vanishes
+    from sigcurve.degree import _affine_line_sums, _affine_term
+
+    cv = CurveInput.from_poly(parse("x^2 + y^2 - 2*x - 3*y"))
+    x, y, f = (parse(t).map_variables(R) for t in ("x", "y", "x*y*(x-y)*(x-2*y)*(x-3*y)"))
+    factored = [[(x, 1)], [(y, 1)], [(f, 1)]]
+    assert _affine_term(cv, [x, y], lambda: factored) == (0, "per-line")
+    # a generic line meets the curve transversally at the origin only
+    lines = [(Fraction(3), Fraction(5), Fraction(7)), (Fraction(-2), Fraction(1), Fraction(4))]
+    assert _affine_line_sums(cv, [x, y], factored, lines) == [1, 1]
 
 
 class TestBaseLocus:
