@@ -22,9 +22,11 @@ from .equivalence import EquivalenceVerdict, SymmetryResult, equivalent, symmetr
 from .errors import (
     BudgetExceededError,
     ExceptionalCurveError,
+    InvalidCurveError,
     ParseError,
     PoleError,
     RingMismatchError,
+    SampleCheckError,
     ShearRequiredError,
     SigcurveError,
     TruncationError,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Machine output goes to stdout (or ``--out``), diagnostics to stderr.  Exit
-codes: 0 success, 2 exceptional input or an invalid argument, 3 elimination
-budget exceeded, 4 parse error.
+codes: 0 success, 1 any other ``SigcurveError`` (such as ``SampleCheckError``),
+2 exceptional input, a constant curve polynomial (``InvalidCurveError``) or
+an invalid argument, 3 elimination budget exceeded, 4 parse error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .equivalence import equivalent, symmetry_order
 from .errors import (
     BudgetExceededError,
     ExceptionalCurveError,
+    InvalidCurveError,
     ParseError,
     SigcurveError,
 )
@@ -148,7 +150,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         code = EXIT_PARSE
-    except ExceptionalCurveError as e:
+    except (ExceptionalCurveError, InvalidCurveError) as e:
         print(str(e), file=sys.stderr)
         code = EXIT_EXCEPTIONAL
     except BudgetExceededError as e:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -341,15 +342,17 @@ def _view(p: SparsePoly, images: Optional[tuple]) -> SparsePoly:
     return p if images is None else p.compose_linear(images)
 
 
-def _affine_projections(curve: CurveInput, cut: Sequence[SparsePoly]):
-    """Project the common zeros of ``cut`` on the curve to the x-axis: in
+def _affine_projections(curve: CurveInput, cut: Callable[[], Sequence[SparsePoly]]):
+    """Project the common zeros of ``cut()`` on the curve to the x-axis: in
     the given coordinates, after the shears x -> x + k*y, and with x and y
     swapped.  Yields (images, F, gsf, res) for every view whose squarefree
     candidate polynomial gsf (in x, from the resultant gcd) avoids the zeros
     of the leading y-coefficient of F, with the resultants of the cut by
     polynomial; gsf None means the gcd is constant, so no affine base point
-    exists, and ends the views."""
+    exists, and ends the views.  ``cut()`` is called when the first view is
+    reached."""
     x, y = SparsePoly.var(CURVE_RING, "x"), SparsePoly.var(CURVE_RING, "y")
+    cut = cut()
     for images in [None] + [(x + y.scale(k), y) for k in (1, 2, 3)] + [(y, x)]:
         F = _view(curve.F, images)
         res: dict[SparsePoly, SparsePoly] = {}
@@ -388,8 +391,7 @@ def _one_point_per_fiber(
 
 
 def _affine_term(
-    curve: CurveInput,
-    cut: Sequence[SparsePoly],
+    views: Iterable,
     factored: Callable[[], Sequence[Sequence[tuple[SparsePoly, int]]]],
 ) -> tuple[int, str]:
     """The affine term of the lower bound, with its status.  ``factored()``
@@ -401,7 +403,7 @@ def _affine_term(
     ``included`` (or ``verified-empty`` when it is 0).  When no view
     separates the points the term is 0 (always sound) with status
     ``per-line``: each trial line then counts its own affine intersections."""
-    for images, F, gsf, res in _affine_projections(curve, cut):
+    for images, F, gsf, res in views:
         if gsf is None:
             return 0, "verified-empty"
         components = factored()
@@ -419,14 +421,14 @@ def _affine_term(
 
 
 def _affine_line_sums(
-    curve: CurveInput,
-    cut: Sequence[SparsePoly],
+    views: Iterable,
     factored: Sequence[Sequence[tuple[SparsePoly, int]]],
     lines: Sequence[Sequence[Fraction]],
 ) -> list[int]:
     """Per line a: the sum over the curve points above the candidates of
-    m_p(F, a0*s0 + a1*s1 + a2*s2), as the resultant order over V(gsf)."""
-    for images, F, gsf, _res in _affine_projections(curve, cut):
+    m_p(F, a0*s0 + a1*s1 + a2*s2), as the resultant order over V(gsf), in
+    the first view."""
+    for images, F, gsf, _res in views:
         if gsf is None:
             return [0] * len(lines)
         viewed = []
@@ -585,8 +587,9 @@ def _triple_report(
     nonzero = [c for c in comps if not c.is_zero()]
 
     def affine_part(trial_lines: list) -> tuple[list[int], int, str]:
-        lower, status = _affine_term(curve, nonzero, lambda: [[(c, 1)] for c in nonzero])
-        sums = _affine_line_sums(curve, nonzero, [[(c, 1)] for c in comps], trial_lines)
+        views, first = tee(_affine_projections(curve, lambda: nonzero))
+        lower, status = _affine_term(views, lambda: [[(c, 1)] for c in nonzero])
+        sums = _affine_line_sums(first, [[(c, 1)] for c in comps], trial_lines)
         return sums, lower, status
 
     return _mult_report(
@@ -665,7 +668,7 @@ def _canonical_factored(curve: CurveInput, group: GroupId) -> list[list[tuple[Sp
     return [[(theta(curve, i).T, k) for i, k in fs] for _x0, fs in SIGMA_RECIPES[group]]
 
 
-def canonical_affine_part(curve: CurveInput, group: GroupId) -> tuple[int, str]:
+def canonical_affine_part(curve: CurveInput, group: GroupId, views: Iterable) -> tuple[int, str]:
     """Affine base-point term of the lower bound for the canonical triple.
 
     Returns (sum, status).  For PGL(3) on dense curves of degree >= 4 the
@@ -673,12 +676,11 @@ def canonical_affine_part(curve: CurveInput, group: GroupId) -> tuple[int, str]:
     the required T_7/T_8 polynomials are not built at that scale); sparse
     inputs such as the Fermat family are always checked.  Status
     ``per-line`` means the sum is 0 and each trial line adds its own count.
+    ``views`` are the ``_affine_projections`` of the canonical cut.
     """
     if group is GroupId.PGL3 and curve.d >= 4 and len(curve.F.terms) > 6:
         return 0, "assumed-generic"
-    return _affine_term(
-        curve, _canonical_cut(curve, group), lambda: _canonical_factored(curve, group)
-    )
+    return _affine_term(views, lambda: _canonical_factored(curve, group))
 
 
 def mult_min_canonical(
@@ -705,11 +707,11 @@ def mult_min_canonical(
         return _certify_zero_components(work, group, comps)
 
     def affine_part(trial_lines: list) -> tuple[list[int], int, str]:
-        lower, status = canonical_affine_part(work, group)
+        views, first = tee(_affine_projections(work, lambda: _canonical_cut(work, group)))
+        lower, status = canonical_affine_part(work, group, views)
         if status != "per-line":
             return [lower] * len(trial_lines), lower, status
-        factored = _canonical_factored(work, group)
-        sums = _affine_line_sums(work, _canonical_cut(work, group), factored, trial_lines)
+        sums = _affine_line_sums(first, _canonical_factored(work, group), trial_lines)
         return sums, 0, status
 
     report, status = _mult_report(
@@ -786,7 +788,7 @@ def base_locus_on_curve(curve: CurveInput, sigma: HomogeneousTriple) -> BaseLocu
     inf = _inf_points(curve, sigma)
     affine = [c for c in sigma.dehomogenized() if not c.is_zero()]
     try:
-        for _images, _F, gsf, _res in _affine_projections(curve, affine):
+        for _images, _F, gsf, _res in _affine_projections(curve, lambda: affine):
             if gsf is None:
                 return BaseLocusReport(True, "resultant gcd is constant", inf)
             evidence = f"common x-candidates cut out by a degree-{gsf.total_degree()} polynomial"

@@ -147,7 +147,7 @@ def symmetry_order(
             deg_s = sig.degree()
         except BudgetExceededError:
             candidates = [total // n for n in range(1, total + 1) if total % n == 0]
-            deg_s = certified_signature_degree(curve, group, candidates, seed=seed)
+            deg_s = certified_signature_degree(curve, group, candidates)
             if deg_s is None:
                 raise BudgetExceededError(
                     "signature degree not obtainable: elimination over budget and "

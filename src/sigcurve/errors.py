@@ -28,6 +28,14 @@ class ParseError(SigcurveError):
         self.column = column
 
 
+class InvalidCurveError(SigcurveError, ValueError):
+    """The input polynomial defines no plane curve (it is constant)."""
+
+
+class SampleCheckError(SigcurveError):
+    """A signature polynomial does not vanish at its curve's numeric samples."""
+
+
 class BudgetExceededError(SigcurveError):
     """An elimination ran past its configured basis-size or degree cap."""
 

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ExceptionalCurveError, VerticalLineError
+from .errors import ExceptionalCurveError, InvalidCurveError, VerticalLineError
 from .poly import RatFunc, SparsePoly, exact_div, gcd, pseudo_remainder
 from .series import SeriesRing, newton_branch
 
@@ -192,7 +192,7 @@ class CurveInput:
         if F.ring != CURVE_RING:
             F = F.map_variables(CURVE_RING)
         if F.is_zero() or F.is_constant():
-            raise ValueError("curve polynomial must be nonconstant")
+            raise InvalidCurveError("curve polynomial must be nonconstant")
         F = F.primitive_part()
         return cls(F, int(F.total_degree()), irreducible_asserted)
 

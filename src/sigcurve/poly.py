@@ -14,10 +14,11 @@ normalises on every operation, which is far too slow in convolution loops.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import PoleError, RingMismatchError, UnknownVariableError
+from .errors import PoleError, RingMismatchError, SigcurveError, UnknownVariableError
 
 Exponent = tuple[int, ...]
 Coeff = Fraction
@@ -566,12 +567,17 @@ def pseudo_remainder(p: SparsePoly, q: SparsePoly, name: str) -> SparsePoly:
 
 
 def gcd(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    """Multivariate gcd, primitive with positive leading coefficient (so the
-    gcd of nonzero constants is 1; gcd(0, 0) = 0).
+    """Greatest common divisor, primitive with integer coefficients and a
+    positive grlex leading coefficient (so the gcd of nonzero constants is 1;
+    gcd(0, 0) = 0).
 
-    Evaluation-reconstruction heuristic first (certified by two exact trial
-    divisions, retried with growing evaluation points), primitive PRS as the
-    deterministic fallback.
+    Brown's dense modular algorithm (Brown, JACM 1971) on the variables the
+    operands use, after a common monomial factor is split off.  Images of the
+    gcd modulo 31-bit primes (``_modp_gcd_dict``) are combined by Chinese
+    remaindering; a prime whose image has a larger degree vector than another
+    is unlucky and discarded.  The lift is accepted once one more prime leaves
+    it unchanged and it divides both operands exactly; ``SigcurveError`` when
+    no lift has done so by the time the primes pass the coefficient bound.
     """
     if p.ring != q.ring:
         raise RingMismatchError(f"{p.ring} vs {q.ring}")
@@ -583,11 +589,6 @@ def gcd(p: SparsePoly, q: SparsePoly) -> SparsePoly:
         return p.primitive_part()
     if p.is_constant() or q.is_constant():
         return SparsePoly.const(p.ring, 1)
-    shared = [
-        i
-        for i in range(len(p.ring))
-        if any(e[i] for e in p.terms) and any(e[i] for e in q.terms)
-    ]
     # common monomial factor is free to extract and pervasive in practice
     mono = tuple(
         min(min(e[i] for e in p.terms), min(e[i] for e in q.terms))
@@ -598,56 +599,136 @@ def gcd(p: SparsePoly, q: SparsePoly) -> SparsePoly:
         p = SparsePoly(p.ring, {_sub_exp(e, mono): c for e, c in p.terms.items()})
         q = SparsePoly(q.ring, {_sub_exp(e, mono): c for e, c in q.terms.items()})
         return mono_poly * gcd(p, q)
-    if not shared:
+    pv, qv = p.variables_used(), q.variables_used()
+    if not set(pv) & set(qv):
         return SparsePoly.const(p.ring, 1)
-    if len(shared) == 1:
-        i = shared[0]
-        if all(
-            all(k == 0 for j, k in enumerate(e) if j != i)
-            for e in list(p.terms) + list(q.terms)
-        ):
-            # effectively univariate: modular coprimality certificate first,
-            # then a CRT-modular gcd (primitive PRS and the lift heuristic
-            # both drown in huge-height resultant coefficients here)
-            if _univariate_coprime_mod_p(p, q, i):
-                return SparsePoly.const(p.ring, 1)
-            g = _gcd_univariate_modular(p, q, i)
-            if g is not None:
-                return g
-            return _gcd_prs(p, q, shared)
-    total = SparsePoly.const(p.ring, 1)
-    for _ in range(80):
-        g = _gcd_heuristic(p, q)
-        if g is None:
-            return (total * _gcd_prs(p, q, shared)).primitive_part()
-        if g.total_degree() <= 0:
-            return total.primitive_part()
-        total = total * g
-        p = exact_div(p, g)
-        q = exact_div(q, g)
-        if p.is_constant() or q.is_constant():
-            return total.primitive_part()
-    return (total * _gcd_prs(p, q, shared)).primitive_part()
+    used = [i for i, v in enumerate(p.ring) if v in pv or v in qv]
+    # gcd commutes with x -> x^k, so a variable whose exponents are all
+    # multiples of k (as in the Fermat family) is deflated by k
+    step = [math.gcd(*(e[i] for f in (p, q) for e in f.terms)) for i in used]
+    ring = tuple(p.ring[i] for i in used)
+    pp, qp = (
+        SparsePoly(
+            ring, {tuple(e[i] // k for i, k in zip(used, step)): c for e, c in f.terms.items()}
+        ).primitive_part()
+        for f in (p, q)
+    )
+    g = _gcd_crt(pp, qp)
+    g = SparsePoly(ring, {tuple(a * k for a, k in zip(e, step)): c for e, c in g.terms.items()})
+    return g.map_variables(p.ring).primitive_part()
 
 
 def _sub_exp(e: Exponent, m: Exponent) -> Exponent:
     return tuple(a - b for a, b in zip(e, m))
 
 
-def _dense_int_coeffs(p: SparsePoly, i: int) -> list[int]:
-    pn, _ = _int_form(p)
-    d = max(e[i] for e in pn)
-    out = [0] * (d + 1)
-    for e, c in pn.items():
-        out[e[i]] += c
-    g = 0
-    for c in out:
-        g = math.gcd(g, c)
-        if g == 1:
+def _gcd_crt(pp: SparsePoly, qp: SparsePoly) -> SparsePoly:
+    """gcd of two primitive integer polynomials by CRT over 31-bit primes.
+
+    The image modulo a prime is monic in lex order (first variable most
+    significant) and is scaled by gamma, the integer gcd of the two lex
+    leading coefficients, so the images lift to gamma / lc(g) * g.  Its
+    evaluation points start at a residue drawn per prime: a fixed start such
+    as 1 can be unlucky over Q, and so for every prime (x*(y^2-9) - 5*y^2
+    and 8*x + 5 share x + 5/8 at y = 1).  The lift's coefficients are
+    bounded by gamma times Mignotte's bound on a factor's coefficients, so
+    a lift past twice that bound that still fails its check is an error."""
+    pn = {e: c.numerator for e, c in pp.terms.items()}
+    qn = {e: c.numerator for e, c in qp.terms.items()}
+    lp, lq = pn[max(pn)], qn[max(qn)]
+    gamma = math.gcd(lp, lq)
+    norm = min(math.isqrt(sum(c * c for c in f.values())) + 1 for f in (pn, qn))
+    degs = sum(min(max(e[i] for e in pn), max(e[i] for e in qn)) for i in range(len(pp.ring)))
+    ceiling = 2 * gamma * norm << degs
+    lead, acc, lifted, modulus = None, {}, {}, 1
+    for prime in _primes_31bit():
+        if lp % prime == 0 or lq % prime == 0:
+            continue
+        image = _modp_gcd_dict(
+            {e: r for e, c in pn.items() if (r := c % prime)},
+            {e: r for e, c in qn.items() if (r := c % prime)},
+            prime,
+            random.Random(prime).randrange(prime),
+        )
+        top = max(image)
+        if not any(top):
+            return SparsePoly.const(pp.ring, 1)
+        if lead is None or top < lead:
+            lead, acc, lifted, modulus = top, {}, {}, 1
+        elif top > lead:
+            continue  # unlucky prime
+        inv = pow(modulus, -1, prime)
+        new = {}
+        for e in acc.keys() | image.keys():
+            old = acc.get(e, 0)
+            t = old + (image.get(e, 0) * gamma - old) * inv % prime * modulus
+            if t:
+                new[e] = t
+        acc, modulus = new, modulus * prime
+        previous = lifted
+        lifted = {e: c if c <= modulus // 2 else c - modulus for e, c in acc.items()}
+        if lifted == previous:
+            cand = SparsePoly(pp.ring, {e: Fraction(c) for e, c in lifted.items()})
+            cand = cand.primitive_part()
+            if divides(cand, pp) and divides(cand, qp):
+                return cand
+        if modulus > ceiling * prime:
+            raise SigcurveError("modular gcd: the images do not lift to a common divisor")
+
+
+def _modp_gcd_dict(a: dict, b: dict, prime: int, start: int) -> dict:
+    """Monic (lex) gcd over F_p of two nonzero polynomials given as
+    exponent -> residue dicts, by recursion on the last variable.
+
+    Both operands are split into their content in the last variable and a
+    primitive part.  The primitive parts are evaluated at start, start + 1,
+    ... (skipping points where a leading coefficient in the other variables
+    vanishes), the gcd of each evaluation is scaled by gamma, the gcd of those
+    leading coefficients, and the scaled images are interpolated by Newton's
+    formula.
+    An image of larger degree vector comes from an unlucky point and is
+    discarded; a smaller one restarts the interpolation, and a constant one
+    leaves the gcd of the contents as the answer.  After one point more than
+    the degree bound, the interpolant's primitive part times the gcd of the
+    contents is the answer."""
+    ac, bc = _split_last(a), _split_last(b)
+    if len(next(iter(a))) == 1:
+        return _join_last({(): _modp_gcd(ac[()], bc[()], prime)})
+    cont_a, cont_b = _modp_content(ac.values(), prime), _modp_content(bc.values(), prime)
+    cont = _modp_gcd(cont_a, cont_b, prime)
+    ac = {h: _modp_quo(c, cont_a, prime) for h, c in ac.items()}
+    bc = {h: _modp_quo(c, cont_b, prime) for h, c in bc.items()}
+    la, lb = ac[max(ac)], bc[max(bc)]
+    gamma = _modp_gcd(la, lb, prime)
+    bound = min(max(map(len, ac.values())), max(map(len, bc.values()))) + len(gamma) - 2
+    lead = None
+    for point in range(start, start + prime):
+        if not _horner(la, point, prime) or not _horner(lb, point, prime):
+            continue
+        ac_pt, bc_pt = _eval_last(ac, point, prime), _eval_last(bc, point, prime)
+        image = _modp_gcd_dict(ac_pt, bc_pt, prime, start)
+        top = max(image)
+        if not any(top):
+            return _join_last({top: cont})
+        if lead is None or top < lead:
+            lead, interp, basis = top, {}, [1]
+        elif top > lead:
+            continue  # unlucky point
+        g_pt = _horner(gamma, point, prime)
+        inv = pow(_horner(basis, point, prime), -1, prime)
+        for h in interp.keys() | image.keys():
+            cur = interp.setdefault(h, [])
+            diff = (image.get(h, 0) * g_pt - _horner(cur, point, prime)) * inv % prime
+            cur.extend([0] * (len(basis) - len(cur)))
+            for j, c in enumerate(basis):
+                cur[j] = (cur[j] + diff * c) % prime
+        basis = _modp_mul(basis, [-point % prime, 1], prime)
+        if len(basis) - 1 > bound:
             break
-    if g > 1:
-        out = [c // g for c in out]
-    return out
+    hc = _modp_content(interp.values(), prime)
+    g = _join_last({h: _modp_mul(_modp_quo(c, hc, prime), cont, prime) for h, c in interp.items()})
+    inv = pow(g[max(g)], -1, prime)
+    return {e: c * inv % prime for e, c in g.items()}
 
 
 def _modp_gcd(a: list[int], b: list[int], prime: int) -> list[int]:
@@ -666,7 +747,7 @@ def _modp_gcd(a: list[int], b: list[int], prime: int) -> list[int]:
         if len(a) < len(b):
             a, b = b, a
             continue
-        inv = pow(b[-1], prime - 2, prime)
+        inv = pow(b[-1], -1, prime)
         while a and len(a) >= len(b):
             f = a[-1] * inv % prime
             sh = len(a) - len(b)
@@ -674,7 +755,7 @@ def _modp_gcd(a: list[int], b: list[int], prime: int) -> list[int]:
                 a[k + sh] = (a[k + sh] - f * c) % prime
             trim(a)
         a, b = b, a
-    inv = pow(a[-1], prime - 2, prime)
+    inv = pow(a[-1], -1, prime)
     return [c * inv % prime for c in a]
 
 
@@ -711,248 +792,58 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _gcd_univariate_modular(p: SparsePoly, q: SparsePoly, i: int) -> Union[SparsePoly, None]:
-    """Primitive univariate gcd by CRT over 31-bit primes with a division
-    certificate; None after too many unlucky primes (caller falls back)."""
-    pc = _dense_int_coeffs(p, i)
-    qc = _dense_int_coeffs(q, i)
-    g_lc = math.gcd(pc[-1], qc[-1])
-    pp = p.primitive_part()
-    qp = q.primitive_part()
-    best_deg: Union[int, None] = None
-    acc: list[int] = []
-    modulus = 1
-    stable = 0
-    gen = _primes_31bit()
-    for _count in range(400):
-        prime = next(gen)
-        if pc[-1] % prime == 0 or qc[-1] % prime == 0:
-            continue
-        gp = _modp_gcd(pc, qc, prime)
-        deg = len(gp) - 1
-        if deg == 0:
-            return SparsePoly.const(p.ring, 1)
-        if best_deg is None or deg < best_deg:
-            best_deg = deg
-            acc = [0] * (deg + 1)
-            modulus = 1
-            stable = 0
-        elif deg > best_deg:
-            continue  # unlucky prime
-        scaled = [c * g_lc % prime for c in gp]
-        old_modulus = modulus
-        old_lift = (
-            [c if c <= old_modulus // 2 else c - old_modulus for c in acc]
-            if old_modulus > 1
-            else None
-        )
-        inv = pow(old_modulus % prime, prime - 2, prime) if old_modulus > 1 else 1
-        new = []
-        for old, s in zip(acc, scaled):
-            if old_modulus == 1:
-                t = s
-            else:
-                t = (old + (s - old) * inv % prime * old_modulus) % (old_modulus * prime)
-            new.append(t)
-        modulus = old_modulus * prime
-        lifted = [c if c <= modulus // 2 else c - modulus for c in new]
-        if old_lift is not None and lifted == old_lift:
-            stable += 1
-        else:
-            stable = 0
-        acc = new
-        if stable >= 1:
-            cand_terms = {}
-            for k, c in enumerate(lifted):
-                if c:
-                    e = [0] * len(p.ring)
-                    e[i] = k
-                    cand_terms[tuple(e)] = Fraction(c)
-            cand = SparsePoly(p.ring, cand_terms).primitive_part()
-            if not cand.is_zero() and divides(cand, pp) and divides(cand, qp):
-                return cand
-    return None
+def _split_last(a: dict) -> dict:
+    """exponent -> residue as head exponent -> ascending list in the last variable."""
+    out: dict[Exponent, list[int]] = {}
+    for e, c in a.items():
+        v = out.setdefault(e[:-1], [])
+        v.extend([0] * (e[-1] + 1 - len(v)))
+        v[e[-1]] = c
+    return out
 
 
-def _univariate_coprime_mod_p(p: SparsePoly, q: SparsePoly, i: int) -> bool:
-    """Certify gcd(p, q) = 1 via a modular gcd: if the reductions mod a prime
-    not dividing one leading coefficient are coprime, so are p and q."""
-    pn, _ = _int_form(p)
-    qn, _ = _int_form(q)
-    dp = max(e[i] for e in pn)
-    dq = max(e[i] for e in qn)
-    pc = [0] * (dp + 1)
-    qc = [0] * (dq + 1)
-    for e, c in pn.items():
-        pc[e[i]] += c
-    for e, c in qn.items():
-        qc[e[i]] += c
-    for prime in (2147483629, 2147483587, 2147482951):
-        if pc[-1] % prime == 0 or qc[-1] % prime == 0:
-            continue
-        a = [c % prime for c in pc]
-        b = [c % prime for c in qc]
-
-        def trim(v):
-            while v and v[-1] == 0:
-                v.pop()
-            return v
-
-        trim(a)
-        trim(b)
-        while b:
-            if len(a) < len(b):
-                a, b = b, a
-                continue
-            inv = pow(b[-1], prime - 2, prime)
-            while a and len(a) >= len(b):
-                f = a[-1] * inv % prime
-                sh = len(a) - len(b)
-                for k, c in enumerate(b):
-                    a[k + sh] = (a[k + sh] - f * c) % prime
-                trim(a)
-            a, b = b, a
-        if len(a) == 1:
-            return True
-    return False
+def _join_last(heads: dict) -> dict:
+    return {h + (k,): c for h, v in heads.items() for k, c in enumerate(v) if c}
 
 
-def _gcd_heuristic(p: SparsePoly, q: SparsePoly) -> Union[SparsePoly, None]:
-    """GCDHEU: evaluate one variable at a large integer, recurse, lift the
-    result back through balanced base-xi digits, certify by division.
-
-    The evaluation point is re-derived per recursion level from the current
-    coefficient heights (nested levels see heights blown up by xi powers)."""
-    pp = p.primitive_part()
-    qp = q.primitive_part()
-    pn, _ = _int_form(pp)
-    qn, _ = _int_form(qp)
-    bump = 1
-    for _ in range(6):
-        try:
-            g = _heu_core(pp.ring, pn, qn, bump)
-        except (_HeuFailure, RecursionError):
-            g = None
-        if g:
-            cand = SparsePoly(pp.ring, {e: Fraction(c) for e, c in g.items()})
-            cand = cand.primitive_part()
-            if divides(cand, pp) and divides(cand, qp):
-                return cand
-        bump = bump * 8
-    return None
+def _eval_last(heads: dict, point: int, prime: int) -> dict:
+    return {h: c for h, v in heads.items() if (c := _horner(v, point, prime))}
 
 
-class _HeuFailure(Exception):
-    pass
+def _horner(v: Sequence[int], x: int, prime: int) -> int:
+    acc = 0
+    for c in reversed(v):
+        acc = (acc * x + c) % prime
+    return acc
 
 
-def _heu_core(ring, pn: dict, qn: dict, bump: int) -> dict:
-    """Integer-dict gcd kernel; returns an exponent->int dict."""
-    k = len(ring)
-    var = None
-    for i in reversed(range(k)):
-        if any(e[i] for e in pn) and any(e[i] for e in qn):
-            var = i
+def _modp_content(polys: Iterable[list[int]], prime: int) -> list[int]:
+    g: list[int] = []
+    for v in polys:
+        g = _modp_gcd(v, g, prime)
+        if len(g) == 1:
             break
-    if var is None:
-        g = 0
-        for c in list(pn.values()) + list(qn.values()):
-            g = math.gcd(g, c)
-        return {(0,) * k: g}
-    height = min(
-        max(abs(c) for c in pn.values()), max(abs(c) for c in qn.values())
-    )
-    xi = (2 * height + 29) * bump
-    pe = _eval_int_var(pn, var, xi)
-    qe = _eval_int_var(qn, var, xi)
-    if not pe or not qe:
-        raise _HeuFailure
-    if _is_int_const(pe) and _is_int_const(qe):
-        g0 = math.gcd(next(iter(pe.values())), next(iter(qe.values())))
-        gamma = {(0,) * k: g0}
-    else:
-        gamma = _heu_core(ring, pe, qe, bump)
-    # lift gamma (free of var) back to a polynomial in var via balanced digits
-    deg_bound = min(max(e[var] for e in pn), max(e[var] for e in qn))
-    digits: dict[Exponent, int] = {}
-    power = 0
-    while any(gamma.values()):
-        if power > deg_bound:
-            raise _HeuFailure
-        nxt: dict[Exponent, int] = {}
-        for e, c in gamma.items():
-            r = c % xi
-            if r > xi // 2:
-                r -= xi
-            if r:
-                e2 = list(e)
-                e2[var] = power
-                digits[tuple(e2)] = r
-            cc = (c - r) // xi
-            if cc:
-                nxt[e] = cc
-        gamma = nxt
-        power += 1
-    if not digits:
-        raise _HeuFailure
-    # keep integer content: at the enclosing level it encodes polynomial
-    # content in the next variable (stripped only at the very top)
-    return digits
+    return g
 
 
-def _is_int_const(d: dict) -> bool:
-    return len(d) == 1 and not any(next(iter(d)))
+def _modp_mul(a: list[int], b: list[int], prime: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % prime for c in out]
 
 
-def _eval_int_var(terms: dict, var: int, xi: int) -> dict:
-    out: dict[Exponent, int] = {}
-    for e, c in terms.items():
-        e2 = list(e)
-        k = e2[var]
-        e2[var] = 0
-        key = tuple(e2)
-        out[key] = out.get(key, 0) + c * xi**k
-    return {e: c for e, c in out.items() if c}
-
-
-def _gcd_prs(p: SparsePoly, q: SparsePoly, shared: list[int]) -> SparsePoly:
-    """Primitive PRS gcd (deterministic fallback)."""
-    # main variable: the shared one of least combined degree keeps PRS short
-    i = min(shared, key=lambda j: max(e[j] for e in p.terms) + max(e[j] for e in q.terms))
-    name = p.ring[i]
-    cp, pp = _content_in(p, i)
-    cq, qq = _content_in(q, i)
-    cont = gcd(cp, cq)
-    a, b = pp, qq
-    if a.degree_in(name) < b.degree_in(name):
-        a, b = b, a
-    while True:
-        r = pseudo_remainder(a, b, name)
-        if r.is_zero():
-            break
-        if not any(e[i] for e in r.terms):
-            b = SparsePoly.const(p.ring, 1)
-            break
-        a, b = b, _content_in(r, i)[1]
-    return (cont * b.primitive_part()).primitive_part()
-
-
-def _content_in(p: SparsePoly, i: int) -> tuple[SparsePoly, SparsePoly]:
-    """Content/primitive split of p w.r.t. ring variable i: content is the
-    gcd of the coefficient polynomials in the remaining variables."""
-    coeffs: dict[int, dict[Exponent, Fraction]] = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        k = e2[i]
-        e2[i] = 0
-        coeffs.setdefault(k, {})[tuple(e2)] = c
-    cont = SparsePoly.zero(p.ring)
-    for terms in coeffs.values():
-        cont = gcd(cont, SparsePoly(p.ring, terms))
-        if cont.is_constant() and not cont.is_zero():
-            cont = SparsePoly.const(p.ring, 1)
-            break
-    return cont, exact_div(p, cont)
+def _modp_quo(a: list[int], b: list[int], prime: int) -> list[int]:
+    """Quotient of an exact division of dense lists over F_p."""
+    a = list(a)
+    inv = pow(b[-1], -1, prime)
+    out = [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(out))):
+        f = out[k] = a[k + len(b) - 1] * inv % prime
+        for j, c in enumerate(b):
+            a[k + j] = (a[k + j] - f * c) % prime
+    return out
 
 
 def square_free_part(p: SparsePoly) -> SparsePoly:
@@ -1031,8 +922,6 @@ def _final_prs(b: SparsePoly, h: SparsePoly, da: int) -> SparsePoly:
 
 def _fix_resultant_sign(p, q, i, name, value) -> SparsePoly:
     """Compare against an exact Sylvester determinant at a random point."""
-    import random
-
     ring = p.ring
     others = [v for j, v in enumerate(ring) if j != i]
     rng = random.Random(20260808)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import TruncationError
+from .errors import SampleCheckError, TruncationError
 from .groebner import EliminationBudget, groebner_eliminate
 from .jets import (
     CLASSIFYING_RECIPES,
@@ -335,7 +335,7 @@ def verify_signature_samples(
         if relative_residual(sig.S, s.k1, s.k2) > tol:
             bad += 1
     if bad > max(1, count // 10):
-        raise AssertionError(
+        raise SampleCheckError(
             f"{bad}/{len(samples)} numeric samples fail to vanish on S"
         )
 
@@ -548,17 +548,14 @@ def certified_signature_degree(
     curve: CurveInput,
     group: GroupId,
     candidates: Sequence[int],
-    seed: int = 0,
     max_fit_degree: int = 10,
 ) -> Optional[int]:
-    """Smallest candidate degree certified by a sample fit: the exact
-    quotient-ring fit first, the float fit as fallback; None when no
-    tractable candidate certifies."""
+    """Smallest candidate degree certified by the exact quotient-ring sample
+    fit; None when no tractable candidate certifies.  The float fit
+    (``fit_signature``) is not a certificate and is not consulted."""
     for d in sorted(set(candidates)):
         if d <= 0 or d > max_fit_degree:
             continue
         if exact_signature_fit(curve, group, d) is not None:
-            return d
-        if fit_signature(curve, group, d, seed=seed) is not None:
             return d
     return None

@@ -168,6 +168,8 @@ def test_out_file(tmp_path):
         (["samples", "--curve", "x^2+y^2-1", "--group", "SE2", "--count", "0"], None),
         (["fermat", "--d", "0", "--group", "A2"], None),
         (["degree", "--curve", "x^3+y^3+1", "--group", "A2"], {"SIGCURVE_BUDGET": "abc"}),
+        (["invariants", "--curve", "3", "--group", "SE2"], None),
+        (["signature", "--curve", "(x^2+y^2-1)*(x^2+2*y^2-1)", "--group", "SE2"], None),
     ],
 )
 def test_invalid_run_parameters_rejected(args, env):

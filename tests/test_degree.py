@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -166,15 +167,16 @@ def test_affine_term_per_line_when_no_view_separates_points():
     # also vanishes on every line through the origin that a view projects
     # along, so each candidate fiber holds a second curve point where some
     # component vanishes
-    from sigcurve.degree import _affine_line_sums, _affine_term
+    from sigcurve.degree import _affine_line_sums, _affine_projections, _affine_term
 
     cv = CurveInput.from_poly(parse("x^2 + y^2 - 2*x - 3*y"))
     x, y, f = (parse(t).map_variables(R) for t in ("x", "y", "x*y*(x-y)*(x-2*y)*(x-3*y)"))
     factored = [[(x, 1)], [(y, 1)], [(f, 1)]]
-    assert _affine_term(cv, [x, y], lambda: factored) == (0, "per-line")
+    views, first = itertools.tee(_affine_projections(cv, lambda: [x, y]))
+    assert _affine_term(views, lambda: factored) == (0, "per-line")
     # a generic line meets the curve transversally at the origin only
     lines = [(Fraction(3), Fraction(5), Fraction(7)), (Fraction(-2), Fraction(1), Fraction(4))]
-    assert _affine_line_sums(cv, [x, y], factored, lines) == [1, 1]
+    assert _affine_line_sums(first, factored, lines) == [1, 1]
 
 
 class TestBaseLocus:

@@ -119,6 +119,50 @@ class TestGcdContent:
         assert divides(g, a) and divides(g, b)
         if not h.is_zero():
             assert divides(h.primitive_part(), g) or h.is_constant()
+        assert gcd(exact_div(a, g), exact_div(b, g)) == SparsePoly.const(R, 1)
+
+    def test_gcd_fermat_type_powers(self):
+        a = parse("(x^3+y^3)^4*(x+2y+1)")
+        b = parse("(x^3+y^3)^3*(x-y)^2")
+        assert gcd(a, b) == parse("(x^3+y^3)^3")
+
+    def test_gcd_with_content_in_one_variable(self):
+        a = parse("(y^2+1)*(x+y)*(x-3)")
+        b = parse("(y^2+1)*(x+y)^2*(x+5)")
+        assert gcd(a, b) == parse("(y^2+1)*(x+y)")
+
+    def test_gcd_unlucky_evaluation_point(self):
+        # at y = 1 both primitive parts in x are multiples of 8x + 5, over Q
+        # and so modulo every prime
+        a = parse("x*(8*y+5)*(x*(y^2-9) - 5*y^2)")
+        b = parse("x*y^2*(8*y+5)*(8*x+5)")
+        assert gcd(a, b) == parse("x*(8*y+5)")
+
+    def test_gcd_three_variables_homogeneous(self):
+        R3 = ("x", "y", "z")
+        a = parse("(x^2+y*z)^2*(x+y+z)", R3)
+        b = parse("(x^2+y*z)*(x-2*y+3*z)^2", R3)
+        assert gcd(a, b) == parse("x^2+y*z", R3)
+
+    def test_gcd_univariate_huge_coefficients(self):
+        f = parse(f"x^2 + {2**201 + 1}*x + 3")
+        a = f * parse(f"x - {2**210}")
+        b = f * parse(f"3*x + {2**205 + 7}")
+        assert gcd(a, b) == f
+
+    def test_classifying_pair_fermat_cubic_pgl3_is_reduced(self):
+        # the gcd of T7^3 and T5^8 here is (x^3+y^3)^24, a dense bivariate
+        # gcd of degree 72
+        from sigcurve.jets import CurveInput, GroupId, classifying_pair, theta
+
+        cv = CurveInput.from_poly(parse("x^3+y^3+1"))
+        pair = classifying_pair(cv, GroupId.PGL3)
+        K1, K2 = pair.K1, pair.K2
+        T5, T7, T8 = (theta(cv, i).T for i in (5, 7, 8))
+        assert K1.num * T5**8 == K1.den * T7**3
+        assert K2.num * T5**4 == K2.den * T8
+        one = SparsePoly.const(R, 1)
+        assert gcd(K1.num, K1.den) == one and gcd(K2.num, K2.den) == one
 
     def test_exact_div_round_trip(self):
         p = parse("x^3*y - 2x*y^2 + 5")

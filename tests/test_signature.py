@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import sigcurve.signature as signature_module
 from sigcurve.errors import BudgetExceededError
 from sigcurve.groebner import EliminationBudget
 from sigcurve.jets import CurveInput, GroupId, apply_group_element, classifying_pair
@@ -10,6 +11,7 @@ from sigcurve.poly import SparsePoly, divides, resultant
 from sigcurve.signature import (
     PointSignature,
     SignaturePolynomial,
+    certified_signature_degree,
     fit_signature,
     is_constant_signature,
     relative_residual,
@@ -130,3 +132,17 @@ class TestFit:
 
     def test_fit_rejects_wrong_degree(self, cusp_cubic):
         assert fit_signature(cusp_cubic, GroupId.SE2, 3, seed=9) is None
+
+
+class TestCertifiedDegree:
+    def test_float_fit_is_not_a_certificate(self, ellipse, monkeypatch):
+        """Only the exact fit certifies a degree; a float fit alone does not."""
+        from sigcurve.equivalence import symmetry_order
+
+        monkeypatch.setattr(signature_module, "exact_signature_fit", lambda *a, **k: None)
+        monkeypatch.setattr(signature_module, "fit_signature", lambda *a, **k: [((0, 0), 1.0)])
+        assert certified_signature_degree(ellipse, GroupId.SE2, [1, 2, 3, 6]) is None
+        with pytest.raises(BudgetExceededError):
+            symmetry_order(
+                ellipse, GroupId.SE2, budget=EliminationBudget(max_basis=2, max_degree=400)
+            )
