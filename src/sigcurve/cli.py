@@ -21,6 +21,7 @@ from .errors import (
     ExceptionalCurveError,
     InvalidCurveError,
     ParseError,
+    SampleCheckError,
     SigcurveError,
 )
 from .fermat import (
@@ -35,9 +36,9 @@ from .signature import (
     PointSignature,
     SignaturePolynomial,
     exact_signature_fit,
-    relative_residual,
     signature_polynomial,
     signature_samples,
+    verify_signature_samples,
 )
 
 SCHEMA_VERSION = "1"
@@ -376,11 +377,11 @@ def _verify_fermat_signature(
             return computed.S == sig.S, "elimination"
     except BudgetExceededError:
         pass
-    samples = signature_samples(cv, group, 25, seed=7)
-    if len(samples) < 20:
-        return False, "sample-fit (insufficient samples)"
-    bad = sum(1 for s in samples if relative_residual(sig.S, s.k1, s.k2) > 1e-6)
-    return bad <= 2, "numeric sample check"
+    try:
+        verify_signature_samples(sig, count=25, seed=7)
+    except SampleCheckError:
+        return False, "numeric sample check"
+    return True, "numeric sample check"
 
 
 if __name__ == "__main__":

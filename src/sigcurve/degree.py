@@ -46,6 +46,7 @@ from .jets import (
     GroupId,
     HomogeneousTriple,
     apply_group_element,
+    jet_order,
     require_non_exceptional,
     theta,
     theta_table,
@@ -225,10 +226,7 @@ def _jet_series(
     x_series = (piece.x1 * x0_inv).rel_capped(rel)
     y_series = (piece.x2 * x0_inv).rel_capped(rel)
     dx_inv = x_series.derivative().invert(trunc + 8).rel_capped(rel)
-    n_max = max(
-        (n + 1 for i in needed for e in theta_table()[i].terms for n, k in enumerate(e) if k),
-        default=1,
-    )
+    n_max = jet_order(needed)
     u: dict[str, TruncatedSeries] = {}
     cur = y_series
     for k in range(1, n_max + 1):

@@ -19,11 +19,11 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ExceptionalCurveError, InvalidCurveError, VerticalLineError
 from .poly import RatFunc, SparsePoly, exact_div, gcd, pseudo_remainder
-from .series import SeriesRing, newton_branch
+from .series import SeriesRing, TruncatedSeries, evaluate_polys_at_series, newton_branch
 
 CURVE_RING = ("x", "y")
 JET_RING = ("u1", "u2", "u3", "u4", "u5", "u6", "u7", "u8")
@@ -175,6 +175,15 @@ def theta_weights() -> dict[int, int]:
     return {i: max(_jet_weight(e) for e in th.terms) for i, th in theta_table().items()}
 
 
+def jet_order(indices: Iterable[int]) -> int:
+    """Highest jet u_k that Theta_i uses, over i in ``indices``."""
+    table = theta_table()
+    return max(
+        (n + 1 for i in indices for e in table[i].terms for n, k in enumerate(e) if k),
+        default=1,
+    )
+
+
 @dataclass(frozen=True)
 class CurveInput:
     """An affine plane curve V(F), F primitive with integer coefficients.
@@ -270,10 +279,7 @@ def theta(curve: CurveInput, index: int) -> ThetaRestriction:
     th = table[index]
     D = theta_weights()[index]
     d_i = FY_EXPONENT[index]
-    n_max = max(
-        (n + 1 for e in th.terms for n, k in enumerate(e) if k), default=1
-    )
-    jets = implicit_jet(curve, n_max)
+    jets = implicit_jet(curve, jet_order([index]))
     fy = curve.fy()
     ring = CURVE_RING
     pows_p: dict[int, list[SparsePoly]] = {}
@@ -562,7 +568,57 @@ def transform_point(
 
 
 # ---------------------------------------------------------------------------
-# pointwise jets and invariants (exact path)
+# jets and invariants on a fiber
+
+
+def fiber_jets(
+    curve: CurveInput, x0: Fraction, ring: SeriesRing, n_max: int
+) -> list[TruncatedSeries]:
+    """u_1..u_{n_max} at the points (x0, w) of the curve, w running over the
+    roots of the ring modulus q (a squarefree factor of F(x0, W) whose roots
+    are simple roots of F(x0, .)), as elements of Q[W]/(q): one Newton branch
+    expansion covers every point of the fiber."""
+    ring2 = ("h", "u")
+    h = SparsePoly.var(ring2, "h")
+    u = SparsePoly.var(ring2, "u")
+    H = curve.F.compose_linear([h + SparsePoly.const(ring2, x0), u])
+    branch = newton_branch(H, "h", "u", ring, ring.generator(), n_max + 1)
+    fact = 1
+    out = []
+    for k in range(1, n_max + 1):
+        fact *= k
+        out.append(ring.element([c * fact for c in branch.coeff_fractions(k)]))
+    return out
+
+
+def fiber_invariants(
+    curve: CurveInput, group: GroupId, x0: Fraction, ring: SeriesRing
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(K1, K2) at the points of the fiber x = x0 that ``ring`` describes (see
+    ``fiber_jets``), as elements of Q[W]/(q).  Raises ZeroDivisionError when a
+    denominator Theta vanishes at some point of the fiber."""
+    ((na, npow), (da, dpow)), ((nc, cpow), (de, epow)) = CLASSIFYING_RECIPES[group]
+    needed = sorted({na, da, nc, de})
+    u = fiber_jets(curve, x0, ring, jet_order(needed))
+    table = theta_table()
+    values = evaluate_polys_at_series(
+        [table[i] for i in needed], {f"u{k}": v for k, v in enumerate(u, 1)}, ring
+    )
+    th = dict(zip(needed, values))
+    if th[da].is_known_zero() or th[de].is_known_zero():
+        raise ZeroDivisionError("denominator Theta vanishes on the fiber")
+    inv = {i: th[i].invert(1) for i in {da, de}}
+    return th[na] ** npow * inv[da] ** dpow, th[nc] ** cpow * inv[de] ** epow
+
+
+def _point_ring(curve: CurveInput, p: tuple[Fraction, Fraction]) -> tuple[Fraction, SeriesRing]:
+    """x0 and the ring Q[W]/(W - y0) of a rational regular point (x0, y0)."""
+    x0, y0 = Fraction(p[0]), Fraction(p[1])
+    if curve.F.evaluate({"x": x0, "y": y0}) != 0:
+        raise ValueError("point does not lie on the curve")
+    if curve.fy().evaluate({"x": x0, "y": y0}) == 0:
+        raise ValueError("F_y vanishes at the point (not a regular point)")
+    return x0, SeriesRing([-y0.numerator, y0.denominator])
 
 
 def jets_at_point(
@@ -570,41 +626,15 @@ def jets_at_point(
 ) -> list[Fraction]:
     """u_1..u_{n_max} at a rational regular point of the curve, computed by
     a local Taylor expansion of the branch through p (never builds T_i)."""
-    x0, y0 = Fraction(p[0]), Fraction(p[1])
-    if curve.F.evaluate({"x": x0, "y": y0}) != 0:
-        raise ValueError("point does not lie on the curve")
-    ring2 = ("h", "u")
-    h = SparsePoly.var(ring2, "h")
-    u = SparsePoly.var(ring2, "u")
-    H = curve.F.compose_linear([h + x0, u])
-    sring = SeriesRing([-y0.numerator, y0.denominator])
-    root0 = sring.generator()
-    dH = H.partial_derivative("u")
-    d0 = dH.evaluate({"h": Fraction(0), "u": y0})
-    if d0 == 0:
-        raise ValueError("F_y vanishes at the point (not a regular point)")
-    branch = newton_branch(H, "h", "u", sring, root0, n_max + 1)
-    fact = 1
-    out = []
-    for k in range(1, n_max + 1):
-        fact *= k
-        out.append(branch.coeff_fractions(k)[0] * fact)
-    return out
+    x0, ring = _point_ring(curve, p)
+    return [u.coeff_fractions(0)[0] for u in fiber_jets(curve, x0, ring, n_max)]
 
 
 def invariants_at_point(
     curve: CurveInput, group: GroupId, p: tuple[Fraction, Fraction]
 ) -> tuple[Fraction, Fraction]:
-    """Exact (K1, K2) at a rational regular point; raises PoleError-style
-    ZeroDivisionError at zeros of the denominator Thetas."""
-    uvals = jets_at_point(curve, p, 8)
-    assignment = {f"u{k}": uvals[k - 1] for k in range(1, 9)}
-    table = theta_table()
-    ((na, npow), (da, dpow)), ((nc, cpow), (de, epow)) = CLASSIFYING_RECIPES[group]
-    vals = {i: table[i].evaluate(assignment) for i in {na, da, nc, de}}
-    if vals[da] == 0 or vals[de] == 0:
-        raise ZeroDivisionError("denominator Theta vanishes at the point")
-    return (
-        vals[na] ** npow / vals[da] ** dpow,
-        vals[nc] ** cpow / vals[de] ** epow,
-    )
+    """Exact (K1, K2) at a rational regular point; raises ZeroDivisionError
+    at zeros of the denominator Thetas."""
+    x0, ring = _point_ring(curve, p)
+    k1, k2 = fiber_invariants(curve, group, x0, ring)
+    return k1.coeff_fractions(0)[0], k2.coeff_fractions(0)[0]

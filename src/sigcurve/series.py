@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import TruncationError
-from .poly import SparsePoly
+from .poly import SparsePoly, gcd
 
 INF = 10**9
 
@@ -55,29 +55,12 @@ def intpoly_from_poly(p: SparsePoly, var: str) -> IntPoly:
 
 def intpoly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     """Primitive gcd of two integer polynomials (positive leading coeff)."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while fb and any(fb):
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if not fb:
-            break
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            continue
-        lc = fb[-1]
-        shift = len(fa) - len(fb)
-        factor = fa[-1] / lc
-        for i, c in enumerate(fb):
-            fa[i + shift] -= factor * c
-        while fa and fa[-1] == 0:
-            fa.pop()
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-    den_lcm = 1
-    for x in fa:
-        den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
-    return intpoly_normalize([int(x * den_lcm) for x in fa])
+    ring = ("w",)
+
+    def as_poly(c: Sequence[int]) -> SparsePoly:
+        return SparsePoly(ring, {(k,): Fraction(x) for k, x in enumerate(c) if x})
+
+    return intpoly_from_poly(gcd(as_poly(a), as_poly(b)), "w")
 
 
 def intpoly_squarefree(q: Sequence[int]) -> bool:

@@ -1,4 +1,5 @@
-"""Signature polynomials by saturated elimination, plus numeric samples.
+"""Signature polynomials by saturated elimination, by an exact sample fit,
+and numeric samples.
 
 The signature polynomial S is the generator of the elimination ideal
 
@@ -14,6 +15,11 @@ the caller's irreducibility assertion is spot-checked, not proven.
 Everything is normalized to the canonical representative: integer
 coefficients of content 1 with positive leading coefficient under grlex
 k1 > k2, enabling byte-exact comparisons.
+
+Both the exact fit and the numeric samples take (K1, K2) at the points of a
+fiber x = x0 from ``jets.fiber_invariants``, exactly over Q[W]/(F(x0, W)).
+The samples are the only floats: the fiber's roots, found numerically, and
+the exact values evaluated there.
 """
 
 from __future__ import annotations
@@ -23,17 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import SampleCheckError, TruncationError
+from .errors import SampleCheckError
 from .groebner import EliminationBudget, groebner_eliminate
 from .jets import (
     CLASSIFYING_RECIPES,
     CurveInput,
     GroupId,
     classifying_pair,
+    fiber_invariants,
     require_non_exceptional,
-    theta_table,
 )
 from .poly import SparsePoly, _lc_in, gcd, grlex_key, pseudo_remainder, square_free_part
+from .series import SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")
 ELIM_RING = ("t", "x", "y", "k1", "k2")
@@ -168,93 +175,6 @@ def signature_polynomial(
 # numeric sampling
 
 
-def _numeric_jets(F: SparsePoly, x0: complex, y0: complex, n: int = 8) -> list[complex]:
-    """Float Taylor jets of the branch of F through (x0, y0) by series Newton."""
-    N = n + 1
-    terms = [(e, complex(c)) for e, c in F.terms.items()]
-    fy_terms = [(e, complex(c)) for e, c in F.partial_derivative("y").terms.items()]
-
-    def smul(a, b):
-        out = [0j] * N
-        for i, ai in enumerate(a):
-            if ai != 0:
-                for j in range(N - i):
-                    bj = b[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
-        return out
-
-    def eval_terms(tt, xs, ys):
-        dx = max(e[0] for e, _ in tt)
-        dyy = max(e[1] for e, _ in tt)
-        xp = [[0j] * N]
-        xp[0][0] = 1.0
-        for _ in range(dx):
-            xp.append(smul(xp[-1], xs))
-        yp = [[0j] * N]
-        yp[0][0] = 1.0
-        for _ in range(dyy):
-            yp.append(smul(yp[-1], ys))
-        out = [0j] * N
-        for e, c in tt:
-            prod = smul(xp[e[0]], yp[e[1]])
-            for i in range(N):
-                out[i] += c * prod[i]
-        return out
-
-    xs = [0j] * N
-    xs[0] = x0
-    xs[1] = 1.0
-    ys = [0j] * N
-    ys[0] = y0
-    for _ in range(60):
-        fv = eval_terms(terms, xs, ys)
-        fyv = eval_terms(fy_terms, xs, ys)
-        inv = [0j] * N
-        inv[0] = 1.0 / fyv[0]
-        for k in range(1, N):
-            inv[k] = -sum(fyv[j] * inv[k - j] for j in range(1, k + 1)) * inv[0]
-        corr = smul(fv, inv)
-        ys = [a - b for a, b in zip(ys, corr)]
-        if max(abs(c) for c in corr) < 1e-14 * max(1.0, max(abs(c) for c in ys)):
-            break
-    out = []
-    fact = 1.0
-    for k in range(1, n + 1):
-        fact *= k
-        out.append(ys[k] * fact)
-    return out
-
-
-def _theta_value(i: int, uvals: dict[str, complex]) -> complex:
-    acc = 0j
-    for e, c in theta_table()[i].terms.items():
-        term = complex(c)
-        for idx, k in enumerate(e):
-            if k:
-                term *= uvals[f"u{idx+1}"] ** k
-        acc += term
-    return acc
-
-
-def invariants_numeric(
-    curve: CurveInput, group: GroupId, x0: complex, y0: complex
-) -> Optional[tuple[complex, complex]]:
-    """Float (K1, K2) at a numeric curve point; None at degenerate points."""
-    fy = curve.fy().evaluate({"x": x0, "y": y0})
-    if abs(fy) < 1e-9:
-        return None
-    u = _numeric_jets(curve.F, x0, y0, 8)
-    uvals = {f"u{k}": u[k - 1] for k in range(1, 9)}
-    ((na, npow), (da, dpow)), ((nc, cpow), (de, epow)) = CLASSIFYING_RECIPES[group]
-    vals = {i: _theta_value(i, uvals) for i in {na, da, nc, de}}
-    if abs(vals[da]) < 1e-12 or abs(vals[de]) < 1e-12:
-        return None
-    k1 = vals[na] ** npow / vals[da] ** dpow
-    k2 = vals[nc] ** cpow / vals[de] ** epow
-    return k1, k2
-
-
 @dataclass(frozen=True)
 class SignatureSample:
     x: complex
@@ -273,39 +193,51 @@ def signature_samples(
     seed: int = 0,
     real_only: bool = False,
 ) -> list[SignatureSample]:
-    """Deterministic numeric signature samples (companion-matrix roots in y
-    over sampled x values, regular points only).  Returns fewer than
-    ``count`` with a warning when the curve runs out of usable points."""
+    """Deterministic numeric signature samples over sampled rational x values.
+
+    (K1, K2) is computed once per fiber, exactly over Q[W]/(F(x0, W)), and
+    evaluated at the fiber's float roots (companion-matrix roots in y); a
+    fiber with a repeated root is skipped, so only regular points are kept.
+    Returns fewer than ``count`` with a warning when the curve runs out of
+    usable points."""
     import numpy as np
 
     require_non_exceptional(curve, group)
     rng = random.Random(seed)
+    dy = int(curve.F.degree_in("y"))
+    float_terms = [(e, float(c)) for e, c in curve.F.terms.items()]
     out: list[SignatureSample] = []
     attempts = 0
     while len(out) < count and attempts < 300 * max(count, 1):
         attempts += 1
-        if real_only or rng.random() < 0.7:
-            x0 = complex(rng.uniform(-2.5, 2.5), 0.0)
-        else:
-            x0 = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        coeffs = [0j] * (int(curve.F.degree_in("y")) + 1)
-        for e, c in curve.F.terms.items():
-            coeffs[e[1]] += complex(c) * x0 ** e[0]
+        num = rng.randint(-250, 250)
+        # float roots first: a fiber without a usable root costs no exact work
+        coeffs = [0.0] * (dy + 1)
+        for (i, j), c in float_terms:
+            coeffs[j] += c * (num / 100) ** i
         if abs(coeffs[-1]) < 1e-12:
             continue
-        roots = np.roots(list(reversed(coeffs)))
+        roots = [complex(r) for r in np.roots(coeffs[::-1])]
+        if real_only:
+            roots = [r for r in roots if abs(r.imag) <= 1e-9]
+        if not roots:
+            continue
+        x0 = Fraction(num, 100)
+        q = intpoly_from_poly(curve.F.evaluate_partial({"x": x0}), "y")
+        if not intpoly_squarefree(q):
+            continue
+        try:
+            k1, k2 = fiber_invariants(curve, group, x0, SeriesRing(q))
+        except ZeroDivisionError:
+            continue  # a denominator Theta vanishes somewhere on the fiber
+        c1, c2 = k1.coeff_fractions(0), k2.coeff_fractions(0)
         for y0 in roots:
             if len(out) >= count:
                 break
-            y0 = complex(y0)
-            if real_only and abs(y0.imag) > 1e-9:
-                continue
-            kk = invariants_numeric(curve, group, x0, y0)
-            if kk is None:
-                continue
+            kk = (_horner(c1, y0), _horner(c2, y0))
             if not (abs(kk[0]) < 1e14 and abs(kk[1]) < 1e14):
                 continue
-            out.append(SignatureSample(x0, y0, kk[0], kk[1]))
+            out.append(SignatureSample(complex(x0), y0, kk[0], kk[1]))
     if len(out) < count:
         import warnings
 
@@ -313,6 +245,14 @@ def signature_samples(
             f"only {len(out)} of {count} requested signature samples found"
         )
     return out
+
+
+def _horner(coeffs: Sequence[Fraction], w: complex) -> complex:
+    """The polynomial with ascending coefficients ``coeffs`` at w."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * w + float(c)
+    return acc
 
 
 def relative_residual(S: SparsePoly, k1: complex, k2: complex) -> float:
@@ -329,7 +269,12 @@ def relative_residual(S: SparsePoly, k1: complex, k2: complex) -> float:
 def verify_signature_samples(
     sig: SignaturePolynomial, count: int = 25, seed: int = 0, tol: float = 1e-8
 ) -> None:
+    """Check that numeric signature samples vanish on S; SampleCheckError
+    when more than a tenth of them fail or fewer than four fifths of
+    ``count`` are found."""
     samples = signature_samples(sig.source, sig.group, count, seed=seed)
+    if len(samples) < count - count // 5:
+        raise SampleCheckError(f"only {len(samples)}/{count} numeric samples found")
     bad = 0
     for s in samples:
         if relative_residual(sig.S, s.k1, s.k2) > tol:
@@ -343,146 +288,39 @@ def verify_signature_samples(
 # ---------------------------------------------------------------------------
 # sample fitting (degree certification for small signature degrees)
 
-
-def fit_signature(
-    curve: CurveInput,
-    group: GroupId,
-    degree: int,
-    count: int = 40,
-    seed: int = 0,
-) -> Optional[list[tuple[tuple[int, int], complex]]]:
-    """Least-squares fit of a degree-``degree`` polynomial through numeric
-    signature samples; returns the coefficient vector when the nullspace is
-    one-dimensional and the fit vanishes on held-out samples, else None.
-
-    Reliable only for small degrees (float64 Vandermonde conditioning).
-    """
-    import numpy as np
-
-    monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-    count = max(count, len(monos) + 20)
-    raw = signature_samples(curve, group, 2 * count + 15, seed=seed)
-    # extreme signature values (near denominator zeros) wreck the float64
-    # conditioning: keep the central magnitude band, deduplicated
-    seen = set()
-    uniq = []
-    for s in raw:
-        key = (round(s.k1.real, 9), round(s.k1.imag, 9), round(s.k2.real, 9), round(s.k2.imag, 9))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(s)
-    uniq.sort(key=lambda s: max(abs(s.k1), abs(s.k2)))
-    lo = len(uniq) // 10
-    hi = max(len(uniq) - len(uniq) // 10, lo + 1)
-    band = uniq[lo:hi]
-    if len(band) < len(monos) + 10:
-        band = uniq
-    if len(band) < len(monos) + 5:
-        return None
-    fit_n = min(len(band) - 5, count)
-    fit_s = band[:fit_n]
-    hold_s = band[fit_n:]
-    scale1 = float(np.median([abs(s.k1) for s in fit_s])) or 1.0
-    scale2 = float(np.median([abs(s.k2) for s in fit_s])) or 1.0
-    A = np.zeros((len(fit_s), len(monos)), dtype=complex)
-    for r, s in enumerate(fit_s):
-        for cidx, (i, j) in enumerate(monos):
-            A[r, cidx] = (s.k1 / scale1) ** i * (s.k2 / scale2) ** j
-    # row scaling tames the huge dynamic range of signature values and does
-    # not change the nullspace of A c = 0
-    row_norms = np.linalg.norm(A, axis=1, keepdims=True)
-    row_norms[row_norms == 0] = 1.0
-    A = A / row_norms
-    norms = np.linalg.norm(A, axis=0)
-    norms[norms == 0] = 1.0
-    A = A / norms
-    _, sv, vh = np.linalg.svd(A)
-    if len(sv) < len(monos) or sv[-1] > 1e-7 * sv[0]:
-        return None  # no nullspace: degree too small
-    if len(sv) >= 2 and sv[-2] < 25 * sv[-1]:
-        return None  # no clear spectral gap: nullity ambiguous or > 1
-    vec = vh[-1].conj() / norms
-    coeffs = []
-    for (i, j), c in zip(monos, vec):
-        coeffs.append(((i, j), c / (scale1**i * scale2**j)))
-    # held-out vanishing: a coarse backstop against cluster overfits (the
-    # spectral gap above is the primary certificate; spurious relations fail
-    # here at O(1) while true fits sit orders of magnitude lower)
-    for s in hold_s:
-        total = sum(c * s.k1**i * s.k2**j for (i, j), c in coeffs)
-        scale = 1.0 + sum(abs(c * s.k1**i * s.k2**j) for (i, j), c in coeffs)
-        if abs(total) / scale > 1e-2:
-            return None
-    return coeffs
+# Symmetric curves collapse whole fibers onto single signature points, so each
+# fiber may contribute only one fresh condition: the fit keeps adding
+# abscissas until the kernel pins down.
+FIT_ABSCISSAS = tuple(Fraction(num, den) for den in (7, 5, 11, 3) for num in range(1, 13))
+# largest candidate degree the exact fit is tried on
+MAX_FIT_DEGREE = 10
 
 
 def exact_signature_fit(
-    curve: CurveInput,
-    group: GroupId,
-    degree: int,
-    xs: Optional[Sequence[Fraction]] = None,
-    max_fibers: int = 48,
+    curve: CurveInput, group: GroupId, degree: int
 ) -> Optional[SparsePoly]:
     """Exact sample-fitting: the signature polynomial of the given degree,
     certified over Q, or None when the sampled conditions do not pin a
     one-dimensional nullspace.
 
-    For each rational x0 the fiber F(x0, y) = 0 is treated as one point with
-    coordinates in Q[Y]/(F(x0, Y)): the jets, the Thetas and the classifying
-    pair evaluate exactly there, and S(K1, K2) = 0 contributes deg-many exact
-    rational linear conditions on the coefficients of S.  No floats anywhere.
+    For each rational x0 in ``FIT_ABSCISSAS`` the fiber F(x0, y) = 0 is treated
+    as one point with coordinates in Q[Y]/(F(x0, Y)): the classifying pair
+    evaluates exactly there (``fiber_invariants``), and S(K1, K2) = 0
+    contributes deg-many exact rational linear conditions on the coefficients
+    of S.  No floats anywhere.
     """
-    from .series import (
-        SeriesRing,
-        TruncatedSeries,
-        intpoly_from_poly,
-        intpoly_squarefree,
-        newton_branch,
-    )
-
     monos = [
         (i, j) for i in range(degree + 1) for j in range(degree + 1 - i)
     ]
-    if xs is None:
-        # symmetric curves collapse whole fibers onto single signature
-        # points, so each fiber may contribute only one fresh condition:
-        # keep adding abscissas until the kernel pins down
-        xs = [Fraction(num, den) for den in (7, 5, 11, 3) for num in range(1, 13)]
-    xs = list(xs)[:max_fibers]
     rows: list[list[Fraction]] = []
-    ((na, npow), (da, dpow)), ((nc, cpow), (de, epow)) = CLASSIFYING_RECIPES[group]
-    table = theta_table()
-    needed = sorted({na, da, nc, de})
-    for x0 in xs:
-        x0 = Fraction(x0)
+    for x0 in FIT_ABSCISSAS:
         q = intpoly_from_poly(curve.F.evaluate_partial({"x": x0}), "y")
         if len(q) < 2 or not intpoly_squarefree(q):
             continue  # no or multiple y-roots: skip this fiber
         ring = SeriesRing(q)
-        ring2 = ("h", "u")
-        h = SparsePoly.var(ring2, "h")
-        u = SparsePoly.var(ring2, "u")
-        H = curve.F.compose_linear([h + SparsePoly.const(ring2, x0), u])
         try:
-            branch = newton_branch(H, "h", "u", ring, ring.generator(), 10)
+            k1, k2 = fiber_invariants(curve, group, x0, ring)
         except ZeroDivisionError:
-            continue
-        uvals: dict[str, TruncatedSeries] = {}
-        fact = 1
-        for k in range(1, 9):
-            fact *= k
-            vec = branch.coeff_fractions(k)
-            uvals[f"u{k}"] = ring.element([v * fact for v in vec])
-        from .series import evaluate_polys_at_series
-
-        th_vals = evaluate_polys_at_series(
-            [table[i] for i in needed], uvals, ring
-        )
-        th = dict(zip(needed, th_vals))
-        try:
-            k1 = th[na] ** npow * th[da].invert(1) ** dpow
-            k2 = th[nc] ** cpow * th[de].invert(1) ** epow
-        except (ZeroDivisionError, TruncationError):
             continue  # a denominator Theta vanishes or is a zero divisor
         pows1 = [TruncatedSeries.constant(ring, Fraction(1))]
         pows2 = [TruncatedSeries.constant(ring, Fraction(1))]
@@ -548,13 +386,11 @@ def certified_signature_degree(
     curve: CurveInput,
     group: GroupId,
     candidates: Sequence[int],
-    max_fit_degree: int = 10,
 ) -> Optional[int]:
     """Smallest candidate degree certified by the exact quotient-ring sample
-    fit; None when no tractable candidate certifies.  The float fit
-    (``fit_signature``) is not a certificate and is not consulted."""
+    fit; None when no tractable candidate certifies."""
     for d in sorted(set(candidates)):
-        if d <= 0 or d > max_fit_degree:
+        if d <= 0 or d > MAX_FIT_DEGREE:
             continue
         if exact_signature_fit(curve, group, d) is not None:
             return d

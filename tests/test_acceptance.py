@@ -56,7 +56,6 @@ ELLIPSE_S_REFERENCE = (
 )
 
 SAMPLE_TOL = 1e-8  # criterion 8 relative residual
-PGL3_SAMPLE_TOL = 1e-6  # float64 jets through Theta_7/Theta_8 (criterion 5)
 
 
 def _announce(num, elapsed, budget, detail):
@@ -178,7 +177,7 @@ def test_criterion_5_fermat_family():
         samples = signature_samples(cv, GroupId.PGL3, 25, seed=7)
         assert len(samples) >= 20
         bad = sum(
-            1 for s in samples if relative_residual(closed.S, s.k1, s.k2) > PGL3_SAMPLE_TOL
+            1 for s in samples if relative_residual(closed.S, s.k1, s.k2) > SAMPLE_TOL
         )
         assert bad <= 2
         fitted = exact_signature_fit(cv, GroupId.PGL3, 4)

@@ -106,6 +106,14 @@ def test_samples_csv():
         assert abs(vals[2] - 1) < 1e-9  # unit circle curvature constant
 
 
+def test_samples_curve_without_real_points():
+    r = run_cli(
+        "samples", "--curve", "x^2+2*y^2+1", "--group", "SE2", "--count", "25", "--seed", "1"
+    )
+    assert r.returncode == 0
+    assert r.stdout.strip() == "x,y,k1,k2"
+
+
 def test_fermat_symmetry_command():
     r = run_cli("fermat", "--d", "4", "--group", "A2", "--what", "symmetry")
     assert r.returncode == 0

@@ -10,6 +10,7 @@ from sigcurve.jets import (
     apply_group_element,
     classifying_pair,
     exceptional_check,
+    fiber_invariants,
     implicit_jet,
     invariants_at_point,
     jets_at_point,
@@ -19,6 +20,7 @@ from sigcurve.jets import (
 )
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import SparsePoly
+from sigcurve.series import SeriesRing, intpoly_from_poly
 
 R = ("x", "y")
 
@@ -138,6 +140,17 @@ class TestClassifyingPair:
     def test_circle_constant(self, circle):
         k = invariants_at_point(circle, GroupId.SE2, (Fraction(3, 5), Fraction(4, 5)))
         assert k[0] == 1
+
+    def test_fiber_invariants_reduce_to_point_values(self):
+        # F(1, W) = -(W - 1)(W^2 - W + 5): K1, K2 over Q[W]/(F(1, W)), reduced
+        # at the rational root W = 1, are the values at the point (1, 1)
+        cv = CurveInput.from_poly(parse("x^3*y + 2x*y^2 - y^3 + x - 7y + 4"))
+        ring = SeriesRing(intpoly_from_poly(cv.F.evaluate_partial({"x": 1}), "y"))
+        assert ring.deg == 3
+        for g in GroupId:
+            fiber = fiber_invariants(cv, g, Fraction(1), ring)
+            at_root = tuple(sum(k.coeff_fractions(0)) for k in fiber)
+            assert at_root == invariants_at_point(cv, g, (Fraction(1), Fraction(1)))
 
     def test_line_exceptional_everywhere(self):
         line = CurveInput.from_poly(parse("x + y - 1"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import sigcurve.signature as signature_module
-from sigcurve.errors import BudgetExceededError
+from sigcurve.errors import BudgetExceededError, SampleCheckError
 from sigcurve.groebner import EliminationBudget
 from sigcurve.jets import CurveInput, GroupId, apply_group_element, classifying_pair
 from sigcurve.parser import parse, serialize
@@ -12,11 +12,11 @@ from sigcurve.signature import (
     PointSignature,
     SignaturePolynomial,
     certified_signature_degree,
-    fit_signature,
     is_constant_signature,
     relative_residual,
     signature_polynomial,
     signature_samples,
+    verify_signature_samples,
 )
 
 ELLIPSE_S_REFERENCE = (
@@ -52,6 +52,13 @@ class TestEllipse:
 
     def test_count_zero(self, ellipse):
         assert signature_samples(ellipse, GroupId.SE2, 0, seed=1) == []
+
+    def test_check_needs_samples(self, ellipse, monkeypatch):
+        """A sample check that finds no samples is not evidence for S."""
+        sig = signature_polynomial(ellipse, GroupId.SE2)
+        monkeypatch.setattr(signature_module, "signature_samples", lambda *a, **k: [])
+        with pytest.raises(SampleCheckError):
+            verify_signature_samples(sig)
 
 
 class TestConstantSignature:
@@ -117,30 +124,12 @@ class TestResultantCrossCheck:
         assert divides(up(sig.S), iterated)
 
 
-class TestFit:
-    def test_fit_recovers_small_signature(self, cusp_cubic):
-        sig = signature_polynomial(cusp_cubic, GroupId.SE2)
-        fit = fit_signature(cusp_cubic, GroupId.SE2, sig.degree(), seed=9)
-        assert fit is not None
-        import numpy as np
-
-        monos = sorted({e for e, _ in fit} | set(sig.S.terms))
-        v1 = np.array([complex(dict(fit).get(e, 0)) for e in monos])
-        v2 = np.array([float(sig.S.terms.get(e, 0)) for e in monos], dtype=complex)
-        cos = abs(np.vdot(v1, v2)) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-        assert cos > 1 - 1e-6
-
-    def test_fit_rejects_wrong_degree(self, cusp_cubic):
-        assert fit_signature(cusp_cubic, GroupId.SE2, 3, seed=9) is None
-
-
 class TestCertifiedDegree:
     def test_float_fit_is_not_a_certificate(self, ellipse, monkeypatch):
-        """Only the exact fit certifies a degree; a float fit alone does not."""
+        """Only the exact fit certifies a degree."""
         from sigcurve.equivalence import symmetry_order
 
         monkeypatch.setattr(signature_module, "exact_signature_fit", lambda *a, **k: None)
-        monkeypatch.setattr(signature_module, "fit_signature", lambda *a, **k: [((0, 0), 1.0)])
         assert certified_signature_degree(ellipse, GroupId.SE2, [1, 2, 3, 6]) is None
         with pytest.raises(BudgetExceededError):
             symmetry_order(
