@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end walkthrough on the worked ellipse x^2 + xy + y^2 - 1.
 
-Prints the classifying invariants, the signature polynomial from the
-saturated elimination, the degree-formula cross-check, and a CSV block of
-numeric signature samples suitable for plotting.
+Prints the classifying invariants, the certified signature polynomial with
+its Bezout-count certificate, the degree-formula cross-check, and a CSV
+block of numeric signature samples suitable for plotting.
 """
 
 import warnings
@@ -23,6 +23,11 @@ def main():
     print("K2 =", serialize(pair.K2.num), "/", serialize(pair.K2.den))
     sig = signature_polynomial(curve, GroupId.SE2)
     print("\nS =", serialize(sig.S))
+    cert = sig.certificate
+    print(
+        f"certified: S(K1, K2) = 0 on {cert.fibers} fibers, deg N <= {cert.deg_N} "
+        f"({cert.kind}, curve {cert.curve})"
+    )
     rep = predict_degree(curve, GroupId.SE2, n=2)
     print(
         f"degree formula: n*deg(S) = d*deg(sigma) - mult = "

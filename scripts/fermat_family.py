@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Walk the Fermat family x^d + y^d + 1: signatures, symmetry, degrees.
 
-Each row reports the closed-form signature degree, how it was verified
-(direct elimination or the exact quotient-ring sample fit), and the symmetry
-order recovered through the degree-ratio route.
+Each row reports the closed-form signature degree, whether the Bezout-count
+certificate proves the closed form is the signature polynomial, and the
+symmetry order recovered through the degree-ratio route.
 """
 
 import argparse
@@ -16,13 +16,8 @@ from sigcurve.fermat import (
     fermat_signature,
     fermat_symmetry_order,
 )
-from sigcurve.groebner import EliminationBudget
 from sigcurve.jets import GroupId
-from sigcurve.signature import (
-    SignaturePolynomial,
-    exact_signature_fit,
-    signature_polynomial,
-)
+from sigcurve.signature import FiberTable, certify_signature
 
 
 def main():
@@ -30,27 +25,19 @@ def main():
     ap.add_argument("--dmax", type=int, default=5)
     args = ap.parse_args()
     warnings.simplefilter("ignore")
-    budget = EliminationBudget(3000, 400)
     for d in range(3, args.dmax + 1):
         for g in (GroupId.A2, GroupId.PGL3):
             t0 = time.time()
             closed = fermat_signature(d, g)
-            if g is GroupId.A2:
-                computed = signature_polynomial(fermat_curve(d), g, budget=budget)
-                ok = isinstance(computed, SignaturePolynomial) and computed.S == closed.S
-                route = "elimination"
-            else:
-                fitted = exact_signature_fit(fermat_curve(d), g, closed.degree())
-                ok = fitted == closed.S
-                route = "exact-fit"
+            cert = certify_signature(FiberTable(fermat_curve(d), g), closed.S)
             res = symmetry_order(
                 fermat_curve(d), g, known_signature_degree=closed.degree()
             )
             want_n = fermat_symmetry_order(d, g)
             print(
-                f"d={d} {g.value:>5}: deg(S)={closed.degree()} verified={ok} "
-                f"({route}), n={res.n} (closed form {want_n}) "
-                f"[{time.time()-t0:.1f}s]"
+                f"d={d} {g.value:>5}: deg(S)={closed.degree()} verified={cert is not None}"
+                + (f" (bezout-count, {cert.fibers} fibers)" if cert else "")
+                + f", n={res.n} (closed form {want_n}) [{time.time()-t0:.1f}s]"
             )
 
 

@@ -20,13 +20,11 @@ from .degree import (
 )
 from .equivalence import EquivalenceVerdict, SymmetryResult, equivalent, symmetry_order
 from .errors import (
-    BudgetExceededError,
     ExceptionalCurveError,
     InvalidCurveError,
     ParseError,
     PoleError,
     RingMismatchError,
-    SampleCheckError,
     ShearRequiredError,
     SigcurveError,
     TruncationError,
@@ -38,7 +36,6 @@ from .fermat import (
     fermat_signature_pgl3,
     fermat_symmetry_order,
 )
-from .groebner import EliminationBudget, groebner_basis, groebner_eliminate
 from .jets import (
     ClassifyingPair,
     CurveInput,
@@ -58,8 +55,11 @@ from .jets import (
 from .parser import parse, serialize
 from .poly import RatFunc, SparsePoly, gcd, resultant, square_free_part
 from .signature import (
+    FiberTable,
     PointSignature,
+    SignatureCertificate,
     SignaturePolynomial,
+    certify_signature,
     is_constant_signature,
     signature_polynomial,
     signature_samples,

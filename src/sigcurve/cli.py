@@ -1,51 +1,41 @@
 """Command-line front end.
 
 Machine output goes to stdout (or ``--out``), diagnostics to stderr.  Exit
-codes: 0 success, 1 any other ``SigcurveError`` (such as ``SampleCheckError``),
-2 exceptional input, a constant curve polynomial (``InvalidCurveError``) or
-an invalid argument, 3 elimination budget exceeded, 4 parse error.
+codes: 0 success, 1 any other ``SigcurveError``, 2 exceptional input, a
+constant curve polynomial (``InvalidCurveError``) or an invalid argument,
+4 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
 
-from .config import budget_from_env
 from .degree import predict_degree
 from .equivalence import equivalent, symmetry_order
-from .errors import (
-    BudgetExceededError,
-    ExceptionalCurveError,
-    InvalidCurveError,
-    ParseError,
-    SampleCheckError,
-    SigcurveError,
-)
+from .errors import ExceptionalCurveError, InvalidCurveError, ParseError, SigcurveError
 from .fermat import (
     fermat_curve,
     fermat_signature,
     fermat_symmetry_order,
 )
-from .groebner import EliminationBudget
 from .jets import CurveInput, GroupId, classifying_pair, theta
 from .parser import parse, serialize
 from .signature import (
+    FiberTable,
     PointSignature,
-    SignaturePolynomial,
-    exact_signature_fit,
+    certify_signature,
     signature_polynomial,
     signature_samples,
-    verify_signature_samples,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_EXCEPTIONAL = 2
-EXIT_BUDGET = 3
 EXIT_PARSE = 4
 
 
@@ -97,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--group", type=_group, required=True)
 
-    p = sub.add_parser("signature", help="signature polynomial by elimination")
+    p = sub.add_parser("signature", help="certified signature polynomial")
     p.add_argument("--curve", required=True)
     p.add_argument("--group", type=_group, required=True)
 
@@ -147,16 +137,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(text, file=out_stream)
 
     try:
-        code = _dispatch(args, budget_from_env(), emit)
+        code = _dispatch(args, emit)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         code = EXIT_PARSE
     except (ExceptionalCurveError, InvalidCurveError) as e:
         print(str(e), file=sys.stderr)
         code = EXIT_EXCEPTIONAL
-    except BudgetExceededError as e:
-        print(str(e), file=sys.stderr)
-        code = EXIT_BUDGET
     except SigcurveError as e:
         print(f"error: {e}", file=sys.stderr)
         code = 1
@@ -166,7 +153,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
-def _dispatch(args, budget: EliminationBudget, emit) -> int:
+def _dispatch(args, emit) -> int:
     cmd = args.command
     if cmd == "theta":
         cv = _curve(args.curve)
@@ -204,7 +191,7 @@ def _dispatch(args, budget: EliminationBudget, emit) -> int:
         return EXIT_OK
     if cmd == "signature":
         cv = _curve(args.curve)
-        sig = signature_polynomial(cv, args.group, budget=budget)
+        sig = signature_polynomial(cv, args.group)
         if isinstance(sig, PointSignature):
             emit(
                 {
@@ -221,6 +208,7 @@ def _dispatch(args, budget: EliminationBudget, emit) -> int:
                     "group": args.group.value,
                     "S": serialize(sig.S),
                     "degree": sig.degree(),
+                    "certificate": dataclasses.asdict(sig.certificate),
                 },
                 f"S = {serialize(sig.S)}",
             )
@@ -255,7 +243,7 @@ def _dispatch(args, budget: EliminationBudget, emit) -> int:
         return EXIT_OK
     if cmd == "symmetry":
         cv = _curve(args.curve)
-        res = symmetry_order(cv, args.group, budget=budget, seed=args.seed)
+        res = symmetry_order(cv, args.group, seed=args.seed)
         payload = {
             "command": "symmetry",
             "group": args.group.value,
@@ -272,7 +260,7 @@ def _dispatch(args, budget: EliminationBudget, emit) -> int:
     if cmd == "equiv":
         F = _curve(args.curve)
         G = _curve(args.curve2)
-        v = equivalent(F, G, args.group, budget=budget)
+        v = equivalent(F, G, args.group)
         payload = {
             "command": "equiv",
             "group": args.group.value,
@@ -303,11 +291,11 @@ def _dispatch(args, budget: EliminationBudget, emit) -> int:
         emit({"command": "samples", "csv": "\n".join(lines)}, "\n".join(lines))
         return EXIT_OK
     if cmd == "fermat":
-        return _fermat_command(args, budget, emit)
+        return _fermat_command(args, emit)
     raise AssertionError(f"unhandled command {cmd}")
 
 
-def _fermat_command(args, budget, emit) -> int:
+def _fermat_command(args, emit) -> int:
     d = args.d
     group = args.group
     cv = fermat_curve(d)
@@ -326,9 +314,13 @@ def _fermat_command(args, budget, emit) -> int:
             f"n*deg(S) = {rep.n_times_deg_S} (deg sigma {rep.deg_sigma}, mult {rep.mult_sum})",
         )
         return EXIT_OK
-    sig = fermat_signature(d, group)  # raises for groups without closed form
-    verified, route = _verify_fermat_signature(cv, group, sig, budget)
+    try:
+        sig = fermat_signature(d, group)
+    except ValueError as e:  # no closed form for this group or degree
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_EXCEPTIONAL
     if args.what == "signature":
+        cert = certify_signature(FiberTable(cv, group), sig.S)
         emit(
             {
                 "command": "fermat",
@@ -337,10 +329,12 @@ def _fermat_command(args, budget, emit) -> int:
                 "group": group.value,
                 "S": serialize(sig.S),
                 "degree": sig.degree(),
-                "verification": route,
-                "verified": verified,
+                "verification": "bezout-count",
+                "verified": cert is not None,
+                "certificate": dataclasses.asdict(cert) if cert else None,
             },
-            f"S = {serialize(sig.S)}\n[verified via {route}]",
+            f"S = {serialize(sig.S)}\n"
+            + ("[verified: bezout-count]" if cert else "[bezout-count certificate fails]"),
         )
         return EXIT_OK
     if args.what == "symmetry":
@@ -360,28 +354,6 @@ def _fermat_command(args, budget, emit) -> int:
         )
         return EXIT_OK
     raise AssertionError
-
-
-def _verify_fermat_signature(
-    cv: CurveInput, group: GroupId, sig: SignaturePolynomial, budget
-) -> tuple[bool, str]:
-    """Certified sample-fit in exact quotient-ring arithmetic first (fast
-    and byte-exact); direct elimination as fallback; a numeric sample check
-    as the last resort."""
-    fitted = exact_signature_fit(cv, group, sig.degree())
-    if fitted is not None:
-        return fitted == sig.S, "exact sample-fit"
-    try:
-        computed = signature_polynomial(cv, group, budget=budget)
-        if isinstance(computed, SignaturePolynomial):
-            return computed.S == sig.S, "elimination"
-    except BudgetExceededError:
-        pass
-    try:
-        verify_signature_samples(sig, count=25, seed=7)
-    except SampleCheckError:
-        return False, "numeric sample check"
-    return True, "numeric sample check"
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ evaluated there; the canonical triple is assembled from the jet series and
 never builds the T_i products, the only feasible way for PGL(3) at d >= 4),
 one driver runs the trial lines, the lower bound and the truncation
 doubling, and one affine routine adds the affine base points of special
-curves.  ``mult_sum_line_resultant`` is an independent resultant oracle for
-tests.
+curves.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .jets import (
     CURVE_RING,
     FY_EXPONENT,
     GROUP_THETAS,
-    HOMOG_RING,
     SIGMA_DEGREE,
     SIGMA_RECIPES,
     TAU_COEFFS,
@@ -610,25 +608,6 @@ def mult_sum_line(
     lies on the curve) plus the affine base points of this line."""
     line = tuple(Fraction(x) for x in a)
     return _triple_report(curve, sigma, lambda: [line], trunc).min_sum
-
-
-def mult_sum_line_resultant(
-    curve: CurveInput, sigma: HomogeneousTriple, a: Sequence
-) -> int:
-    """Reference route: the order at v = 0 of Res_w(Fh(v,1,w), G(v,1,w)).
-
-    Valid when [0:0:1] is off the curve and the infinite fiber is simple;
-    feasible only when the combined polynomial is small (the series route is
-    the production path).
-    """
-    H, q, corner = _chart_polys(curve)
-    if corner == 0:
-        raise ShearRequiredError("corner [0:0:1] on curve: resultant route invalid")
-    G = _combine(a, sigma.sigma, SparsePoly.zero(HOMOG_RING))
-    r = resultant(H, G.dehomogenize("x1").rename_ring(CHART_RING), "w")
-    if r.is_zero():
-        raise ValueError("resultant vanished: common factor (unlucky line)")
-    return min(e[0] for e in r.terms)
 
 
 def mult_min(

@@ -3,9 +3,12 @@
 Two non-exceptional curves with finite symmetry groups are G-equivalent
 exactly when their canonical signature polynomials coincide; constant
 signatures compare as constants but only give a necessary condition (the
-signature classification holds unconditionally only there).  The symmetry order n is
-recovered from n * deg(S) = d * deg(sigma) - mult_sum once deg(S) is known
-from elimination or from a certified sample fit.
+signature classification holds unconditionally only there).  ``equivalent``
+computes S_F by the certified route and checks it on G's fibers with the
+same certificate: S_F is irreducible, so if it vanishes on G's signature
+curve it is S_G, and one fiber of G where S_F(K1, K2) is nonzero proves
+S_G != S_F.  The symmetry order n is recovered from
+n * deg(S) = d * deg(sigma) - mult_sum with deg(S) from the certified S.
 """
 
 from __future__ import annotations
@@ -16,17 +19,14 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .degree import DegreeReport, predict_degree
-from .errors import (
-    BudgetExceededError,
-    ExceptionalCurveError,
-    NonIntegralSymmetryError,
-)
-from .groebner import EliminationBudget
+from .errors import ExceptionalCurveError, NonIntegralSymmetryError
 from .jets import CurveInput, GroupId
 from .signature import (
+    FiberTable,
     PointSignature,
     SignaturePolynomial,
-    certified_signature_degree,
+    certify_signature,
+    is_constant_signature,
     signature_polynomial,
 )
 
@@ -37,55 +37,33 @@ class VerdictReason(str, Enum):
     BOTH_CONSTANT_EQUAL = "both-constant-equal"
     CONSTANT_VS_CURVE = "constant-vs-curve"
     EXCEPTIONAL_INPUT = "exceptional-input"
-    UNDECIDED_BUDGET = "undecided-budget"
 
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    equivalent: Optional[bool]  # None = undecided
+    equivalent: Optional[bool]  # None = undecided (exceptional input)
     reason: VerdictReason
     left: Optional[Union[SignaturePolynomial, PointSignature]] = None
     right: Optional[Union[SignaturePolynomial, PointSignature]] = None
     note: str = ""
-    degree_predictions: Optional[tuple[DegreeReport, DegreeReport]] = None
 
 
-def equivalent(
-    F: CurveInput,
-    G: CurveInput,
-    group: GroupId,
-    budget: Optional[EliminationBudget] = None,
-    seed: int = 0,
-) -> EquivalenceVerdict:
-    """Decide G-equivalence by comparing canonical signature polynomials
-    byte-exactly; undecided (with degree predictions attached) when the
-    elimination budget is exceeded on either side."""
+def equivalent(F: CurveInput, G: CurveInput, group: GroupId) -> EquivalenceVerdict:
+    """Decide G-equivalence: the certified S_F, then ``certify_signature``
+    of S_F on G (``right`` is None when it fails)."""
     try:
-        sig_f = signature_polynomial(F, group, budget=budget, seed=seed)
-        sig_g = signature_polynomial(G, group, budget=budget, seed=seed + 1)
+        sig_f = signature_polynomial(F, group)
+        const_g = is_constant_signature(G, group)
     except ExceptionalCurveError as e:
         return EquivalenceVerdict(None, VerdictReason.EXCEPTIONAL_INPUT, note=str(e))
-    except BudgetExceededError as e:
-        preds = None
-        try:
-            preds = (
-                predict_degree(F, group, seed=seed),
-                predict_degree(G, group, seed=seed),
-            )
-        except Exception:
-            pass
-        return EquivalenceVerdict(
-            None, VerdictReason.UNDECIDED_BUDGET, note=str(e), degree_predictions=preds
-        )
     const_f = isinstance(sig_f, PointSignature)
-    const_g = isinstance(sig_g, PointSignature)
-    if const_f and const_g:
-        same = sig_f.value == sig_g.value
+    if const_f and const_g is not None:
+        same = sig_f.value == const_g
         return EquivalenceVerdict(
             same,
             VerdictReason.BOTH_CONSTANT_EQUAL if same else VerdictReason.SIGNATURES_DIFFER,
             sig_f,
-            sig_g,
+            PointSignature(const_g, group, G),
             note=(
                 "necessary-condition only: signature classification is complete "
                 "only for finite symmetry groups"
@@ -93,16 +71,16 @@ def equivalent(
                 else ""
             ),
         )
-    if const_f != const_g:
-        return EquivalenceVerdict(
-            False, VerdictReason.CONSTANT_VS_CURVE, sig_f, sig_g
-        )
-    same = sig_f.S == sig_g.S
+    if const_f or const_g is not None:
+        return EquivalenceVerdict(False, VerdictReason.CONSTANT_VS_CURVE, sig_f)
+    cert = certify_signature(FiberTable(G, group), sig_f.S)
+    if cert is None:
+        return EquivalenceVerdict(False, VerdictReason.SIGNATURES_DIFFER, sig_f)
     return EquivalenceVerdict(
-        same,
-        VerdictReason.SIGNATURES_EQUAL if same else VerdictReason.SIGNATURES_DIFFER,
+        True,
+        VerdictReason.SIGNATURES_EQUAL,
         sig_f,
-        sig_g,
+        SignaturePolynomial(sig_f.S, group, G, cert),
     )
 
 
@@ -119,19 +97,16 @@ class SymmetryResult:
 def symmetry_order(
     curve: CurveInput,
     group: GroupId,
-    budget: Optional[EliminationBudget] = None,
     seed: int = 0,
     known_signature_degree: Optional[int] = None,
 ) -> SymmetryResult:
     """|Sym(X, G)| from the degree formula: n = (d*deg(sigma) - mult)/deg(S).
 
-    deg(S) comes from elimination when it fits the budget, from a certified
-    sample fit for small degrees, or from ``known_signature_degree`` (e.g. a
-    verified closed form).  Infinite symmetry is the constant-signature case,
-    detected before the degree formula is ever invoked (it does not apply).
+    deg(S) is ``known_signature_degree`` (e.g. a verified closed form) or
+    the degree of the certified signature polynomial.  Infinite symmetry is
+    the constant-signature case, detected before the degree formula is ever
+    invoked (it does not apply).
     """
-    from .signature import is_constant_signature
-
     const = is_constant_signature(curve, group)
     if const is not None:
         return SymmetryResult(
@@ -141,18 +116,9 @@ def symmetry_order(
     total = pred.n_times_deg_S
     deg_s = known_signature_degree
     if deg_s is None:
-        try:
-            sig = signature_polynomial(curve, group, budget=budget, seed=seed)
-            assert isinstance(sig, SignaturePolynomial)
-            deg_s = sig.degree()
-        except BudgetExceededError:
-            candidates = [total // n for n in range(1, total + 1) if total % n == 0]
-            deg_s = certified_signature_degree(curve, group, candidates)
-            if deg_s is None:
-                raise BudgetExceededError(
-                    "signature degree not obtainable: elimination over budget and "
-                    f"no sample fit certified among divisors of {total}"
-                )
+        sig = signature_polynomial(curve, group)
+        assert isinstance(sig, SignaturePolynomial)
+        deg_s = sig.degree()
     if deg_s <= 0 or total % deg_s:
         raise NonIntegralSymmetryError(total, deg_s, "d*deg(sigma) - mult_sum")
     return SymmetryResult(

@@ -32,14 +32,6 @@ class InvalidCurveError(SigcurveError, ValueError):
     """The input polynomial defines no plane curve (it is constant)."""
 
 
-class SampleCheckError(SigcurveError):
-    """A signature polynomial does not vanish at its curve's numeric samples."""
-
-
-class BudgetExceededError(SigcurveError):
-    """An elimination ran past its configured basis-size or degree cap."""
-
-
 class ExceptionalCurveError(SigcurveError):
     """The curve fails the regularity conditions for the requested group."""
 

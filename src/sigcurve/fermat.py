@@ -3,9 +3,9 @@
 The signature polynomials of Fermat curves under PGL(3) and A(2) have
 degree 4 and degree 3 (2 at d = 3) for every d >= 3, with coefficients
 polynomial in d; the symmetry groups have orders 6d^2 and 2d^2, and 1 or 4
-under SE(2) depending on the parity of d.  The closed forms are frozen here
-and cross-checked at runtime against numeric signature samples, against the
-degree formula, and against direct elimination where that fits the budget.
+under SE(2) depending on the parity of d.  The closed forms are frozen here;
+``signature.certify_signature`` proves one is the signature polynomial of
+its curve.
 """
 
 from __future__ import annotations

@@ -1,36 +1,52 @@
-"""Signature polynomials by saturated elimination, by an exact sample fit,
-and numeric samples.
+"""Signature polynomials by one certified route, and numeric samples.
 
-The signature polynomial S is the generator of the elimination ideal
-
-    < F,  B*k1 - A,  D*k2 - C,  1 - t*h >  intersected with  Q[k1, k2],
-
-where K1 = A/B and K2 = C/D are the reduced classifying invariants on the
-curve and h is a squarefree polynomial with the same radical as B*D (the
-Rabinowitsch variable t sits highest in the elimination block).  For an
-irreducible input curve the elimination ideal of this prime ideal is prime
-and of height one, hence principal, so irreducibility of S comes for free;
-the caller's irreducibility assertion is spot-checked, not proven.
-
-Everything is normalized to the canonical representative: integer
+The signature polynomial S of an irreducible curve is the irreducible
+polynomial, unique up to scale, that vanishes on the image of the signature
+map (K1, K2).  It is normalized to the canonical representative: integer
 coefficients of content 1 with positive leading coefficient under grlex
 k1 > k2, enabling byte-exact comparisons.
 
-Both the exact fit and the numeric samples take (K1, K2) at the points of a
-fiber x = x0 from ``jets.fiber_invariants``, exactly over Q[W]/(F(x0, W)).
-The samples are the only floats: the fiber's roots, found numerically, and
-the exact values evaluated there.
+Fibers.  A fiber x = x0 on which q = F(x0, W) is squarefree of full y-degree
+is one point of the curve with coordinates in Q[W]/(q): ``fiber_invariants``
+gives (K1, K2) there exactly.  ``FiberTable`` keeps such fibers, x0 running
+through the rationals by height, with the exact powers of K1;
+``signature_polynomial`` reads one table for every fit and its certificate.
+
+Fit.  S(K1, K2) = 0 on a fiber is deg q linear conditions on the
+coefficients of S.  ``exact_signature_fit`` solves them modulo a 31-bit
+prime for one degree D.  A kernel that is zero modulo a prime is zero over
+Q, so no polynomial of degree D vanishes on the curve; a one-dimensional
+kernel is lifted by Chinese remaindering and rational reconstruction.  The
+fit only proposes S; the certificate decides.
+
+Certificate.  Write K1 = A/B and K2 = C/E in lowest terms, alpha =
+max(deg A, deg B) and gamma = max(deg C, deg E).  A line of the (k1, k2)
+plane pulls back to a curve of degree at most alpha + gamma, so deg S <=
+d (alpha + gamma).  For S of degree D, N = B^D E^D S(A/B, C/E) is a
+polynomial of degree at most deg_N = D (alpha + gamma), and it vanishes at
+every point of a table fiber on which S(K1, K2) = 0 (B and E are nonzero
+there, or ``fiber_invariants`` would have raised).  ``certify_signature``
+checks S(K1, K2) = 0 exactly on more than d deg_N / deg_y F fibers: then F
+meets N in more than d deg_N points, so F divides N by Bezout and S vanishes
+on the signature curve.  It also checks that no nonzero polynomial of degree
+D - 1 meets the table's conditions modulo a prime, so S is the signature
+polynomial.  Bezout needs F irreducible, which is the caller's assertion
+(``CurveInput``); the certificate records it as "irreducible-asserted".
+
+Samples.  ``signature_samples`` evaluates the exact fiber values at the
+float roots of q; they are the only floats.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import SampleCheckError
-from .groebner import EliminationBudget, groebner_eliminate
+from .errors import SigcurveError
 from .jets import (
     CLASSIFYING_RECIPES,
     CurveInput,
@@ -39,11 +55,26 @@ from .jets import (
     fiber_invariants,
     require_non_exceptional,
 )
-from .poly import SparsePoly, _lc_in, gcd, grlex_key, pseudo_remainder, square_free_part
+from .poly import SparsePoly, _lc_in, _primes_31bit, grlex_key, pseudo_remainder
 from .series import SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")
-ELIM_RING = ("t", "x", "y", "k1", "k2")
+
+# Fibers a one-dimensional kernel must survive before it is lifted.
+STABLE_BATCH = 2
+# Consecutive unusable abscissas after which a curve is refused.
+MAX_SKIPPED = 1000
+
+
+@dataclass(frozen=True)
+class SignatureCertificate:
+    """A Bezout-count proof that S is the signature polynomial (see the
+    module docstring)."""
+
+    deg_N: int  # bound on the degree of B^D E^D S(A/B, C/E)
+    fibers: int  # fibers on which S(K1, K2) = 0 was checked exactly
+    kind: str = "bezout-count"
+    curve: str = "irreducible-asserted"  # Bezout's premise, not proven
 
 
 @dataclass(frozen=True)
@@ -53,6 +84,7 @@ class SignaturePolynomial:
     S: SparsePoly  # over SIG_RING, content 1, positive grlex leading coeff
     group: GroupId
     source: CurveInput
+    certificate: Optional[SignatureCertificate] = None
 
     def degree(self) -> int:
         return int(self.S.total_degree())
@@ -123,52 +155,304 @@ def is_constant_signature(curve: CurveInput, group: GroupId) -> Optional[Fractio
 
 
 def signature_polynomial(
-    curve: CurveInput,
-    group: GroupId,
-    budget: Optional[EliminationBudget] = None,
-    verify_samples: int = 25,
-    seed: int = 0,
+    curve: CurveInput, group: GroupId
 ) -> Union[SignaturePolynomial, PointSignature]:
-    """Compute the signature polynomial exactly by saturated elimination.
+    """The certified signature polynomial, or a PointSignature for a
+    constant signature map.
 
-    Raises BudgetExceededError when the Groebner run blows the configured
-    caps (callers can fall back to degree prediction); returns a
-    PointSignature for constant signature maps.
-    """
+    For D = 1, 2, ... up to d (alpha + gamma), ``exact_signature_fit``
+    either proves that no polynomial of degree D vanishes on the curve or
+    proposes one, which ``certify_signature`` proves or rejects; a rejected
+    proposal is fitted again on more fibers."""
     require_non_exceptional(curve, group)
     const = is_constant_signature(curve, group)
     if const is not None:
         return PointSignature(const, group, curve)
-    pair = classifying_pair(curve, group)
-    A, B = pair.K1.num, pair.K1.den
-    C, D = pair.K2.num, pair.K2.den
-    h = square_free_part(B) * square_free_part(D)
-    h = square_free_part(h)
-    gens = []
-    t, x, y, k1, k2 = (SparsePoly.var(ELIM_RING, v) for v in ELIM_RING)
-    up = lambda p: p.map_variables(ELIM_RING)
-    gens.append(up(curve.F))
-    gens.append(up(B) * k1 - up(A))
-    gens.append(up(D) * k2 - up(C))
-    gens.append(SparsePoly.const(ELIM_RING, 1) - t * up(h))
-    basis = groebner_eliminate(gens, keep=SIG_RING, budget=budget)
-    basis = [p for p in basis if not p.is_zero()]
-    if not basis:
-        raise RuntimeError("elimination ideal is zero: signature map degenerate")
-    if len(basis) > 1:
-        # principal by theory; fold defensively via gcd
-        S = basis[0]
-        for p in basis[1:]:
-            S = gcd(S, p)
-        if S.is_constant():
-            raise RuntimeError("elimination returned a trivial ideal")
-    else:
-        S = basis[0]
-    S = canonical_signature_poly(S)
-    sig = SignaturePolynomial(S, group, curve)
-    if verify_samples:
-        verify_signature_samples(sig, count=verify_samples, seed=seed)
-    return sig
+    table = FiberTable(curve, group)
+    fibers = 1
+    for degree in range(1, curve.d * table.alpha_gamma + 1):
+        while True:
+            S, fibers = exact_signature_fit(table, degree, fibers)
+            if S is None:
+                break
+            cert = certify_signature(table, S)
+            if cert is not None:
+                return SignaturePolynomial(S, group, curve, cert)
+            if fibers >= table.bezout_fibers(degree):
+                raise SigcurveError(
+                    f"the degree-{degree} fit on {fibers} fibers fails its certificate"
+                )
+            fibers += STABLE_BATCH
+    raise SigcurveError("no signature polynomial up to the degree bound d (alpha + gamma)")
+
+
+def certify_signature(table: FiberTable, S: SparsePoly) -> Optional[SignatureCertificate]:
+    """A proof that S is the signature polynomial of the table's curve, or
+    None when S(K1, K2) is nonzero on some table fiber (S does not vanish on
+    the signature curve) or a nonzero polynomial of lower degree meets the
+    table's conditions (S is not the smallest)."""
+    degree = int(S.total_degree())
+    if degree < 1:
+        return None
+    fibers = table.bezout_fibers(degree)
+    if not all(table.fiber(i).vanishes(S) for i in range(fibers)):
+        return None
+    if degree > 1:
+        kernel = _ModKernel(table, degree - 1, _primes_31bit())
+        kernel.extend(range(fibers))
+        if kernel.nullity:
+            return None
+    return SignatureCertificate(degree * table.alpha_gamma, fibers)
+
+
+# ---------------------------------------------------------------------------
+# the fiber table
+
+
+def _abscissas() -> Iterator[Fraction]:
+    """0, then the nonzero rationals a/b by height max(|a|, b), both signs."""
+    yield Fraction(0)
+    for h in itertools.count(1):
+        for a, b in [(h, b) for b in range(1, h + 1)] + [(a, h) for a in range(1, h)]:
+            if math.gcd(a, b) == 1:
+                yield Fraction(a, b)
+                yield Fraction(-a, b)
+
+
+class _Fiber:
+    """(K1, K2) on one fiber as elements of Q[W]/(q), with the exact powers
+    of K1 computed so far."""
+
+    __slots__ = ("ring", "k1", "k2", "powers")
+
+    def __init__(self, ring: SeriesRing, k1: TruncatedSeries, k2: TruncatedSeries):
+        self.ring, self.k1, self.k2 = ring, k1, k2
+        self.powers = [TruncatedSeries.constant(ring, Fraction(1)), k1]
+
+    def vanishes(self, S: SparsePoly) -> bool:
+        """Whether S(K1, K2) = 0 in Q[W]/(q), by Horner's rule in K2 over
+        the stored powers of K1."""
+        while len(self.powers) <= S.total_degree():
+            self.powers.append(self.powers[-1] * self.k1)
+        by_k2: dict[int, list] = {}
+        for (i, j), c in S.terms.items():
+            by_k2.setdefault(j, []).append((i, c))
+        acc = TruncatedSeries.zero(self.ring)
+        for j in range(max(by_k2), -1, -1):
+            acc = acc * self.k2
+            for i, c in by_k2.get(j, ()):
+                acc = acc + self.powers[i].scale(c)
+        return acc.is_known_zero()
+
+    def rows(self, monos: Sequence[tuple[int, int]], prime: int) -> Optional[list[list[int]]]:
+        """The conditions S(K1, K2) = 0 modulo the prime, one row per
+        coordinate of Q[W]/(q) and one column per monomial of S; None when
+        the prime divides a denominator."""
+        q, k1, k2 = self.ring.q, self.k1, self.k2
+        if any(den % prime == 0 for den in (q[-1], k1.den, k2.den)):
+            return None
+        monic, a, b = (
+            [c * pow(den, -1, prime) % prime for c in vec]
+            for vec, den in ((q, q[-1]), (k1.coeff_vec(0), k1.den), (k2.coeff_vec(0), k2.den))
+        )
+        top = max(max(i, j) for i, j in monos)
+        pa, pb = [[1] + [0] * (len(a) - 1)], [[1] + [0] * (len(b) - 1)]
+        for _ in range(top):
+            pa.append(_mulmod(pa[-1], a, monic, prime))
+            pb.append(_mulmod(pb[-1], b, monic, prime))
+        cols = [_mulmod(pa[i], pb[j], monic, prime) for i, j in monos]
+        return [list(row) for row in zip(*cols)]
+
+
+def _mulmod(a: list[int], b: list[int], monic: list[int], prime: int) -> list[int]:
+    """a * b in F_p[W]/(monic)."""
+    n = len(monic) - 1
+    acc = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = acc[k] % prime
+        if c:
+            for t in range(n):
+                acc[k - n + t] -= c * monic[t]
+    return [c % prime for c in acc[:n]]
+
+
+class FiberTable:
+    """The usable fibers of a curve under a group, in abscissa order, grown
+    on demand; ``alpha_gamma`` is alpha + gamma (module docstring).  Not
+    safe to share between threads."""
+
+    def __init__(self, curve: CurveInput, group: GroupId):
+        pair = classifying_pair(curve, group)
+        self.alpha_gamma = sum(
+            max(int(k.num.total_degree()), int(k.den.total_degree()))
+            for k in (pair.K1, pair.K2)
+        )
+        self.curve, self.group = curve, group
+        self.dy = int(curve.F.degree_in("y"))
+        self.fibers: list[_Fiber] = []
+        self._abscissas = _abscissas()
+
+    def bezout_fibers(self, degree: int) -> int:
+        """The fibers whose conditions a polynomial of this degree must meet
+        before it provably vanishes on the signature curve."""
+        return self.curve.d * degree * self.alpha_gamma // self.dy + 1
+
+    def fiber(self, index: int) -> _Fiber:
+        skipped = 0
+        while len(self.fibers) <= index:
+            x0 = next(self._abscissas)
+            q = intpoly_from_poly(self.curve.F.evaluate_partial({"x": x0}), "y")
+            if len(q) - 1 == self.dy and intpoly_squarefree(q):
+                ring = SeriesRing(q)
+                try:
+                    k1, k2 = fiber_invariants(self.curve, self.group, x0, ring)
+                    self.fibers.append(_Fiber(ring, k1, k2))
+                    skipped = 0
+                    continue
+                except ZeroDivisionError:
+                    pass  # a denominator Theta vanishes somewhere on the fiber
+            skipped += 1
+            if skipped > MAX_SKIPPED:
+                raise SigcurveError(
+                    f"no usable fiber among {MAX_SKIPPED} abscissas in a row (F not squarefree?)"
+                )
+        return self.fibers[index]
+
+
+# ---------------------------------------------------------------------------
+# the modular kernel fit
+
+
+class _ModKernel:
+    """Reduced row echelon form modulo a prime of the conditions on a
+    polynomial of one degree from a growing set of table fibers."""
+
+    def __init__(self, table: FiberTable, degree: int, primes: Iterator[int]):
+        self.table = table
+        self.monos = [(i, k - i) for k in range(degree + 1) for i in range(k + 1)]
+        self.primes = primes
+        self.prime = next(primes)
+        self.pivots: dict[int, list[int]] = {}
+        self.fibers: list[int] = []  # fibers added
+        self.used: list[int] = []  # fibers that raised the rank
+
+    @property
+    def nullity(self) -> int:
+        return len(self.monos) - len(self.pivots)
+
+    def extend(self, fibers: Iterable[int]) -> None:
+        """Add the fibers' conditions until the kernel is zero."""
+        for i in fibers:
+            if not self.nullity:
+                return
+            rows = self.table.fiber(i).rows(self.monos, self.prime)
+            if rows is None:  # the prime divides a denominator: the next one
+                redo = self.fibers + [i]
+                self.prime, self.pivots, self.fibers, self.used = next(self.primes), {}, [], []
+                self.extend(redo)
+                continue
+            self.fibers.append(i)
+            if sum(map(self._add, rows)):
+                self.used.append(i)
+
+    def _add(self, row: list[int]) -> bool:
+        p = self.prime
+        for c, r in self.pivots.items():
+            f = row[c]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, r)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        inv = pow(row[lead], -1, p)
+        row = [x * inv % p for x in row]
+        for c, r in self.pivots.items():
+            f = r[lead]
+            if f:
+                self.pivots[c] = [(x - f * y) % p for x, y in zip(r, row)]
+        self.pivots[lead] = row
+        return True
+
+    def kernel_vector(self) -> tuple[int, list[int]]:
+        """The free column and the kernel vector that is 1 there (nullity 1)."""
+        [free] = [c for c in range(len(self.monos)) if c not in self.pivots]
+        vec = [0] * len(self.monos)
+        vec[free] = 1
+        for c, r in self.pivots.items():
+            vec[c] = -r[free] % self.prime
+        return free, vec
+
+
+def exact_signature_fit(
+    table: FiberTable, degree: int, fibers: int = 1
+) -> tuple[Optional[SparsePoly], int]:
+    """The polynomial of the given degree proposed by the table's first
+    fibers, and the number of fibers used.
+
+    Fibers are added, from ``fibers`` on, until the kernel modulo a prime is
+    zero (None: no polynomial of this degree vanishes on the curve) or one-
+    dimensional and unchanged by ``STABLE_BATCH`` more fibers.  The kernel
+    vector is then lifted over Q by Chinese remaindering on the fibers that
+    raised the rank, until one more prime leaves its rational
+    reconstruction unchanged.  SigcurveError when the kernel keeps a higher
+    dimension on ``bezout_fibers`` fibers: the curve is then reducible."""
+    cap = table.bezout_fibers(degree)
+    primes = _primes_31bit()
+    kernel = _ModKernel(table, degree, primes)
+    n, stable_from = max(fibers, 1), None
+    while True:
+        kernel.extend(range(len(kernel.fibers), n))
+        if kernel.nullity == 0:
+            return None, n
+        if kernel.nullity == 1:
+            stable_from = stable_from or n
+            if n >= min(stable_from + STABLE_BATCH, cap):
+                break
+        elif n >= cap:
+            raise SigcurveError(
+                f"{kernel.nullity} independent polynomials of degree {degree} vanish "
+                f"on {n} fibers: the curve is not irreducible"
+            )
+        n += 1
+    free, acc = kernel.kernel_vector()
+    modulus = kernel.prime
+    lifted = [_rational_reconstruction(c, modulus) for c in acc]
+    while True:
+        image = _ModKernel(table, degree, primes)
+        image.extend(kernel.used)
+        if image.nullity == 0:
+            return None, n  # the first prime was unlucky: no kernel over Q
+        if image.nullity > 1 or image.kernel_vector()[0] != free:
+            continue  # an unlucky prime
+        inv = pow(modulus, -1, image.prime)
+        acc = [
+            a + (v - a) * inv % image.prime * modulus
+            for a, v in zip(acc, image.kernel_vector()[1])
+        ]
+        modulus *= image.prime
+        previous, lifted = lifted, [_rational_reconstruction(c, modulus) for c in acc]
+        if None not in lifted and lifted == previous:
+            break
+    S = SparsePoly(SIG_RING, {e: c for e, c in zip(kernel.monos, lifted) if c})
+    return canonical_signature_poly(S), n
+
+
+def _rational_reconstruction(a: int, modulus: int) -> Optional[Fraction]:
+    """The fraction r/s with |r|, |s| <= sqrt(modulus / 2) and r = a s
+    modulo the modulus, or None."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, a % modulus, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        s0, s1 = s1, s0 - quo * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(s1, modulus) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,143 +539,3 @@ def _horner(coeffs: Sequence[Fraction], w: complex) -> complex:
     return acc
 
 
-def relative_residual(S: SparsePoly, k1: complex, k2: complex) -> float:
-    """|S(k1,k2)| scaled by 1 + the sum of the term magnitudes."""
-    total = 0j
-    scale = 1.0
-    for e, c in S.terms.items():
-        term = complex(c) * k1 ** e[0] * k2 ** e[1]
-        total += term
-        scale += abs(term)
-    return abs(total) / scale
-
-
-def verify_signature_samples(
-    sig: SignaturePolynomial, count: int = 25, seed: int = 0, tol: float = 1e-8
-) -> None:
-    """Check that numeric signature samples vanish on S; SampleCheckError
-    when more than a tenth of them fail or fewer than four fifths of
-    ``count`` are found."""
-    samples = signature_samples(sig.source, sig.group, count, seed=seed)
-    if len(samples) < count - count // 5:
-        raise SampleCheckError(f"only {len(samples)}/{count} numeric samples found")
-    bad = 0
-    for s in samples:
-        if relative_residual(sig.S, s.k1, s.k2) > tol:
-            bad += 1
-    if bad > max(1, count // 10):
-        raise SampleCheckError(
-            f"{bad}/{len(samples)} numeric samples fail to vanish on S"
-        )
-
-
-# ---------------------------------------------------------------------------
-# sample fitting (degree certification for small signature degrees)
-
-# Symmetric curves collapse whole fibers onto single signature points, so each
-# fiber may contribute only one fresh condition: the fit keeps adding
-# abscissas until the kernel pins down.
-FIT_ABSCISSAS = tuple(Fraction(num, den) for den in (7, 5, 11, 3) for num in range(1, 13))
-# largest candidate degree the exact fit is tried on
-MAX_FIT_DEGREE = 10
-
-
-def exact_signature_fit(
-    curve: CurveInput, group: GroupId, degree: int
-) -> Optional[SparsePoly]:
-    """Exact sample-fitting: the signature polynomial of the given degree,
-    certified over Q, or None when the sampled conditions do not pin a
-    one-dimensional nullspace.
-
-    For each rational x0 in ``FIT_ABSCISSAS`` the fiber F(x0, y) = 0 is treated
-    as one point with coordinates in Q[Y]/(F(x0, Y)): the classifying pair
-    evaluates exactly there (``fiber_invariants``), and S(K1, K2) = 0
-    contributes deg-many exact rational linear conditions on the coefficients
-    of S.  No floats anywhere.
-    """
-    monos = [
-        (i, j) for i in range(degree + 1) for j in range(degree + 1 - i)
-    ]
-    rows: list[list[Fraction]] = []
-    for x0 in FIT_ABSCISSAS:
-        q = intpoly_from_poly(curve.F.evaluate_partial({"x": x0}), "y")
-        if len(q) < 2 or not intpoly_squarefree(q):
-            continue  # no or multiple y-roots: skip this fiber
-        ring = SeriesRing(q)
-        try:
-            k1, k2 = fiber_invariants(curve, group, x0, ring)
-        except ZeroDivisionError:
-            continue  # a denominator Theta vanishes or is a zero divisor
-        pows1 = [TruncatedSeries.constant(ring, Fraction(1))]
-        pows2 = [TruncatedSeries.constant(ring, Fraction(1))]
-        for _ in range(degree):
-            pows1.append(pows1[-1] * k1)
-            pows2.append(pows2[-1] * k2)
-        cols = []
-        for (i, j) in monos:
-            cols.append((pows1[i] * pows2[j]).coeff_fractions(0))
-        for coordinate in range(ring.deg):
-            rows.append([col[coordinate] for col in cols])
-        if len(rows) >= len(monos) + 4:
-            null = _exact_nullspace(rows, len(monos))
-            if null is not None:
-                S = SparsePoly(SIG_RING, {e: c for e, c in zip(monos, null) if c})
-                if not S.is_zero() and S.total_degree() == degree:
-                    return canonical_signature_poly(S)
-    if len(rows) < len(monos) + 2:
-        return None
-    null = _exact_nullspace(rows, len(monos))
-    if null is None:
-        return None
-    S = SparsePoly(SIG_RING, {e: c for e, c in zip(monos, null) if c})
-    if S.is_zero() or S.total_degree() != degree:
-        return None
-    return canonical_signature_poly(S)
-
-
-def _exact_nullspace(rows: list[list[Fraction]], n: int) -> Optional[list[Fraction]]:
-    """The unique (up to scale) kernel vector of an exact rational matrix,
-    or None when the kernel is trivial or has dimension above one."""
-    A = [row[:] for row in rows]
-    m = len(A)
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pv = A[r][col]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in piv_cols]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for row_i, pc in enumerate(piv_cols):
-        vec[pc] = -A[row_i][fc]
-    return vec
-
-
-def certified_signature_degree(
-    curve: CurveInput,
-    group: GroupId,
-    candidates: Sequence[int],
-) -> Optional[int]:
-    """Smallest candidate degree certified by the exact quotient-ring sample
-    fit; None when no tractable candidate certifies."""
-    for d in sorted(set(candidates)):
-        if d <= 0 or d > MAX_FIT_DEGREE:
-            continue
-        if exact_signature_fit(curve, group, d) is not None:
-            return d
-    return None

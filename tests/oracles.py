@@ -1,18 +1,28 @@
-"""Buchberger engine with block elimination orders.
+"""Test oracles: independent second routes that only the tests use.
 
-The order is a two-block graded-reverse-lex: monomials are compared first by
-their total degree in the eliminated block, grevlex-tiebroken there, then the
-same in the kept block.  Any monomial touching an eliminated variable is
-therefore larger than every monomial in the kept variables alone, so basis
-elements whose leading monomial lives in the kept block generate the
-elimination ideal.
+sigcurve computes every quantity by one route.  The routes kept here are
+slower or narrower, and the tests compare them against the package:
 
-Coefficients are primitive integer vectors throughout; reductions cross-scale
-by leading-coefficient gcds and strip content at the end, so no Fraction
-arithmetic happens in the inner loops.
+* Saturated Groebner elimination (Buchberger with sugar strategy,
+  Gebauer-Moller pruning and a two-block grevlex elimination order, under
+  hard budgets) and ``elimination_signature``, the signature polynomial as
+  the generator of
 
-Saturation is the caller's job via a Rabinowitsch variable (a generator
-``1 - t*h`` with ``t`` placed highest in the elimination block).
+      < F,  B*k1 - A,  E*k2 - C,  1 - t*h >  intersected with  Q[k1, k2],
+
+  where K1 = A/B and K2 = C/E and h is squarefree with the radical of B*E.
+* ``mult_sum_line_resultant``: the multiplicity sum of one line by a
+  resultant instead of branch series.
+* The frozen SE(2) super-signature of conics.
+* ``verify_signature_samples``: a numeric check of S at float samples.
+
+The elimination order compares monomials first by their total degree in the
+eliminated block, grevlex-tiebroken there, then the same in the kept block.
+Any monomial touching an eliminated variable is therefore larger than every
+monomial in the kept variables alone, so basis elements whose leading
+monomial lives in the kept block generate the elimination ideal.
+Coefficients are primitive integer vectors throughout; reductions
+cross-scale by leading-coefficient gcds and strip content at the end.
 """
 
 from __future__ import annotations
@@ -21,9 +31,32 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import BudgetExceededError
-from .poly import SparsePoly, _int_form
+from sigcurve.degree import CHART_RING, _chart_polys, _combine
+from sigcurve.errors import ShearRequiredError, SigcurveError
+from sigcurve.jets import HOMOG_RING, CurveInput, GroupId, HomogeneousTriple, classifying_pair
+from sigcurve.poly import SparsePoly, _int_form, gcd, resultant, square_free_part
+from sigcurve.signature import (
+    SIG_RING,
+    SignaturePolynomial,
+    canonical_signature_poly,
+    signature_samples,
+)
+
+ELIM_RING = ("t", "x", "y", "k1", "k2")
+
+
+class BudgetExceededError(SigcurveError):
+    """An elimination ran past its configured basis-size or degree cap."""
+
+
+class SampleCheckError(SigcurveError):
+    """A signature polynomial does not vanish at its curve's numeric samples."""
+
+
+# ---------------------------------------------------------------------------
+# Groebner elimination
 
 Exponent = tuple[int, ...]
 
@@ -377,3 +410,134 @@ def _restrict_ring(p: SparsePoly, kept: tuple[str, ...]) -> SparsePoly:
     for e, c in p.terms.items():
         terms[tuple(e[i] for i in pos)] = c
     return SparsePoly(kept, terms)
+
+
+def elimination_signature(
+    curve: CurveInput, group: GroupId, budget: EliminationBudget | None = None
+) -> SparsePoly:
+    """The canonical signature polynomial by saturated elimination."""
+    pair = classifying_pair(curve, group)
+    A, B = pair.K1.num, pair.K1.den
+    C, E = pair.K2.num, pair.K2.den
+    h = square_free_part(square_free_part(B) * square_free_part(E))
+    t, x, y, k1, k2 = (SparsePoly.var(ELIM_RING, v) for v in ELIM_RING)
+    up = lambda p: p.map_variables(ELIM_RING)
+    gens = [
+        up(curve.F),
+        up(B) * k1 - up(A),
+        up(E) * k2 - up(C),
+        SparsePoly.const(ELIM_RING, 1) - t * up(h),
+    ]
+    basis = [p for p in groebner_eliminate(gens, keep=SIG_RING, budget=budget) if p]
+    S = basis[0]
+    for p in basis[1:]:  # principal by theory
+        S = gcd(S, p)
+    return canonical_signature_poly(S)
+
+
+# ---------------------------------------------------------------------------
+# multiplicity sums by resultants
+
+
+def mult_sum_line_resultant(
+    curve: CurveInput, sigma: HomogeneousTriple, a: Sequence
+) -> int:
+    """The order at v = 0 of Res_w(Fh(v,1,w), G(v,1,w)).
+
+    Valid when [0:0:1] is off the curve and the infinite fiber is simple;
+    feasible only when the combined polynomial is small.
+    """
+    H, q, corner = _chart_polys(curve)
+    if corner == 0:
+        raise ShearRequiredError("corner [0:0:1] on curve: resultant route invalid")
+    G = _combine(a, sigma.sigma, SparsePoly.zero(HOMOG_RING))
+    r = resultant(H, G.dehomogenize("x1").rename_ring(CHART_RING), "w")
+    if r.is_zero():
+        raise ValueError("resultant vanished: common factor (unlucky line)")
+    return min(e[0] for e in r.terms)
+
+
+# ---------------------------------------------------------------------------
+# the SE(2) super-signature of conics
+#
+# For a general conic c00 + c10 x + c01 y + c20 x^2 + c11 x y + c02 y^2 the
+# signature polynomial of every non-exceptional member is one specialization
+# of a single polynomial in the coefficients, expressed through the classical
+# conic invariants
+#
+#     U1 = c02 + c20
+#     U2 = 4 c20 c02 - c11^2
+#     U3 = 4 c00 c02 c20 - c00 c11^2 - c01^2 c20 + c01 c10 c11 - c02 c10^2
+#
+# (U3 is four times the determinant of the symmetric matrix of the conic).
+
+
+def conic_invariants(curve: CurveInput) -> tuple[Fraction, Fraction, Fraction]:
+    if curve.d != 2:
+        raise ValueError("conic invariants need a degree-2 curve")
+    c = {e: curve.F.terms.get(e, Fraction(0)) for e in
+         [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}
+    c00, c10, c01 = c[(0, 0)], c[(1, 0)], c[(0, 1)]
+    c20, c11, c02 = c[(2, 0)], c[(1, 1)], c[(0, 2)]
+    u1 = c02 + c20
+    u2 = 4 * c20 * c02 - c11 * c11
+    u3 = (
+        4 * c00 * c02 * c20
+        - c00 * c11 * c11
+        - c01 * c01 * c20
+        + c01 * c10 * c11
+        - c02 * c10 * c10
+    )
+    return u1, u2, u3
+
+
+def conic_se2_super_signature(curve: CurveInput) -> SparsePoly:
+    """Specialized super-signature polynomial of a conic, canonicalized."""
+    u1, u2, u3 = conic_invariants(curve)
+    terms = {
+        (6, 0): 2916 * u3**2,
+        (5, 0): 2916 * u3 * u1 * (4 * u1**2 - 3 * u2),
+        (4, 2): 972 * u3**2,
+        (4, 0): 729 * u2**3,
+        (3, 2): -972 * u3 * u2 * u1,
+        (2, 4): 108 * u3**2,
+        (0, 6): 4 * u3**2,
+    }
+    S = SparsePoly(SIG_RING, {e: c for e, c in terms.items() if c})
+    if S.is_zero():
+        raise ValueError("degenerate conic: super-signature vanishes")
+    return canonical_signature_poly(S)
+
+
+# ---------------------------------------------------------------------------
+# numeric sample check
+
+
+def relative_residual(S: SparsePoly, k1: complex, k2: complex) -> float:
+    """|S(k1,k2)| scaled by 1 + the sum of the term magnitudes."""
+    total = 0j
+    scale = 1.0
+    for e, c in S.terms.items():
+        term = complex(c) * k1 ** e[0] * k2 ** e[1]
+        total += term
+        scale += abs(term)
+    return abs(total) / scale
+
+
+def verify_signature_samples(
+    sig: SignaturePolynomial, count: int = 25, seed: int = 0, tol: float = 1e-8
+) -> None:
+    """Check that numeric signature samples vanish on S; SampleCheckError
+    when more than a tenth of them fail or fewer than four fifths of
+    ``count`` are found."""
+    samples = signature_samples(sig.source, sig.group, count, seed=seed)
+    if len(samples) < count - count // 5:
+        raise SampleCheckError(f"only {len(samples)}/{count} numeric samples found")
+    bad = 0
+    for s in samples:
+        if relative_residual(sig.S, s.k1, s.k2) > tol:
+            bad += 1
+    if bad > max(1, count // 10):
+        raise SampleCheckError(
+            f"{bad}/{len(samples)} numeric samples fail to vanish on S"
+        )

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import relative_residual
 from sigcurve.degree import (
     generic_degree,
     mult_min,
@@ -18,14 +19,12 @@ from sigcurve.degree import (
     series_valuations,
 )
 from sigcurve.equivalence import equivalent, symmetry_order
-from sigcurve.errors import BudgetExceededError
 from sigcurve.fermat import (
     fermat_curve,
     fermat_signature_a2,
     fermat_signature_pgl3,
     fermat_symmetry_order,
 )
-from sigcurve.groebner import EliminationBudget
 from sigcurve.jets import (
     CurveInput,
     GroupId,
@@ -40,9 +39,9 @@ from sigcurve.poly import SparsePoly
 from sigcurve.signature import (
     PointSignature,
     SignaturePolynomial,
-    exact_signature_fit,
+    FiberTable,
+    certify_signature,
     is_constant_signature,
-    relative_residual,
     signature_polynomial,
     signature_samples,
 )
@@ -158,18 +157,17 @@ def test_criterion_4_valuation_tables():
 
 def test_criterion_5_fermat_family():
     t0 = time.time()
-    budget = EliminationBudget(4000, 400)
-    # A2: direct elimination reproduces the closed form byte-exactly
+    # A2: the certified route reproduces the closed form byte-exactly
     for d, want_deg in ((3, 2), (4, 3), (5, 3)):
         closed = fermat_signature_a2(d)
         assert closed.degree() == want_deg
-        computed = signature_polynomial(fermat_curve(d), GroupId.A2, budget=budget)
+        computed = signature_polynomial(fermat_curve(d), GroupId.A2)
         assert isinstance(computed, SignaturePolynomial)
         assert computed.S == closed.S
-    # PGL3: elimination exceeds desk budget; the certified sample-fitting
-    # route must close the check.  Fitting runs in exact arithmetic over the
-    # fibers' quotient rings, so the comparison with the closed form is
-    # byte-exact; numeric samples additionally vanish on it.
+    # PGL3: the certificate proves each closed form is the signature
+    # polynomial, and at d = 3 the certified route reproduces it
+    # byte-exactly; numeric samples additionally vanish on it.
+    assert signature_polynomial(fermat_curve(3), GroupId.PGL3).S == fermat_signature_pgl3(3).S
     for d in (3, 4, 5):
         closed = fermat_signature_pgl3(d)
         assert closed.degree() == 4
@@ -180,8 +178,8 @@ def test_criterion_5_fermat_family():
             1 for s in samples if relative_residual(closed.S, s.k1, s.k2) > SAMPLE_TOL
         )
         assert bad <= 2
-        fitted = exact_signature_fit(cv, GroupId.PGL3, 4)
-        assert fitted is not None and fitted == closed.S
+        cert = certify_signature(FiberTable(cv, GroupId.PGL3), closed.S)
+        assert cert is not None and cert.kind == "bezout-count"
     # symmetry orders via the degree-ratio route
     for d in (3, 4):
         for g, want in ((GroupId.PGL3, 6 * d * d), (GroupId.A2, 2 * d * d)):
@@ -193,7 +191,7 @@ def test_criterion_5_fermat_family():
             assert res.n == want == fermat_symmetry_order(d, g)
     elapsed = time.time() - t0
     assert elapsed <= 900
-    _announce(5, elapsed, 900, "closed forms verified (A2 byte-exact, PGL3 fitted), orders 6d^2/2d^2")
+    _announce(5, elapsed, 900, "closed forms verified (A2 byte-exact, PGL3 certified), orders 6d^2/2d^2")
 
 
 def _curve_through_points(rng, d, points):
@@ -340,7 +338,6 @@ def test_criterion_7_constant_signature():
 
 def test_criterion_8_oracle_consistency():
     t0 = time.time()
-    budget = EliminationBudget(4000, 400)
     fixtures = [
         (CurveInput.from_poly(parse("x^2 + x*y + y^2 - 1")), GroupId.SE2, 2),
         (CurveInput.from_poly(parse("3x^2 + x*y + 5y^2 - 2x - 1")), GroupId.SE2, 2),
@@ -350,7 +347,7 @@ def test_criterion_8_oracle_consistency():
         (fermat_curve(5), GroupId.A2, 50),
     ]
     for cv, g, n in fixtures:
-        sig = signature_polynomial(cv, g, budget=budget)
+        sig = signature_polynomial(cv, g)
         assert isinstance(sig, SignaturePolynomial)
         pred = predict_degree(cv, g, n=n)
         assert sig.degree() == pred.deg_S_predicted, (serialize(cv.F), g)
@@ -360,5 +357,5 @@ def test_criterion_8_oracle_consistency():
         assert worst < SAMPLE_TOL, (serialize(cv.F), g, worst)
     elapsed = time.time() - t0
     _announce(
-        8, elapsed, 600, "elimination degree == predicted degree and 25 samples vanish at 1e-8 on 6 fixtures"
+        8, elapsed, 600, "certified degree == predicted degree and 25 samples vanish at 1e-8 on 6 fixtures"
     )

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA = json.load(open(os.path.join(PKG_ROOT, "docs", "schema.json")))
+SCHEMA_TYPES = {"int": int, "str": str, "bool": bool, "list": list, "object": dict, "null": type(None)}
 
 
 def run_cli(*args, env_extra=None):
@@ -52,11 +55,55 @@ def test_degree_json_schema():
     )
     assert r.returncode == 0
     payload = json.loads(r.stdout)
-    schema = json.load(open(os.path.join(PKG_ROOT, "docs", "schema.json")))
-    required = schema["commands"]["degree"]["required"]
-    assert all(k in payload for k in required)
+    check_schema(payload)
     assert payload["deg_S_predicted"] == 24
-    assert payload["schema_version"] == schema["version"]
+
+
+def check_schema(payload):
+    """The payload has its command's required keys, no undeclared key, and
+    the declared type for every key (docs/schema.json)."""
+    spec = SCHEMA["commands"][payload["command"]]
+    assert payload["schema_version"] == SCHEMA["version"]
+    assert all(k in payload for k in spec["required"])
+    if "one_of" in spec:
+        assert [all(k in payload for k in keys) for keys in spec["one_of"]].count(True) == 1
+    assert set(payload) <= set(spec["required"]) | set(spec["types"])
+    for key, declared in spec["types"].items():
+        if key in payload:
+            value = payload[key]
+            kinds = declared.split("|")
+            assert any(
+                isinstance(value, SCHEMA_TYPES[k]) and (k == "bool") == isinstance(value, bool)
+                for k in kinds
+            ), (key, value, declared)
+            if key == "certificate" and value is not None:
+                cert = SCHEMA["definitions"]["certificate"]
+                assert set(value) == set(cert["required"])
+                assert value["kind"] == "bezout-count"
+                assert value["curve"] == "irreducible-asserted"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theta", "--curve", "x^2+y^2-1", "--index", "2"],
+        ["invariants", "--curve", "x^2+x*y+y^2-1", "--group", "SE2"],
+        ["signature", "--curve", "x^2+x*y+y^2-1", "--group", "SE2"],
+        ["signature", "--curve", "x^2+y^2-1", "--group", "SE2"],
+        ["degree", "--curve", "x^3+y^3+1", "--group", "A2"],
+        ["symmetry", "--curve", "y^2-x^3", "--group", "SE2"],
+        ["equiv", "--curve", "x^2+x*y+y^2-1", "--curve2", "x^2+y^2-1", "--group", "SE2"],
+        ["samples", "--curve", "x^2+y^2-1", "--group", "SE2", "--count", "3"],
+        ["fermat", "--d", "3", "--group", "A2", "--what", "signature"],
+        ["fermat", "--d", "3", "--group", "A2", "--what", "symmetry"],
+        ["fermat", "--d", "3", "--group", "A2", "--what", "degree"],
+    ],
+    ids=lambda args: "-".join(a for a in args if not a.startswith("-"))[:40],
+)
+def test_json_payload_matches_schema(args):
+    r = run_cli("--format", "json", *args)
+    assert r.returncode == 0, r.stderr
+    check_schema(json.loads(r.stdout))
 
 
 def test_theta_command():
@@ -76,6 +123,16 @@ def test_symmetry_command():
     r = run_cli("symmetry", "--curve", "y^2-x^3", "--group", "SE2")
     assert r.returncode == 0
     assert r.stdout.strip() == "symmetry order: 1"
+
+
+def test_symmetry_fermat_cubic_pgl3():
+    """6 d^2 = 54 from the certified signature of degree 4."""
+    t0 = time.time()
+    r = run_cli("--format", "json", "symmetry", "--curve", "x^3+y^3+1", "--group", "PGL3")
+    assert time.time() - t0 < 30
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["n"] == 54 and payload["signature_degree"] == 4
 
 
 def test_equiv_command():
@@ -128,7 +185,8 @@ def test_fermat_signature_json():
     payload = json.loads(r.stdout)
     assert payload["degree"] == 2
     assert payload["verified"] is True
-    assert payload["verification"] in ("elimination", "exact sample-fit")
+    assert payload["verification"] == "bezout-count"
+    assert payload["certificate"]["fibers"] > payload["certificate"]["deg_N"]
 
 
 def test_exit_code_parse_error():
@@ -142,19 +200,6 @@ def test_exit_code_exceptional():
     r = run_cli("signature", "--curve", "x+y-1", "--group", "SE2")
     assert r.returncode == 2
     assert "exceptional" in r.stderr
-
-
-def test_exit_code_budget_env():
-    r = run_cli(
-        "signature",
-        "--curve",
-        "x^2+x*y+y^2-1",
-        "--group",
-        "SE2",
-        env_extra={"SIGCURVE_BUDGET": "2,400"},
-    )
-    assert r.returncode == 3
-    assert "budget" in r.stderr.lower()
 
 
 def test_out_file(tmp_path):
@@ -175,9 +220,10 @@ def test_out_file(tmp_path):
         (["degree", "--curve", "x^3+y^3+1", "--group", "A2", "--seed", "-5"], None),
         (["samples", "--curve", "x^2+y^2-1", "--group", "SE2", "--count", "0"], None),
         (["fermat", "--d", "0", "--group", "A2"], None),
-        (["degree", "--curve", "x^3+y^3+1", "--group", "A2"], {"SIGCURVE_BUDGET": "abc"}),
+        (["fermat", "--d", "3", "--group", "SE2"], None),
         (["invariants", "--curve", "3", "--group", "SE2"], None),
         (["signature", "--curve", "(x^2+y^2-1)*(x^2+2*y^2-1)", "--group", "SE2"], None),
+        (["signature", "--curve", "(x^2+y^2-1)^2*(x^2+2*y^2-1)", "--group", "SE2"], None),
     ],
 )
 def test_invalid_run_parameters_rejected(args, env):

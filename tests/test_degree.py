@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import mult_sum_line_resultant
 from sigcurve.degree import (
     base_locus_on_curve,
     generic_degree,
     mult_min,
     mult_min_canonical,
     mult_sum_line,
-    mult_sum_line_resultant,
     predict_degree,
     series_valuations,
 )

@@ -7,14 +7,9 @@ from sigcurve.fermat import (
     fermat_signature_pgl3,
     fermat_symmetry_order,
 )
-from sigcurve.groebner import EliminationBudget
+from oracles import elimination_signature, relative_residual
 from sigcurve.jets import GroupId
-from sigcurve.signature import (
-    SignaturePolynomial,
-    relative_residual,
-    signature_polynomial,
-    signature_samples,
-)
+from sigcurve.signature import SignaturePolynomial, signature_polynomial, signature_samples
 
 
 class TestClosedForms:
@@ -37,9 +32,10 @@ class TestClosedForms:
 class TestEliminationAgreement:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_a2_byte_exact(self, d):
-        computed = signature_polynomial(
-            fermat_curve(d), GroupId.A2, budget=EliminationBudget(4000, 400)
-        )
+        """The elimination oracle and the certified route both reproduce the
+        closed form."""
+        assert elimination_signature(fermat_curve(d), GroupId.A2) == fermat_signature_a2(d).S
+        computed = signature_polynomial(fermat_curve(d), GroupId.A2)
         assert isinstance(computed, SignaturePolynomial)
         assert computed.S == fermat_signature_a2(d).S
 

@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from sigcurve.errors import BudgetExceededError
-from sigcurve.groebner import EliminationBudget, groebner_basis, groebner_eliminate
+from oracles import (
+    BudgetExceededError,
+    EliminationBudget,
+    elimination_signature,
+    groebner_basis,
+    groebner_eliminate,
+)
+from sigcurve.jets import CurveInput, GroupId
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import SparsePoly
+from sigcurve.signature import signature_polynomial
 
 
 def V(ring):
@@ -78,3 +85,17 @@ def test_ideal_membership_after_elimination():
     gens = [x * x, SparsePoly.const(R, 1) - t * x]
     out = groebner_eliminate(gens, keep=("k1",))
     assert [serialize(p) for p in out] == ["1"]
+
+
+@pytest.mark.parametrize(
+    "text, group",
+    [
+        ("x^2 + x*y + y^2 - 1", GroupId.SE2),
+        ("y^2 - x^3", GroupId.SE2),
+        ("x^3 + y^3 + 1", GroupId.A2),
+        ("x^4 + y^4 + 1", GroupId.A2),
+    ],
+)
+def test_elimination_oracle_matches_certified_signature(text, group):
+    cv = CurveInput.from_poly(parse(text))
+    assert elimination_signature(cv, group) == signature_polynomial(cv, group).S

@@ -2,21 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import sigcurve.signature as signature_module
-from sigcurve.errors import BudgetExceededError, SampleCheckError
-from sigcurve.groebner import EliminationBudget
+from oracles import SampleCheckError, relative_residual, verify_signature_samples
+from sigcurve.fermat import fermat_curve, fermat_signature
 from sigcurve.jets import CurveInput, GroupId, apply_group_element, classifying_pair
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import SparsePoly, divides, resultant
 from sigcurve.signature import (
+    SIG_RING,
+    FiberTable,
     PointSignature,
-    SignaturePolynomial,
-    certified_signature_degree,
+    certify_signature,
     is_constant_signature,
-    relative_residual,
     signature_polynomial,
     signature_samples,
-    verify_signature_samples,
 )
 
 ELLIPSE_S_REFERENCE = (
@@ -56,7 +56,7 @@ class TestEllipse:
     def test_check_needs_samples(self, ellipse, monkeypatch):
         """A sample check that finds no samples is not evidence for S."""
         sig = signature_polynomial(ellipse, GroupId.SE2)
-        monkeypatch.setattr(signature_module, "signature_samples", lambda *a, **k: [])
+        monkeypatch.setattr(oracles, "signature_samples", lambda *a, **k: [])
         with pytest.raises(SampleCheckError):
             verify_signature_samples(sig)
 
@@ -99,14 +99,6 @@ class TestEquivariance:
         assert signature_polynomial(moved, GroupId.A2).S == sig.S
 
 
-class TestBudget:
-    def test_budget_raises(self, ellipse):
-        with pytest.raises(BudgetExceededError):
-            signature_polynomial(
-                ellipse, GroupId.SE2, budget=EliminationBudget(max_basis=2, max_degree=400)
-            )
-
-
 class TestResultantCrossCheck:
     def test_s_divides_iterated_resultant(self, ellipse):
         """S divides Res_x(Res_y(F, B k1 - A), Res_y(F, D k2 - C))."""
@@ -124,14 +116,42 @@ class TestResultantCrossCheck:
         assert divides(up(sig.S), iterated)
 
 
-class TestCertifiedDegree:
-    def test_float_fit_is_not_a_certificate(self, ellipse, monkeypatch):
-        """Only the exact fit certifies a degree."""
-        from sigcurve.equivalence import symmetry_order
+class TestCertificate:
+    def test_records_the_bezout_count(self, ellipse):
+        cert = signature_polynomial(ellipse, GroupId.SE2).certificate
+        # K1, K2: degree 4 over degree 6; deg N <= 6 * (6 + 6), fibers > 2 * 72 / 2
+        assert (cert.kind, cert.deg_N, cert.fibers, cert.curve) == (
+            "bezout-count", 72, 73, "irreducible-asserted"
+        )
 
-        monkeypatch.setattr(signature_module, "exact_signature_fit", lambda *a, **k: None)
-        assert certified_signature_degree(ellipse, GroupId.SE2, [1, 2, 3, 6]) is None
-        with pytest.raises(BudgetExceededError):
-            symmetry_order(
-                ellipse, GroupId.SE2, budget=EliminationBudget(max_basis=2, max_degree=400)
-            )
+    def test_rejects_another_curves_signature(self):
+        """The quartic's PGL3 closed form has the cubic's degree but does
+        not vanish on the cubic's signature curve."""
+        wrong = fermat_signature(4, GroupId.PGL3).S
+        assert certify_signature(FiberTable(fermat_curve(3), GroupId.PGL3), wrong) is None
+
+    def test_rejects_a_multiple(self, ellipse):
+        """k1 * S vanishes on the signature curve, but S has lower degree."""
+        sig = signature_polynomial(ellipse, GroupId.SE2)
+        table = FiberTable(ellipse, GroupId.SE2)
+        assert certify_signature(table, sig.S) is not None
+        k1 = SparsePoly.var(SIG_RING, "k1")
+        assert certify_signature(table, sig.S * k1) is None
+
+    def test_rejected_fits_are_refitted(self, monkeypatch):
+        """A kernel trusted after one more fiber proposes polynomials of
+        degree 1 and 2 on this curve; the certificate rejects them and the
+        route still ends at the signature polynomial of degree 3."""
+        seen = []
+
+        def recording(table, S):
+            cert = certify_signature(table, S)
+            seen.append((int(S.total_degree()), cert is not None))
+            return cert
+
+        monkeypatch.setattr(signature_module, "STABLE_BATCH", 1)
+        monkeypatch.setattr(signature_module, "certify_signature", recording)
+        cv = CurveInput.from_poly(parse("x^4 + y^4 + 1"))
+        sig = signature_polynomial(cv, GroupId.A2)
+        assert seen == [(1, False), (2, False), (3, True)]
+        assert sig.S == fermat_signature(4, GroupId.A2).S

@@ -5,8 +5,8 @@ from sigcurve.errors import ExceptionalCurveError
 from sigcurve.jets import CurveInput, GroupId
 from sigcurve.parser import parse
 from sigcurve.poly import SparsePoly
+from oracles import conic_se2_super_signature
 from sigcurve.signature import SignaturePolynomial, signature_polynomial
-from sigcurve.super_signature import conic_se2_super_signature
 
 R = ("x", "y")
 
