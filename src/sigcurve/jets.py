@@ -233,25 +233,26 @@ class JetRestriction:
 
 @functools.lru_cache(maxsize=64)
 def implicit_jet(curve: CurveInput, n_max: int) -> JetRestriction:
-    """P_1..P_{n_max} with y^(n)|_X = P_n/(F_y)^(2n-1)."""
+    """P_1..P_{n_max} with y^(n)|_X = P_n/(F_y)^(2n-1); order n extends the
+    cached order n - 1, so each P_n of a curve is built once."""
     if n_max < 1 or n_max > 8:
         raise ValueError("jet order must be between 1 and 8")
     fy = curve.fy()
     if fy.is_zero():
         raise VerticalLineError()
     fx = curve.fx()
+    if n_max == 1:
+        return JetRestriction(curve, ((-fx, 1),))
+    prev = implicit_jet(curve, n_max - 1)
+    n = n_max - 1
+    p = prev.p(n)
+    k = 2 * n - 1
+    px = p.partial_derivative("x")
+    py = p.partial_derivative("y")
     fxy = fy.partial_derivative("x")
     fyy = fy.partial_derivative("y")
-    entries = []
-    p = -fx
-    entries.append((p, 1))
-    for n in range(1, n_max):
-        px = p.partial_derivative("x")
-        py = p.partial_derivative("y")
-        k = 2 * n - 1
-        p = fy * (px * fy - k * p * fxy) - fx * (py * fy - k * p * fyy)
-        entries.append((p, n + 1))
-    return JetRestriction(curve, tuple(entries))
+    p = fy * (px * fy - k * p * fxy) - fx * (py * fy - k * p * fyy)
+    return JetRestriction(curve, prev.entries + ((p, n_max),))
 
 
 @dataclass(frozen=True)
@@ -308,14 +309,15 @@ def theta(curve: CurveInput, index: int) -> ThetaRestriction:
     T = exact_div(num, fy_pow(extra)) if extra else num
     a, b = TAU_COEFFS[index]
     tau = a * curve.d + b
-    _spot_check_theta(curve, index, T, d_i, D)
+    _spot_check_theta(curve, index, T, d_i, jets)
     content, primitive = T.primitive()
     return ThetaRestriction(index, T, d_i, tau, content, primitive)
 
 
-def _spot_check_theta(curve, index, T, d_i, D) -> None:
+def _spot_check_theta(curve, index, T, d_i, jets: JetRestriction) -> None:
     """One random rational substitution: direct Theta evaluation on jet
-    values must equal T/(F_y)^(d_i) (a rational-function identity)."""
+    values must equal T/(F_y)^(d_i) (a rational-function identity).  The
+    jets are those Theta_index reads; the u_k past them do not occur in it."""
     import random
 
     rng = random.Random(index * 7919 + curve.d)
@@ -326,10 +328,9 @@ def _spot_check_theta(curve, index, T, d_i, D) -> None:
         fyv = fy.evaluate(pt)
         if fyv == 0:
             continue
-        jets = implicit_jet(curve, 8)
-        uvals = {}
-        for n in range(1, 9):
-            uvals[f"u{n}"] = jets.p(n).evaluate(pt) / fyv ** (2 * n - 1)
+        uvals = {u: Fraction(0) for u in JET_RING}
+        for p, n in jets.entries:
+            uvals[f"u{n}"] = p.evaluate(pt) / fyv ** (2 * n - 1)
         lhs = theta_table()[index].evaluate(uvals) * fyv**d_i
         rhs = T.evaluate(pt)
         if lhs != rhs:

@@ -7,12 +7,21 @@ are never stored; the zero polynomial has an empty term dict and total degree
 may be shared freely across threads.
 
 Multiplication, gcd, resultants and exact division work internally on integer
-coefficient arrays (one common denominator per operand) because ``Fraction``
+coefficients (one common denominator per operand) because ``Fraction``
 normalises on every operation, which is far too slow in convolution loops.
+
+The product and exact-division kernels key terms by packed exponents: one int
+per exponent vector, in a mixed radix large enough that no exponent of the
+result carries (deg_i(p) + deg_i(q) + 1 for a product, deg_i(p) + 1 for a
+quotient), so adding two keys adds the exponent vectors and integer order is
+lex order.  ``exact_div`` divides integer numerators by the primitive part of
+the divisor: by Gauss's lemma an exact quotient is integral, and the division
+is refused by the three rules its docstring states.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -30,11 +39,6 @@ NEG_INF = float("-inf")
 def grlex_key(e: Exponent) -> tuple:
     """Sort key for graded lexicographic order (earlier ring variable wins)."""
     return (sum(e), e)
-
-
-def grevlex_key(e: Exponent) -> tuple:
-    """Sort key for graded reverse lexicographic order."""
-    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 class SparsePoly:
@@ -189,14 +193,19 @@ class SparsePoly:
         qn, qd = _int_form(other)
         if len(pn) > len(qn):
             pn, qn = qn, pn
-        acc: dict[Exponent, int] = {}
+        # in radix deg_i(p) + deg_i(q) + 1 no sum of two exponents carries,
+        # so adding two packed keys adds the exponent vectors
+        scales = _radix_scales([a + b + 1 for a, b in zip(_degrees(pn), _degrees(qn))])
+        pk = [(_pack(e, scales), c) for e, c in pn.items()]
+        qk = [(_pack(e, scales), c) for e, c in qn.items()]
+        acc: dict[int, int] = {}
         get = acc.get
-        for e1, c1 in pn.items():
-            for e2, c2 in qn.items():
-                e = tuple(map(int.__add__, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
+        for k1, c1 in pk:
+            for k2, c2 in qk:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
         den = pd * qd
-        terms = {e: Fraction(c, den) for e, c in acc.items() if c}
+        terms = {_unpack(k, scales): Fraction(c, den) for k, c in acc.items() if c}
         return SparsePoly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -404,10 +413,9 @@ class RatFunc:
         if num.is_zero():
             return cls(num, SparsePoly.const(num.ring, 1))
         if reduce:
-            g = gcd(num, den)
+            g, a, b = _gcd_cofactors(num, den)
             if g.total_degree() > 0:
-                num = exact_div(num, g)
-                den = exact_div(den, g)
+                num, den = a, b
         dc, dp = den.primitive()
         return cls(num.scale(1 / dc), dp)
 
@@ -473,12 +481,56 @@ def _int_form(p: SparsePoly) -> tuple[dict[Exponent, int], int]:
     return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
 
+def _degrees(terms: Iterable[Exponent]) -> list[int]:
+    """Per-variable maximal exponent of a nonempty set of exponent vectors."""
+    return [max(col) for col in zip(*terms)]
+
+
+def _radix_scales(bases: Sequence[int]) -> list[int]:
+    """Place values of a mixed-radix packing, first variable most significant
+    (so packed keys compare in lex order)."""
+    scales = [1] * len(bases)
+    for i in range(len(bases) - 1, 0, -1):
+        scales[i - 1] = scales[i] * bases[i]
+    return scales
+
+
+def _pack(e: Exponent, scales: Sequence[int]) -> int:
+    return sum(map(int.__mul__, e, scales))
+
+
+def _unpack(k: int, scales: Sequence[int]) -> Exponent:
+    e = []
+    for m in scales:
+        a, k = divmod(k, m)
+        e.append(a)
+    return tuple(e)
+
+
 # ---------------------------------------------------------------------------
 # division, gcd, resultants
 
 
 def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    """Exact polynomial quotient p/q; raises if the division leaves a remainder."""
+    """Exact polynomial quotient p/q; raises ``ValueError`` if q does not
+    divide p.
+
+    With p = rn/rd and q = qn/qd (integer numerators, common denominators)
+    and c the integer content of qn, the quotient is (rn / (qn/c)) * qd/(rd*c).
+    By Gauss's lemma an exact quotient of an integer polynomial by a
+    primitive one has integer coefficients, so the division runs in integers
+    and the scale is applied once at the end.  Remainder terms are keyed by
+    exponents packed in radix deg_i(p) + 1, whose integer order is lex order;
+    the leading term comes off a max-heap of keys (an exact quotient is
+    unique, so any monomial order gives the same answer).  The division is
+    refused, at the first step that shows it, when:
+
+    * the leading exponent of q does not divide the remainder's leading
+      exponent;
+    * a quotient exponent plus deg_i(q) exceeds deg_i(p) (an exact quotient
+      never has one, and past it the packed keys would alias);
+    * an integer quotient coefficient leaves a remainder.
+    """
     if p.ring != q.ring:
         raise RingMismatchError(f"{p.ring} vs {q.ring}")
     if q.is_zero():
@@ -489,28 +541,44 @@ def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
         return p.scale(1 / q.constant_value())
     rn, rd = _int_form(p)
     qn, qd = _int_form(q)
-    q_items = list(qn.items())
-    lead_q = max(qn, key=grevlex_key)
-    lcq = qn[lead_q]
-    out: dict[Exponent, Fraction] = {}
-    # Fraction coefficients in the running remainder: quotients of a division
-    # that is known exact stay small in practice.
-    rem: dict[Exponent, Fraction] = {e: Fraction(c, rd) for e, c in rn.items()}
-    while rem:
-        lead_r = max(rem, key=grevlex_key)
-        diff = tuple(map(int.__sub__, lead_r, lead_q))
-        if any(x < 0 for x in diff):
+    dp = _degrees(rn)
+    room = [a - b for a, b in zip(dp, _degrees(qn))]
+    if min(room) < 0:
+        raise ValueError("exact_div: division is not exact")
+    scales = _radix_scales([a + 1 for a in dp])
+    cont = math.gcd(*qn.values())
+    lead_q = max(qn)
+    lcq = qn[lead_q] // cont
+    lead_key = _pack(lead_q, scales)
+    q_tail = [(_pack(e, scales), c // cont) for e, c in qn.items() if e != lead_q]
+    rem = {_pack(e, scales): c for e, c in rn.items()}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    out: dict[Exponent, int] = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue  # cancelled after it was pushed
+        diff = tuple(map(int.__sub__, _unpack(k, scales), lead_q))
+        if any(x < 0 or x > m for x, m in zip(diff, room)):
             raise ValueError("exact_div: division is not exact")
-        coeff = rem[lead_r] / lcq
+        coeff, r = divmod(c, lcq)
+        if r:
+            raise ValueError("exact_div: division is not exact")
         out[diff] = coeff
-        for e, c in q_items:
-            e2 = tuple(map(int.__add__, e, diff))
-            acc = rem.get(e2, Fraction(0)) - coeff * Fraction(c)
-            if acc == 0:
-                rem.pop(e2, None)
+        shift = k - lead_key
+        for kq, cq in q_tail:
+            k2 = kq + shift
+            old = rem.get(k2)
+            if old is None:
+                rem[k2] = -coeff * cq
+                heapq.heappush(heap, -k2)
             else:
-                rem[e2] = acc
-    return SparsePoly(p.ring, {e: c * qd for e, c in out.items() if c})
+                rem[k2] = old - coeff * cq
+    scale = Fraction(qd, rd * cont)
+    num, den = scale.numerator, scale.denominator
+    return SparsePoly(p.ring, {e: Fraction(c * num, den) for e, c in out.items()})
 
 
 def divides(q: SparsePoly, p: SparsePoly) -> bool:
@@ -587,8 +655,16 @@ def gcd(p: SparsePoly, q: SparsePoly) -> SparsePoly:
         return q.primitive_part()
     if q.is_zero():
         return p.primitive_part()
+    return _gcd_cofactors(p, q)[0]
+
+
+def _gcd_cofactors(
+    p: SparsePoly, q: SparsePoly
+) -> tuple[SparsePoly, SparsePoly, SparsePoly]:
+    """(g, p / g, q / g) for two nonzero polynomials, g = gcd(p, q): the
+    cofactors are the quotients of the exact divisions that certify g."""
     if p.is_constant() or q.is_constant():
-        return SparsePoly.const(p.ring, 1)
+        return SparsePoly.const(p.ring, 1), p, q
     # common monomial factor is free to extract and pervasive in practice
     mono = tuple(
         min(min(e[i] for e in p.terms), min(e[i] for e in q.terms))
@@ -598,32 +674,43 @@ def gcd(p: SparsePoly, q: SparsePoly) -> SparsePoly:
         mono_poly = SparsePoly(p.ring, {mono: Fraction(1)})
         p = SparsePoly(p.ring, {_sub_exp(e, mono): c for e, c in p.terms.items()})
         q = SparsePoly(q.ring, {_sub_exp(e, mono): c for e, c in q.terms.items()})
-        return mono_poly * gcd(p, q)
+        g, a, b = _gcd_cofactors(p, q)
+        return mono_poly * g, a, b
     pv, qv = p.variables_used(), q.variables_used()
     if not set(pv) & set(qv):
-        return SparsePoly.const(p.ring, 1)
+        return SparsePoly.const(p.ring, 1), p, q
     used = [i for i, v in enumerate(p.ring) if v in pv or v in qv]
     # gcd commutes with x -> x^k, so a variable whose exponents are all
     # multiples of k (as in the Fermat family) is deflated by k
     step = [math.gcd(*(e[i] for f in (p, q) for e in f.terms)) for i in used]
     ring = tuple(p.ring[i] for i in used)
-    pp, qp = (
+    (cp, pp), (cq, qp) = (
         SparsePoly(
             ring, {tuple(e[i] // k for i, k in zip(used, step)): c for e, c in f.terms.items()}
-        ).primitive_part()
+        ).primitive()
         for f in (p, q)
     )
-    g = _gcd_crt(pp, qp)
-    g = SparsePoly(ring, {tuple(a * k for a, k in zip(e, step)): c for e, c in g.terms.items()})
-    return g.map_variables(p.ring).primitive_part()
+
+    def inflate(f: SparsePoly) -> SparsePoly:
+        terms = {tuple(a * k for a, k in zip(e, step)): c for e, c in f.terms.items()}
+        return SparsePoly(ring, terms).map_variables(p.ring)
+
+    g, a, b = _gcd_crt(pp, qp)
+    if g.is_constant():
+        return SparsePoly.const(p.ring, 1), p, q
+    sign, g = inflate(g).primitive()
+    return g, inflate(a).scale(cp * sign), inflate(b).scale(cq * sign)
 
 
 def _sub_exp(e: Exponent, m: Exponent) -> Exponent:
     return tuple(a - b for a, b in zip(e, m))
 
 
-def _gcd_crt(pp: SparsePoly, qp: SparsePoly) -> SparsePoly:
-    """gcd of two primitive integer polynomials by CRT over 31-bit primes.
+def _gcd_crt(
+    pp: SparsePoly, qp: SparsePoly
+) -> tuple[SparsePoly, SparsePoly, SparsePoly]:
+    """gcd of two primitive integer polynomials by CRT over 31-bit primes,
+    with the cofactors pp / gcd and qp / gcd.
 
     The image modulo a prime is monic in lex order (first variable most
     significant) and is scaled by gamma, the integer gcd of the two lex
@@ -652,7 +739,7 @@ def _gcd_crt(pp: SparsePoly, qp: SparsePoly) -> SparsePoly:
         )
         top = max(image)
         if not any(top):
-            return SparsePoly.const(pp.ring, 1)
+            return SparsePoly.const(pp.ring, 1), pp, qp
         if lead is None or top < lead:
             lead, acc, lifted, modulus = top, {}, {}, 1
         elif top > lead:
@@ -670,8 +757,10 @@ def _gcd_crt(pp: SparsePoly, qp: SparsePoly) -> SparsePoly:
         if lifted == previous:
             cand = SparsePoly(pp.ring, {e: Fraction(c) for e, c in lifted.items()})
             cand = cand.primitive_part()
-            if divides(cand, pp) and divides(cand, qp):
-                return cand
+            try:
+                return cand, exact_div(pp, cand), exact_div(qp, cand)
+            except ValueError:
+                pass  # not a common divisor yet: more primes
         if modulus > ceiling * prime:
             raise SigcurveError("modular gcd: the images do not lift to a common divisor")
 

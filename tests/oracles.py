@@ -15,6 +15,9 @@ slower or narrower, and the tests compare them against the package:
   resultant instead of branch series.
 * The frozen SE(2) super-signature of conics.
 * ``verify_signature_samples``: a numeric check of S at float samples.
+* ``mul_tuple_keys`` and ``exact_div_grevlex``: polynomial product and exact
+  quotient on exponent tuples and ``Fraction`` remainders, without the
+  packed integer keys of ``SparsePoly.__mul__`` and ``poly.exact_div``.
 
 The elimination order compares monomials first by their total degree in the
 eliminated block, grevlex-tiebroken there, then the same in the kept block.
@@ -541,3 +544,60 @@ def verify_signature_samples(
         raise SampleCheckError(
             f"{bad}/{len(samples)} numeric samples fail to vanish on S"
         )
+
+
+# ---------------------------------------------------------------------------
+# polynomial kernels
+
+
+def grevlex_key(e: Exponent) -> tuple:
+    """Sort key for graded reverse lexicographic order."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def mul_tuple_keys(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """Product by a convolution keyed by exponent tuples, in the loop order
+    of ``SparsePoly.__mul__`` (so the term dict has the same order)."""
+    if p.ring != q.ring:
+        raise ValueError("operands must share one ring")
+    if not p.terms or not q.terms:
+        return SparsePoly.zero(p.ring)
+    pn, pd = _int_form(p)
+    qn, qd = _int_form(q)
+    if len(pn) > len(qn):
+        pn, qn = qn, pn
+    acc: dict[Exponent, int] = {}
+    for e1, c1 in pn.items():
+        for e2, c2 in qn.items():
+            e = _add(e1, e2)
+            acc[e] = acc.get(e, 0) + c1 * c2
+    den = pd * qd
+    return SparsePoly(p.ring, {e: Fraction(c, den) for e, c in acc.items() if c})
+
+
+def exact_div_grevlex(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """Quotient p / q by multivariate division in grevlex order over
+    ``Fraction`` remainders; ``ValueError`` when the division is not exact."""
+    if p.ring != q.ring:
+        raise ValueError("operands must share one ring")
+    if q.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    lead_q = max(q.terms, key=grevlex_key)
+    lcq = q.terms[lead_q]
+    out: dict[Exponent, Fraction] = {}
+    rem = dict(p.terms)
+    while rem:
+        lead_r = max(rem, key=grevlex_key)
+        diff = _sub(lead_r, lead_q)
+        if any(x < 0 for x in diff):
+            raise ValueError("division is not exact")
+        coeff = rem[lead_r] / lcq
+        out[diff] = coeff
+        for e, c in q.terms.items():
+            e2 = _add(e, diff)
+            acc = rem.get(e2, Fraction(0)) - coeff * c
+            if acc == 0:
+                rem.pop(e2, None)
+            else:
+                rem[e2] = acc
+    return SparsePoly(p.ring, out)

@@ -76,6 +76,12 @@ class TestImplicitJet:
         ]
         assert u_branch == u_rec
 
+    def test_orders_share_jets(self):
+        cv = rand_curve(random.Random(11), 4)
+        j5, j8 = implicit_jet(cv, 5), implicit_jet(cv, 8)
+        assert [n for _, n in j8.entries] == list(range(1, 9))
+        assert all(a is b for a, b in zip(j5.entries, j8.entries[:5]))
+
     def test_vertical_line_error(self):
         from sigcurve.errors import VerticalLineError
 
@@ -126,6 +132,19 @@ class TestTheta:
                     for n in range(1, 9)
                 }
                 assert theta_table()[i].evaluate(u) * fyv**t.d_i == t.T.evaluate(pt)
+
+    def test_spot_check_at_the_theta_jet_order(self):
+        # the check reads only the jets Theta_i uses and still refuses a
+        # wrong restriction
+        from sigcurve.jets import _spot_check_theta, jet_order
+
+        cv = rand_curve(random.Random(7), 3)
+        for i in (2, 5):
+            t = theta(cv, i)
+            jets = implicit_jet(cv, jet_order([i]))
+            _spot_check_theta(cv, i, t.T, t.d_i, jets)
+            with pytest.raises(AssertionError):
+                _spot_check_theta(cv, i, t.T + SparsePoly.const(R, 1), t.d_i, jets)
 
 
 class TestClassifyingPair:

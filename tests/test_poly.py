@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_div_grevlex, mul_tuple_keys
 from sigcurve.errors import PoleError, RingMismatchError
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import (
     RatFunc,
     SparsePoly,
+    _gcd_cofactors,
     divides,
     exact_div,
     gcd,
@@ -41,6 +43,27 @@ def rand_poly(draw, max_deg=3, max_coeff=9):
 @st.composite
 def sparse_polys(draw, max_deg=3):
     return rand_poly(draw, max_deg)
+
+
+RINGS = {n: tuple(f"v{i}" for i in range(n)) for n in (1, 2, 3, 5)}
+
+
+@st.composite
+def ring_triples(draw, max_deg=3):
+    """Three polynomials with rational coefficients over one ring of 1, 2, 3
+    or 5 variables; the second is nonzero."""
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    exps = st.tuples(*[st.integers(0, max_deg)] * len(ring))
+    coeffs = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 4))
+
+    def poly(min_size):
+        terms = st.lists(
+            st.tuples(exps, coeffs), min_size=min_size, max_size=6, unique_by=lambda t: t[0]
+        )
+        return SparsePoly(ring, dict(draw(terms)))
+
+    a, b, c = poly(0), poly(1), poly(0)
+    return a, b, c
 
 
 class TestArithmetic:
@@ -170,6 +193,91 @@ class TestGcdContent:
         assert exact_div(p * q, q) == p
         with pytest.raises(ValueError):
             exact_div(parse("x^2 + 1"), parse("x + 1"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_polys(2), sparse_polys(2), sparse_polys(2))
+    def test_cofactors_certify_gcd(self, p, q, h):
+        # the cofactors come back through the deflation, monomial and sign
+        # normalisations of gcd
+        a, b = p * h * X**2, q * h * parse("x^3 - 2*y^3")
+        if a.is_zero() or b.is_zero():
+            return
+        g, ca, cb = _gcd_cofactors(a, b)
+        assert g == gcd(a, b)
+        assert g * ca == a and g * cb == b
+
+    def test_cofactors_through_deflation(self):
+        # monomial split, x -> x^3 and y -> y^3 deflation, negative content
+        a = parse("-(x^3+y^3)^2*(x^3-2)*x^2")
+        b = parse("(x^3+y^3)*(y^6+3)*x^5")
+        g, ca, cb = _gcd_cofactors(a, b)
+        assert g == parse("x^2*(x^3+y^3)")
+        assert g * ca == a and g * cb == b
+
+
+class TestPackedKernels:
+    """``SparsePoly.__mul__`` and ``exact_div`` on packed exponent keys
+    against the tuple-keyed product and the grevlex ``Fraction`` division."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_triples())
+    def test_product_matches_oracle(self, abc):
+        a, b, _ = abc
+        got, want = a * b, mul_tuple_keys(a, b)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_triples())
+    def test_quotient_of_product(self, abc):
+        a, b, _ = abc
+        assert exact_div(a * b, b) == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_triples())
+    def test_divides_matches_oracle(self, abc):
+        a, b, c = abc
+        p = a * b + c
+        try:
+            want = exact_div_grevlex(p, b)
+        except ValueError:
+            want = None
+        assert divides(b, p) == (want is not None)
+        if want is not None:
+            assert exact_div(p, b) == want
+
+    @pytest.mark.parametrize(
+        "q, p",
+        [
+            ("x + y", "2*x*y^2 - 2*y"),
+            ("-x + y", "-x^3*y + x"),
+            ("-2*x + 2*y", "-3*x^3 + x^2*y + 2*x"),
+        ],
+    )
+    def test_non_multiples_refused(self, q, p):
+        # each quotient step stays inside p's degrees only if the degree
+        # guard holds; without it the packed keys alias and a wrong
+        # quotient "divides"
+        assert not divides(parse(q), parse(p))
+        with pytest.raises(ValueError):
+            exact_div(parse(p), parse(q))
+        with pytest.raises(ValueError):
+            exact_div_grevlex(parse(p), parse(q))
+
+    def test_rational_operands_and_divisor_content(self):
+        a = parse("3/4*x^2*y - 5/6*y^3 + 7/2")
+        b = parse("6*x^2 + 10/3*x*y - 4*y + 8")  # content 2/3
+        assert exact_div(a * b, b) == a
+        assert exact_div(a * b, a) == b
+        assert exact_div(a * b, b.scale(Fraction(-9, 14))) == a.scale(Fraction(-14, 9))
+        assert not divides(b, a * b + parse("1/3*x"))
+
+    def test_non_integral_quotient_coefficient_refused(self):
+        # 2x + 1 is primitive, so by Gauss's lemma an exact quotient of an
+        # integer polynomial by it is integral; x^2 + x stops at x^2 / 2x
+        with pytest.raises(ValueError):
+            exact_div(parse("x^2 + x"), parse("2*x + 1"))
+        assert exact_div(parse("4*x^2 + 2*x"), parse("2*x + 1")) == parse("2*x")
 
 
 class TestResultants:
