@@ -158,6 +158,7 @@ def _dispatch(args, emit) -> int:
     if cmd == "theta":
         cv = _curve(args.curve)
         t = theta(cv, args.index)
+        deg_t = None if t.T.is_zero() else t.T.total_degree()
         emit(
             {
                 "command": "theta",
@@ -167,10 +168,11 @@ def _dispatch(args, emit) -> int:
                 "primitive": serialize(t.primitive),
                 "d_i": t.d_i,
                 "tau_i": t.tau_i,
-                "deg_T": int(t.T.total_degree()),
+                "deg_T": deg_t,
             },
             f"T_{t.index} = {serialize(t.T)}\n"
-            f"d_i = {t.d_i}, tau_i = {t.tau_i}, deg T_i = {t.T.total_degree()}",
+            f"d_i = {t.d_i}, tau_i = {t.tau_i}"
+            + ("" if deg_t is None else f", deg T_i = {deg_t}"),
         )
         return EXIT_OK
     if cmd == "invariants":

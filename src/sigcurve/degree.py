@@ -65,8 +65,9 @@ from .series import (
 )
 
 CHART_RING = ("v", "w")
-DEFAULT_TRUNC = 80
+DEFAULT_TRUNC = 80  # starting truncation of explicit triples and valuation tables
 MAX_TRUNC = 320
+SHEAR_RETRIES = 5  # group elements tried before the chart at infinity is refused
 
 # starting truncation per group for the canonical multiplicity route: the
 # per-branch valuations are degree-independent (0 / 16 / 12 / 72), so a
@@ -131,16 +132,14 @@ def _shear_matrix(group: GroupId, rng: random.Random, attempt: int) -> list[list
     return [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, lam, Fraction(1)]]
 
 
-def infinity_chart(
-    curve: CurveInput, group: GroupId, seed: int = 0, max_retries: int = 5
-) -> InfinityChart:
+def infinity_chart(curve: CurveInput, group: GroupId, seed: int = 0) -> InfinityChart:
     """The curve itself when its branches at infinity are workable, else a
     sheared copy under an element of the group (multiplicity sums are
     group-invariant, so the sheared curve answers for the original)."""
     if chart_workable(curve):
         return InfinityChart(curve)
     rng = random.Random(seed ^ 0x5EED)
-    for attempt in range(max_retries):
+    for attempt in range(SHEAR_RETRIES):
         m = _shear_matrix(group, rng, attempt)
         cur2 = apply_group_element(curve, m, group)
         if chart_workable(cur2):
@@ -240,7 +239,7 @@ def _jet_series(
 
 
 def canonical_components_on_piece(
-    curve: CurveInput, group: GroupId, piece: BranchPiece, trunc: int, rel: int = 32
+    curve: CurveInput, group: GroupId, piece: BranchPiece, trunc: int, rel: int
 ) -> list[TruncatedSeries]:
     """The three canonical sigma components along a branch piece, assembled
     from the jet series: T_i contributes x0^tau_i * Theta_i(jets) * F_y^d_i,
@@ -577,7 +576,7 @@ def _mult_report(
 
 
 def _triple_report(
-    curve: CurveInput, sigma: HomogeneousTriple, lines: Callable, trunc: int
+    curve: CurveInput, sigma: HomogeneousTriple, lines: Callable
 ) -> MultiplicityReport:
     comps = sigma.dehomogenized()
     nonzero = [c for c in comps if not c.is_zero()]
@@ -593,21 +592,16 @@ def _triple_report(
         lambda piece, _t, _rel: _triple_components_on_piece(sigma, piece),
         affine_part,
         lines,
-        trunc,
+        DEFAULT_TRUNC,
     )[0]
 
 
-def mult_sum_line(
-    curve: CurveInput,
-    sigma: HomogeneousTriple,
-    a: Sequence,
-    trunc: int = DEFAULT_TRUNC,
-) -> int:
+def mult_sum_line(curve: CurveInput, sigma: HomogeneousTriple, a: Sequence) -> int:
     """Sum over base-locus points on the curve of m_p(F, a0*s0+a1*s1+a2*s2):
     the branches at infinity (the corner [0:0:1] in its own chart when it
     lies on the curve) plus the affine base points of this line."""
     line = tuple(Fraction(x) for x in a)
-    return _triple_report(curve, sigma, lambda: [line], trunc).min_sum
+    return _triple_report(curve, sigma, lambda: [line]).min_sum
 
 
 def mult_min(
@@ -615,14 +609,13 @@ def mult_min(
     sigma: HomogeneousTriple,
     trials: int = 3,
     seed: int = 0,
-    trunc: int = DEFAULT_TRUNC,
 ) -> MultiplicityReport:
     """Minimum over random lines of the base-locus multiplicity sum, plus the
     ideal lower bound; the sandwich closes on generic inputs."""
     if trials < 3:
         raise ValueError("at least 3 trials required")
     rng = random.Random(seed * 9176 + 11)
-    return _triple_report(curve, sigma, lambda: _random_lines(rng, trials), trunc)
+    return _triple_report(curve, sigma, lambda: _random_lines(rng, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +658,6 @@ def mult_min_canonical(
     group: GroupId,
     trials: int = 3,
     seed: int = 0,
-    trunc: int = DEFAULT_TRUNC,
 ) -> tuple[MultiplicityReport, InfinityChart, str]:
     """mult_min for the canonical (uncancelled) projective extension, via the
     jet series of the infinite branches (fiber piece plus corner piece);
@@ -696,7 +688,7 @@ def mult_min_canonical(
         components,
         affine_part,
         lambda: _random_lines(rng, max(trials, 3)),
-        min(trunc, GROUP_START_TRUNC[group]) if trunc == DEFAULT_TRUNC else trunc,
+        GROUP_START_TRUNC[group],
     )
     return report, chart, status
 
@@ -713,9 +705,7 @@ class ValuationTable:
     v_i: tuple[int, ...]  # val of the homogenized T_i along alpha
 
 
-def series_valuations(
-    curve: CurveInput, root_w: Fraction, trunc: int = DEFAULT_TRUNC
-) -> ValuationTable:
+def series_valuations(curve: CurveInput, root_w: Fraction) -> ValuationTable:
     """Valuations of Theta_1..8 and of the homogenized T_i along the branch
     at [0:1:root_w]; the root must be simple and rational."""
     H, q, _ = _chart_polys(curve)
@@ -742,7 +732,7 @@ def series_valuations(
         )
         return ValuationTable(root_w, vth, val_fy, vi)
 
-    return _doubling(attempt, trunc)
+    return _doubling(attempt, DEFAULT_TRUNC)
 
 
 # ---------------------------------------------------------------------------
@@ -844,14 +834,11 @@ def predict_degree(
     n: Optional[int] = None,
     trials: int = 3,
     seed: int = 0,
-    trunc: int = DEFAULT_TRUNC,
 ) -> DegreeReport:
     """Degree of the signature polynomial via the canonical projective
     extension: n * deg(S) = d * deg(sigma) - mult_sum."""
     require_non_exceptional(curve, group)
-    report, chart, affine_status = mult_min_canonical(
-        curve, group, trials=trials, seed=seed, trunc=trunc
-    )
+    report, chart, affine_status = mult_min_canonical(curve, group, trials=trials, seed=seed)
     d = curve.d
     a, b = SIGMA_DEGREE[group]
     deg_sigma = a * d + b

@@ -358,13 +358,7 @@ def _vanishes_on_curve(p: SparsePoly, curve: CurveInput) -> bool:
     F, so it vanishes exactly when p was a multiple of F."""
     if p.is_zero():
         return True
-    F = curve.F
-    if F.degree_in("y") <= 0:
-        # no y in F: reduce with respect to x instead
-        r = pseudo_remainder(p, F, "x")
-        return r.is_zero()
-    r = pseudo_remainder(p, F, "y")
-    return r.is_zero()
+    return pseudo_remainder(p, curve.F, "y").is_zero()
 
 
 def exceptional_check(curve: CurveInput, group: GroupId) -> ExceptionalVerdict:

@@ -17,6 +17,10 @@ quotient), so adding two keys adds the exponent vectors and integer order is
 lex order.  ``exact_div`` divides integer numerators by the primitive part of
 the divisor: by Gauss's lemma an exact quotient is integral, and the division
 is refused by the three rules its docstring states.
+
+``resultant`` runs the subresultant PRS, whose sign bookkeeping (a flip at
+every step that pairs two odd degrees) gives the Sylvester-determinant sign by
+construction; the determinant itself is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -407,15 +411,14 @@ class RatFunc:
         self.den = den
 
     @classmethod
-    def build(cls, num: SparsePoly, den: SparsePoly, reduce: bool = True) -> "RatFunc":
+    def build(cls, num: SparsePoly, den: SparsePoly) -> "RatFunc":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             return cls(num, SparsePoly.const(num.ring, 1))
-        if reduce:
-            g, a, b = _gcd_cofactors(num, den)
-            if g.total_degree() > 0:
-                num, den = a, b
+        g, a, b = _gcd_cofactors(num, den)
+        if g.total_degree() > 0:
+            num, den = a, b
         dc, dp = den.primitive()
         return cls(num.scale(1 / dc), dp)
 
@@ -430,36 +433,11 @@ class RatFunc:
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r} / {self.den!r})"
 
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.build(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.build(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.build(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.build(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
     def evaluate(self, point: Mapping[str, object]):
         den = self.den.evaluate(point)
         if den == 0:
             raise PoleError("denominator vanishes at the evaluation point")
         return self.num.evaluate(point) / den
-
-    def derivative(self, name: str) -> "RatFunc":
-        n, d = self.num, self.den
-        return RatFunc.build(
-            n.partial_derivative(name) * d - n * d.partial_derivative(name), d * d
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -948,11 +926,13 @@ def square_free_part(p: SparsePoly) -> SparsePoly:
 
 
 def resultant(p: SparsePoly, q: SparsePoly, name: str) -> SparsePoly:
-    """Resultant of p and q with respect to one variable.
+    """Resultant of p and q with respect to one variable, in the Sylvester
+    convention Res(p, q) = det S(p, q).
 
-    Subresultant PRS for the value, with the overall sign pinned to the
-    Sylvester-determinant convention Res(p, q) = det S(p, q) by an exact
-    evaluation at a random non-degenerate rational point.
+    Subresultant PRS (Collins 1967; Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 3.3.7).  Res(a, b) = (-1)^(deg a * deg b)
+    Res(b, a), so the sign flips at every step where both degrees are odd,
+    the initial swap to deg p >= deg q included.
     """
     if p.ring != q.ring:
         raise RingMismatchError(f"{p.ring} vs {q.ring}")
@@ -963,19 +943,18 @@ def resultant(p: SparsePoly, q: SparsePoly, name: str) -> SparsePoly:
     dq = q.degree_in(name)
     if dp <= 0 and dq <= 0:
         raise ValueError(f"both polynomials constant in {name!r}")
+    odd = False
     if dp < dq:
-        r = resultant(q, p, name)
-        return r.scale(-1) if (dp * dq) % 2 else r
+        p, q, dp, dq = q, p, dq, dp
+        odd = bool(dp % 2 and dq % 2)
     if dq <= 0:
         # Res(p, c) = c^deg(p)
         return q**int(dp)
-    value = _subresultant_prs_resultant(p, q, i, name)
-    if value.is_zero():
-        return value
-    return _fix_resultant_sign(p, q, i, name, value)
+    return _subresultant_prs_resultant(p, q, i, name, odd)
 
 
-def _subresultant_prs_resultant(p, q, i: int, name: str) -> SparsePoly:
+def _subresultant_prs_resultant(p, q, i: int, name: str, odd: bool) -> SparsePoly:
+    """Res(p, q) for deg p >= deg q >= 1, negated when ``odd``."""
     ring = p.ring
     a, b = p, q
     da, db = int(a.degree_in(name)), int(b.degree_in(name))
@@ -983,104 +962,18 @@ def _subresultant_prs_resultant(p, q, i: int, name: str) -> SparsePoly:
     h = SparsePoly.const(ring, 1)
     while True:
         delta = da - db
+        odd ^= bool(da % 2 and db % 2)
         r = pseudo_remainder(a, b, name)
         if r.is_zero():
-            return SparsePoly.zero(ring) if db > 0 else _final_prs(b, h, da)
-        divisor = g * h**delta
-        rnext = exact_div(r, divisor)
+            return r
+        rnext = exact_div(r, g * h**delta)
         a, da = b, db
         g = _lc_in(a, i)
         if delta > 0:
             h = exact_div(g**delta, h ** (delta - 1))
-        elif delta == 0:
-            h = h  # degree tie: h unchanged (delta-1 < 0 never occurs after swap)
         b = rnext
-        db = int(b.degree_in(name)) if b.terms and any(e[i] for e in b.terms) else 0
+        db = int(b.degree_in(name)) if any(e[i] for e in b.terms) else 0
         if db == 0:
-            return _final_prs(b, h, da)
-
-
-def _final_prs(b: SparsePoly, h: SparsePoly, da: int) -> SparsePoly:
-    if b.is_zero():
-        return b
-    if da <= 0:
-        return SparsePoly.const(b.ring, 1)
-    # resultant = b^da / h^(da-1), exact in the subresultant PRS
-    return exact_div(b**da, h ** (da - 1))
-
-
-def _fix_resultant_sign(p, q, i, name, value) -> SparsePoly:
-    """Compare against an exact Sylvester determinant at a random point."""
-    ring = p.ring
-    others = [v for j, v in enumerate(ring) if j != i]
-    rng = random.Random(20260808)
-    for _ in range(64):
-        point = {v: Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for v in others}
-        pc = _univariate_coeffs(p.evaluate_partial(point), i)
-        qc = _univariate_coeffs(q.evaluate_partial(point), i)
-        if pc[-1] == 0 or qc[-1] == 0:
-            continue  # leading coefficient collapsed; resample
-        if len(pc) - 1 != p.degree_in(name) or len(qc) - 1 != q.degree_in(name):
-            continue
-        expected = sylvester_resultant(pc, qc)
-        got = value.evaluate({**point, name: Fraction(0)})
-        if expected == 0 and got == 0:
-            continue  # unlucky common zero; resample
-        if expected == got:
-            return value
-        if expected == -got:
-            return -value
-        raise AssertionError("subresultant PRS disagrees with Sylvester oracle")
-    return value
-
-
-def _univariate_coeffs(p: SparsePoly, i: int) -> list[Fraction]:
-    """Dense coefficient list (ascending) of a polynomial univariate in var i."""
-    d = 0 if p.is_zero() else int(max(e[i] for e in p.terms))
-    out = [Fraction(0)] * (d + 1)
-    for e, c in p.terms.items():
-        out[e[i]] += c
-    return out
-
-
-def sylvester_resultant(pc: Sequence[Fraction], qc: Sequence[Fraction]) -> Fraction:
-    """Determinant of the Sylvester matrix of two univariate coefficient
-    lists (ascending order).  Independent oracle for `resultant`."""
-    m = len(pc) - 1
-    n = len(qc) - 1
-    if m < 0 or n < 0:
-        raise ValueError("zero polynomial")
-    if m == 0 and n == 0:
-        return Fraction(1)
-    size = m + n
-    rows = []
-    prow = list(reversed(pc))
-    qrow = list(reversed(qc))
-    for k in range(n):
-        rows.append([Fraction(0)] * k + prow + [Fraction(0)] * (size - k - m - 1))
-    for k in range(m):
-        rows.append([Fraction(0)] * k + qrow + [Fraction(0)] * (size - k - n - 1))
-    return _det_fraction(rows)
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            f = rows[r][col] / pv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
+            # Res = b^da / h^(da-1), exact in the subresultant PRS
+            res = exact_div(b**da, h ** (da - 1))
+            return -res if odd else res

@@ -466,9 +466,6 @@ class SignatureSample:
     k1: complex
     k2: complex
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return abs(self.x.imag) < tol and abs(self.y.imag) < tol
-
 
 def signature_samples(
     curve: CurveInput,

@@ -18,6 +18,9 @@ slower or narrower, and the tests compare them against the package:
 * ``mul_tuple_keys`` and ``exact_div_grevlex``: polynomial product and exact
   quotient on exponent tuples and ``Fraction`` remainders, without the
   packed integer keys of ``SparsePoly.__mul__`` and ``poly.exact_div``.
+* ``sylvester_resultant``: the resultant of two univariate coefficient lists
+  as the determinant of their Sylvester matrix, against which the sign and
+  value of ``poly.resultant`` (subresultant PRS) are checked.
 
 The elimination order compares monomials first by their total degree in the
 eliminated block, grevlex-tiebroken there, then the same in the kept block.
@@ -601,3 +604,52 @@ def exact_div_grevlex(p: SparsePoly, q: SparsePoly) -> SparsePoly:
             else:
                 rem[e2] = acc
     return SparsePoly(p.ring, out)
+
+
+# ---------------------------------------------------------------------------
+# resultant
+
+
+def sylvester_resultant(pc: Sequence[Fraction], qc: Sequence[Fraction]) -> Fraction:
+    """Determinant of the Sylvester matrix of two univariate coefficient
+    lists (ascending order): the definition ``poly.resultant`` must match,
+    sign included."""
+    m = len(pc) - 1
+    n = len(qc) - 1
+    if m < 0 or n < 0:
+        raise ValueError("zero polynomial")
+    if m == 0 and n == 0:
+        return Fraction(1)
+    size = m + n
+    rows = []
+    prow = list(reversed(pc))
+    qrow = list(reversed(qc))
+    for k in range(n):
+        rows.append([Fraction(0)] * k + prow + [Fraction(0)] * (size - k - m - 1))
+    for k in range(m):
+        rows.append([Fraction(0)] * k + qrow + [Fraction(0)] * (size - k - n - 1))
+    return _det_fraction(rows)
+
+
+def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination over Q (rows are overwritten)."""
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det *= pv
+        for r in range(col + 1, n):
+            f = rows[r][col] / pv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det

@@ -87,6 +87,7 @@ def check_schema(payload):
     "args",
     [
         ["theta", "--curve", "x^2+y^2-1", "--index", "2"],
+        ["theta", "--curve", "y-x^2", "--index", "4"],
         ["invariants", "--curve", "x^2+x*y+y^2-1", "--group", "SE2"],
         ["signature", "--curve", "x^2+x*y+y^2-1", "--group", "SE2"],
         ["signature", "--curve", "x^2+y^2-1", "--group", "SE2"],
@@ -110,6 +111,18 @@ def test_theta_command():
     r = run_cli("theta", "--curve", "x^2+y^2-1", "--index", "2")
     assert r.returncode == 0
     assert "d_i = 3" in r.stdout and "tau_i = 2" in r.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_theta_vanishing_on_curve(fmt):
+    """T_4..T_8 vanish identically on a parabola: no degree, no traceback."""
+    r = run_cli("--format", fmt, "theta", "--curve", "y-x^2", "--index", "4")
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    if fmt == "json":
+        assert json.loads(r.stdout)["deg_T"] is None
+    else:
+        assert r.stdout.splitlines() == ["T_4 = 0", "d_i = 8, tau_i = 4"]
 
 
 def test_invariants_command():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_div_grevlex, mul_tuple_keys
+from oracles import exact_div_grevlex, mul_tuple_keys, sylvester_resultant
 from sigcurve.errors import PoleError, RingMismatchError
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import (
@@ -17,7 +17,6 @@ from sigcurve.poly import (
     pseudo_remainder,
     resultant,
     square_free_part,
-    sylvester_resultant,
 )
 
 R = ("x", "y")
@@ -280,6 +279,48 @@ class TestPackedKernels:
         assert exact_div(parse("4*x^2 + 2*x"), parse("2*x + 1")) == parse("2*x")
 
 
+@st.composite
+def resultant_pairs(draw):
+    """(p, q, name) over a ring of 1, 2 or 3 variables, both of positive
+    degree in ``name`` (the last variable).  Three shapes: any degrees;
+    odd degrees on both sides, so every sign flip of the PRS fires; and
+    p = a*q + r with deg r <= deg q - 2, so the PRS drops at least two
+    degrees in one step."""
+    ring = RINGS[draw(st.sampled_from((1, 2, 3)))]
+    name = ring[-1]
+    coeffs = st.integers(1, 9) | st.integers(-9, -1)
+
+    def poly(deg):
+        others = st.tuples(*[st.integers(0, 2)] * (len(ring) - 1))
+        terms = draw(st.lists(st.tuples(others, st.integers(0, deg), coeffs), max_size=4))
+        out = {(*o, k): Fraction(c) for o, k, c in terms}
+        out[(*draw(others), deg)] = Fraction(draw(coeffs))
+        return SparsePoly(ring, out)
+
+    shape = draw(st.sampled_from(("any", "odd", "gap")))
+    if shape == "any":
+        return poly(draw(st.integers(1, 4))), poly(draw(st.integers(1, 4))), name
+    if shape == "odd":
+        odd = st.sampled_from((1, 3, 5))
+        return poly(draw(odd)), poly(draw(odd)), name
+    q = poly(draw(st.integers(3, 4)))
+    a = poly(draw(st.integers(0, 2)))
+    r = poly(draw(st.integers(0, int(q.degree_in(name)) - 2)))
+    p, q = a * q + r, q
+    if draw(st.booleans()):
+        p, q = q, p
+    return p, q, name
+
+
+def coefficient_list(p: SparsePoly, name: str) -> list[Fraction]:
+    """Ascending coefficients of a polynomial that uses only ``name``."""
+    i = p.ring.index(name)
+    out = [Fraction(0)] * (int(p.degree_in(name)) + 1)
+    for e, c in p.terms.items():
+        out[e[i]] += c
+    return out
+
+
 class TestResultants:
     def test_substitution_case(self):
         assert resultant(Y**2 - X, Y - 1, "y") == parse("1 - x")
@@ -301,30 +342,45 @@ class TestResultants:
             assert r.evaluate({"v": a, "w": Fraction(0)}) == sylvester_resultant(pc, qc)
         assert r == parse("1 - v^3", R2)
 
+    def test_two_degree_drop(self):
+        # p = y^k*q + x*y + 1 with q = y^3 + 1: prem(p, q) has degree 1, two
+        # below q.  Res(p, q) = (-1)^(3k+3) prod_{b^3 = -1} (x*b + 1)
+        # = (-1)^(k+1) (1 - x^3).  For k = 1 the PRS pairs the degrees (4, 3),
+        # (3, 1): one odd pair.  For k = 2 it pairs (5, 3), (3, 1): two.
+        q = Y**3 + 1
+        for k, expected in ((1, parse("1 - x^3")), (2, parse("x^3 - 1"))):
+            p = Y**k * q + X * Y + 1
+            assert resultant(p, q, "y") == expected
+            assert resultant(q, p, "y") == expected.scale((-1) ** (3 * (k + 3)))
+            for a in (Fraction(2), Fraction(-1, 3)):
+                pc = coefficient_list(p.evaluate_partial({"x": a}), "y")
+                qc = coefficient_list(q.evaluate_partial({"x": a}), "y")
+                assert sylvester_resultant(pc, qc) == expected.evaluate({"x": a, "y": 0})
+
     def test_both_constant_in_var_errors(self):
         with pytest.raises(ValueError):
             resultant(X + 1, X - 1, "y")
 
-    @settings(max_examples=12, deadline=None)
-    @given(sparse_polys(2), sparse_polys(2), st.integers(-8, 8))
-    def test_specialization(self, p, q, a):
-        # Res_y(p,q)(x=a) == Res(p(a,y), q(a,y)) when leading coeffs survive
-        if p.degree_in("y") < 1 or q.degree_in("y") < 1:
-            return
-        r = resultant(p, q, "y")
-        pa = p.evaluate_partial({"x": Fraction(a)})
-        qa = q.evaluate_partial({"x": Fraction(a)})
-        if pa.degree_in("y") != p.degree_in("y") or qa.degree_in("y") != q.degree_in("y"):
+    @settings(max_examples=60, deadline=None)
+    @given(resultant_pairs(), st.lists(st.integers(-8, 8), min_size=2, max_size=2))
+    def test_specialization(self, pair, values):
+        # Res(p, q) at a point of the other variables == det S(p(pt), q(pt))
+        # when both leading coefficients survive the specialization
+        p, q, name = pair
+        r = resultant(p, q, name)
+        point = {v: Fraction(a) for v, a in zip(p.ring[:-1], values)}
+        pa, qa = p.evaluate_partial(point), q.evaluate_partial(point)
+        if pa.degree_in(name) != p.degree_in(name) or qa.degree_in(name) != q.degree_in(name):
             return  # leading coefficient collapsed: documented exclusion
-        pc = [Fraction(0)] * (int(pa.degree_in("y")) + 1)
-        qc = [Fraction(0)] * (int(qa.degree_in("y")) + 1)
-        for e, c in pa.terms.items():
-            pc[e[1]] += c
-        for e, c in qa.terms.items():
-            qc[e[1]] += c
-        assert r.evaluate({"x": Fraction(a), "y": Fraction(0)}) == sylvester_resultant(
-            pc, qc
-        )
+        expected = sylvester_resultant(coefficient_list(pa, name), coefficient_list(qa, name))
+        assert r.evaluate({**point, name: Fraction(0)}) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(resultant_pairs())
+    def test_swap_sign(self, pair):
+        p, q, name = pair
+        sign = (-1) ** int(p.degree_in(name) * q.degree_in(name))
+        assert resultant(p, q, name) == resultant(q, p, name).scale(sign)
 
 
 class TestHomogenize:
