@@ -69,10 +69,13 @@ DEFAULT_TRUNC = 80  # starting truncation of explicit triples and valuation tabl
 MAX_TRUNC = 320
 SHEAR_RETRIES = 5  # group elements tried before the chart at infinity is refused
 
-# starting truncation per group for the canonical multiplicity route: the
-# per-branch valuations are degree-independent (0 / 16 / 12 / 72), so a
-# small margin suffices; TruncationError doubles adaptively for special
-# curves (Fermat corner tangencies etc.)
+# starting truncation per group for the canonical multiplicity route, whose
+# series are capped 32 orders past their first term: the per-branch
+# valuations are degree-independent (0 / 16 / 12 / 72), so a small margin
+# suffices; TruncationError doubles truncation and cap together for special
+# curves (Fermat corner tangencies etc.).  The branches at infinity are
+# expanded only as far as the capped series read them (the branch valuation
+# plus the cap, see infinity_pieces), below the truncation for PGL(3)
 GROUP_START_TRUNC = {
     GroupId.SE2: 16,
     GroupId.SA2: 30,
@@ -169,17 +172,28 @@ class BranchPiece:
     x2: TruncatedSeries
 
 
-def infinity_pieces(curve: CurveInput, trunc: int) -> list[BranchPiece]:
+def infinity_pieces(curve: CurveInput, trunc: int, rel: Optional[int] = None) -> list[BranchPiece]:
     """Branch pieces covering all points of the curve on the line at
     infinity: the finite-w fiber as one quotient-ring piece plus the corner
-    branch when [0:0:1] lies on the (there smooth) curve."""
+    branch when [0:0:1] lies on the (there smooth) curve.
+
+    Each branch is expanded to ``trunc``, or with ``rel`` (the relative cap
+    of the series that read the pieces) only to the orders those series
+    read: ``rel`` past the branch's first term."""
     H, q, corner = _chart_polys(curve)
     pieces: list[BranchPiece] = []
+
+    def branch(H: SparsePoly, param: str, unknown: str, ring: SeriesRing) -> TruncatedSeries:
+        root, prec = ring.generator(), trunc
+        if rel is not None:
+            prec = min(trunc, _branch_valuation(H, param, unknown, root) + rel)
+        return newton_branch(H, param, unknown, ring, root, prec)
+
     if len(q) >= 2:
         if not intpoly_squarefree(q):
             raise ShearRequiredError("infinite fiber is not simple; shear required")
         ring = SeriesRing(q)
-        w = newton_branch(H, "v", "w", ring, ring.generator(), trunc)
+        w = branch(H, "v", "w", ring)
         one = TruncatedSeries.constant(ring, Fraction(1))
         pieces.append(BranchPiece(ring, q, TruncatedSeries.variable(ring), one, w))
     if corner == 0:
@@ -188,15 +202,25 @@ def infinity_pieces(curve: CurveInput, trunc: int) -> list[BranchPiece]:
         one = TruncatedSeries.constant(ring, Fraction(1))
         t = TruncatedSeries.variable(ring)
         if du != 0:
-            br = newton_branch(H2, "s", "u", ring, ring.generator(), trunc)
-            pieces.append(BranchPiece(ring, None, t, br, one))
+            pieces.append(BranchPiece(ring, None, t, branch(H2, "s", "u", ring), one))
         elif ds != 0:
             H2s = SparsePoly(H2.ring, {(e[1], e[0]): c for e, c in H2.terms.items()})
-            br = newton_branch(H2s, "s", "u", ring, ring.generator(), trunc)
-            pieces.append(BranchPiece(ring, None, br, t, one))
+            pieces.append(BranchPiece(ring, None, branch(H2s, "s", "u", ring), t, one))
         else:
             raise ShearRequiredError("[0:0:1] is a singular point of the curve")
     return pieces
+
+
+def _branch_valuation(H: SparsePoly, param: str, unknown: str, root: TruncatedSeries) -> int:
+    """Valuation in ``param`` of the branch u(param) of H = 0 through the
+    simple root ``root`` of H(0, .).  It is 0 unless the root is 0; then
+    H(t, 0) = -u(t) * G(t, u(t)) with G(0, 0) = dH/du(0, 0) != 0, so the
+    branch vanishes to the order of H(t, 0) (INF when that is 0)."""
+    if root.terms:
+        return 0
+    h0 = H.evaluate_partial({unknown: Fraction(0)})
+    i = H.ring.index(param)
+    return min((e[i] for e in h0.terms), default=INF)
 
 
 # ---------------------------------------------------------------------------
@@ -532,20 +556,24 @@ def _mult_report(
     affine: Callable[[list], tuple[list[int], int, str]],
     lines: Callable[[], Iterable[Sequence[Fraction]]],
     trunc: int,
+    rel: Optional[int],
 ) -> tuple[MultiplicityReport, str]:
     """Multiplicity sums over the base locus on the curve for each trial
     line, and the lower bound sum_p min_k m_p(F, sigma_k).
 
     ``components(piece, trunc, rel)`` gives the three sigma series on a
-    branch piece; ``lines()`` yields the trial a-vectors of one attempt;
-    ``affine(lines)`` gives the per-line affine terms, the affine term of
-    the lower bound and its status.  Truncation (and the relative cap)
-    doubles until every valuation is certified.
+    branch piece, each capped ``rel`` orders past its first term (None: no
+    cap, and the branches are expanded to the full truncation);
+    ``lines()`` yields the trial a-vectors of one attempt; ``affine(lines)``
+    gives the per-line affine terms, the affine term of the lower bound and
+    its status.  Truncation and the relative cap double together until
+    every valuation is certified.
     """
 
     def attempt(t: int):
-        pieces = infinity_pieces(curve, t)
-        all_comps = [components(p, t, 32 * t // trunc) for p in pieces]
+        cap = None if rel is None else rel * t // trunc
+        pieces = infinity_pieces(curve, t, cap)
+        all_comps = [components(p, t, cap) for p in pieces]
         results = []
         for a in lines():
             total = sum(
@@ -593,6 +621,7 @@ def _triple_report(
         affine_part,
         lines,
         DEFAULT_TRUNC,
+        rel=None,
     )[0]
 
 
@@ -689,6 +718,7 @@ def mult_min_canonical(
         affine_part,
         lambda: _random_lines(rng, max(trials, 3)),
         GROUP_START_TRUNC[group],
+        rel=32,
     )
     return report, chart, status
 

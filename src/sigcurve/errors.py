@@ -29,7 +29,8 @@ class ParseError(SigcurveError):
 
 
 class InvalidCurveError(SigcurveError, ValueError):
-    """The input polynomial defines no plane curve (it is constant)."""
+    """The input polynomial defines no reduced plane curve (it is constant
+    or has a repeated factor)."""
 
 
 class ExceptionalCurveError(SigcurveError):

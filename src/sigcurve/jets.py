@@ -188,8 +188,8 @@ def jet_order(indices: Iterable[int]) -> int:
 class CurveInput:
     """An affine plane curve V(F), F primitive with integer coefficients.
 
-    ``irreducible_asserted`` is the caller's promise; it is spot-checked
-    (square-freeness via gcd(F, F_x)) but not proven.
+    ``from_poly`` checks that F is squarefree; ``irreducible_asserted`` is
+    the caller's promise and is not checked.
     """
 
     F: SparsePoly
@@ -203,6 +203,13 @@ class CurveInput:
         if F.is_zero() or F.is_constant():
             raise InvalidCurveError("curve polynomial must be nonconstant")
         F = F.primitive_part()
+        # a repeated factor divides F and both partials
+        g = gcd(gcd(F, F.partial_derivative("x")), F.partial_derivative("y"))
+        if g.total_degree() > 0:
+            raise InvalidCurveError(
+                "curve polynomial is not squarefree: "
+                f"gcd(F, F_x, F_y) has degree {g.total_degree()}"
+            )
         return cls(F, int(F.total_degree()), irreducible_asserted)
 
     def fx(self) -> SparsePoly:
@@ -210,13 +217,6 @@ class CurveInput:
 
     def fy(self) -> SparsePoly:
         return self.F.partial_derivative("y")
-
-    def squarefree_suspect(self) -> bool:
-        """True when gcd(F, F_x) is nonconstant, i.e. F visibly not squarefree."""
-        fx = self.fx()
-        if fx.is_zero():
-            return self.d > 1
-        return gcd(self.F, fx).total_degree() > 0
 
     def homogenized(self) -> SparsePoly:
         return self.F.homogenize("x0", self.d).rename_ring(HOMOG_RING)
@@ -573,17 +573,31 @@ def fiber_jets(
     roots of the ring modulus q (a squarefree factor of F(x0, W) whose roots
     are simple roots of F(x0, .)), as elements of Q[W]/(q): one Newton branch
     expansion covers every point of the fiber."""
-    ring2 = ("h", "u")
-    h = SparsePoly.var(ring2, "h")
-    u = SparsePoly.var(ring2, "u")
-    H = curve.F.compose_linear([h + SparsePoly.const(ring2, x0), u])
-    branch = newton_branch(H, "h", "u", ring, ring.generator(), n_max + 1)
+    branch = newton_branch(_shifted_curve(curve.F, x0), "h", "u", ring, ring.generator(), n_max + 1)
     fact = 1
     out = []
     for k in range(1, n_max + 1):
         fact *= k
         out.append(ring.element([c * fact for c in branch.coeff_fractions(k)]))
     return out
+
+
+def _shifted_curve(F: SparsePoly, x0: Fraction) -> SparsePoly:
+    """H(h, u) = F(x0 + h, u): a Taylor shift by x0 of the coefficient list
+    in x of each power of y (repeated synthetic division by x - x0)."""
+    cols: dict[int, list[Fraction]] = {}
+    for (i, j), c in F.terms.items():
+        col = cols.setdefault(j, [])
+        col.extend([Fraction(0)] * (i + 1 - len(col)))
+        col[i] = c
+    terms = {}
+    for j, col in cols.items():
+        n = len(col) - 1
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                col[k] += x0 * col[k + 1]
+        terms.update({(i, j): c for i, c in enumerate(col) if c})
+    return SparsePoly(("h", "u"), terms)
 
 
 def fiber_invariants(

@@ -422,13 +422,6 @@ class TruncatedSeries:
         return z.shift(-v)
 
 
-def evaluate_poly_at_series(
-    p: SparsePoly, assignment: dict[str, TruncatedSeries], ring: SeriesRing
-) -> TruncatedSeries:
-    """Evaluate a sparse polynomial with series values for its variables."""
-    return evaluate_polys_at_series([p], assignment, ring)[0]
-
-
 def evaluate_polys_at_series(
     polys: Sequence[SparsePoly],
     assignment: dict[str, TruncatedSeries],
@@ -480,19 +473,46 @@ def newton_branch(
     ``root0`` must be a simple root of H(0, .) in the quotient ring: the
     derivative dH/du at it has to be invertible (true whenever the fiber
     modulus is squarefree and root0 is the generator).
+
+    H is split by powers of u into coefficient series in t, and one Horner
+    pass gives H and dH/du at the branch.  Each step doubles the precision p
+    of u by u <- u - H(u) z, where z is the inverse of dH/du carried across
+    the steps: z <- z (2 - z dH/du) to the p - p_old orders that H(u)
+    z reads, since H(u) = O(t^p_old).  The solution is unique mod t^prec, so
+    the normalized result does not depend on the steps taken.
     """
-    dH = H.partial_derivative(unknown)
-    t = TruncatedSeries.variable(ring)
+    i, j = H.ring.index(param), H.ring.index(unknown)
+    by_power: dict[int, dict[int, Fraction]] = {}
+    for e, c in H.terms.items():
+        by_power.setdefault(e[j], {})[e[i]] = c
+    coeffs = [_param_series(ring, by_power.get(k, {})) for k in range(max(by_power) + 1)]
+    two = TruncatedSeries.constant(ring, Fraction(2))
     w = root0.with_trunc(1)
+    z: Optional[TruncatedSeries] = None
     p = 1
     while p < prec:
-        p = min(2 * p, prec)
-        w_ext = TruncatedSeries(ring, w.terms, w.den, p)
-        assignment = {param: t.with_trunc(p), unknown: w_ext}
-        hv = evaluate_poly_at_series(H, assignment, ring)
-        dv = evaluate_poly_at_series(dH, assignment, ring)
-        w = (w_ext - hv * dv.invert(p)).with_trunc(p).normalized()
+        p_old, p = p, min(2 * p, prec)
+        u = TruncatedSeries(ring, w.terms, w.den, p)
+        cs = [c.with_trunc(p) for c in coeffs]
+        dh, h = cs[-1], cs[-1] * u + cs[-2]
+        for c in reversed(cs[:-2]):
+            dh = dh * u + h
+            h = h * u + c
+        m = p - p_old
+        if z is None:
+            z = ring.element(ring.invert_vec(dh.coeff_fractions(0))).with_trunc(m)
+        else:
+            zt = TruncatedSeries(ring, z.terms, z.den, m)
+            z = (zt * (two - dh.with_trunc(m) * zt)).with_trunc(m)
+        w = (u - h * z).with_trunc(p).normalized()
     return w
+
+
+def _param_series(ring: SeriesRing, coeffs: dict[int, Fraction]) -> TruncatedSeries:
+    """The exact series sum_j c_j t^j with rational coefficients c_j."""
+    den = _clear(coeffs.values())
+    terms = {(j, 0): int(c * den) for j, c in coeffs.items() if c}
+    return TruncatedSeries(ring, terms, den, INF).normalized()
 
 
 def ring_poly_gcd(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

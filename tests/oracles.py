@@ -21,6 +21,10 @@ slower or narrower, and the tests compare them against the package:
 * ``sylvester_resultant``: the resultant of two univariate coefficient lists
   as the determinant of their Sylvester matrix, against which the sign and
   value of ``poly.resultant`` (subresultant PRS) are checked.
+* ``newton_branch_reference``: the branch of H(t, u) = 0 by Newton steps
+  that evaluate H and dH/du monomial by monomial and invert dH/du afresh at
+  every step, against which ``series.newton_branch`` (Horner, carried
+  inverse) is checked.
 
 The elimination order compares monomials first by their total degree in the
 eliminated block, grevlex-tiebroken there, then the same in the kept block.
@@ -43,6 +47,7 @@ from sigcurve.degree import CHART_RING, _chart_polys, _combine
 from sigcurve.errors import ShearRequiredError, SigcurveError
 from sigcurve.jets import HOMOG_RING, CurveInput, GroupId, HomogeneousTriple, classifying_pair
 from sigcurve.poly import SparsePoly, _int_form, gcd, resultant, square_free_part
+from sigcurve.series import SeriesRing, TruncatedSeries, evaluate_polys_at_series
 from sigcurve.signature import (
     SIG_RING,
     SignaturePolynomial,
@@ -653,3 +658,31 @@ def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
             if f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+# ---------------------------------------------------------------------------
+# branch expansion
+
+
+def newton_branch_reference(
+    H: SparsePoly,
+    param: str,
+    unknown: str,
+    ring: SeriesRing,
+    root0: TruncatedSeries,
+    prec: int,
+) -> TruncatedSeries:
+    """Series solution u(t) of H(t, u) = 0 with u(0) = root0, to ``prec``:
+    each doubling step evaluates H and dH/du on power tables of t and u and
+    inverts dH/du anew."""
+    dH = H.partial_derivative(unknown)
+    t = TruncatedSeries.variable(ring)
+    w = root0.with_trunc(1)
+    p = 1
+    while p < prec:
+        p = min(2 * p, prec)
+        w_ext = TruncatedSeries(ring, w.terms, w.den, p)
+        assignment = {param: t.with_trunc(p), unknown: w_ext}
+        hv, dv = evaluate_polys_at_series([H, dH], assignment, ring)
+        w = (w_ext - hv * dv.invert(p)).with_trunc(p).normalized()
+    return w

@@ -19,6 +19,7 @@ from sigcurve.degree import (
     series_valuations,
 )
 from sigcurve.equivalence import equivalent, symmetry_order
+from sigcurve.errors import InvalidCurveError
 from sigcurve.fermat import (
     fermat_curve,
     fermat_signature_a2,
@@ -67,8 +68,11 @@ def _rand_dense_curve(rng, d, height=9):
             R,
             [((i, j), rng.randint(-height, height)) for i in range(d + 1) for j in range(d + 1 - i)],
         )
-        cv = CurveInput.from_poly(F)
-        if cv.d == d and not cv.fy().is_zero() and not cv.squarefree_suspect():
+        try:
+            cv = CurveInput.from_poly(F)
+        except InvalidCurveError:
+            continue
+        if cv.d == d and not cv.fy().is_zero():
             return cv
 
 

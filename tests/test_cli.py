@@ -215,6 +215,30 @@ def test_exit_code_exceptional():
     assert "exceptional" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["degree", "--curve", "(x^2+y^2-1)^2", "--group", "SE2"],
+        ["signature", "--curve", "(x^2+y^2-1)^2*(x^2+2*y^2-1)", "--group", "SE2"],
+        ["invariants", "--curve", "(y-1)^2*(x^3+y^3+1)", "--group", "A2"],
+        ["degree", "--curve", "(x-y)^2", "--group", "A2"],
+    ],
+)
+def test_exit_code_not_squarefree(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip().splitlines() == [r.stderr.strip()]
+    assert "not squarefree" in r.stderr
+
+
+def test_squarefree_check_reads_both_partials():
+    # gcd(F, F_x) = y - 1 but y - 1 does not divide F_y: the curve is reduced
+    r = run_cli("theta", "--curve", "(y-1)*(x^2+y^2-1)", "--index", "1")
+    assert r.returncode == 0
+    assert r.stdout.startswith("T_1 = ")
+
+
 def test_out_file(tmp_path):
     out = tmp_path / "sig.txt"
     r = run_cli(

@@ -7,8 +7,12 @@ import pytest
 
 from oracles import mult_sum_line_resultant
 from sigcurve.degree import (
+    GROUP_START_TRUNC,
     base_locus_on_curve,
+    canonical_components_on_piece,
     generic_degree,
+    infinity_chart,
+    infinity_pieces,
     mult_min,
     mult_min_canonical,
     mult_sum_line,
@@ -160,6 +164,43 @@ def test_explicit_and_canonical_triples_agree(text, group):
     assert explicit.min_sum == canonical.min_sum
     assert explicit.lower_bound == canonical.lower_bound
     assert explicit.sandwich_closed and canonical.sandwich_closed
+
+
+@pytest.mark.parametrize(
+    "curve, group",
+    [
+        (lambda: CurveInput.from_poly(parse("x^2*y + y^2 + y + 64/121")), GroupId.PGL3),
+        (lambda: CurveInput.from_poly(parse("y^2 - x^3")), GroupId.PGL3),
+        (lambda: CurveInput.from_poly(parse("x^4 + y^4 + 1")), GroupId.A2),
+        (lambda: rand_curve(random.Random(15), 4, height=1), GroupId.PGL3),
+    ],
+    ids=["worked-cubic-root-w0", "cusp-corner", "fermat-quartic", "dense-quartic"],
+)
+@pytest.mark.parametrize("doublings", [0, 1])
+def test_sized_branches_give_the_same_components(curve, group, doublings):
+    # the canonical route reads each branch only to its valuation plus the
+    # relative cap; the components must equal those from the full branch
+    work = infinity_chart(curve(), group).curve
+    t = GROUP_START_TRUNC[group] << doublings
+    rel = 32 << doublings
+    full = infinity_pieces(work, t)
+    sized = infinity_pieces(work, t, rel)
+    assert [p.q for p in full] == [p.q for p in sized]
+    for pf, ps in zip(full, sized):
+        cf = canonical_components_on_piece(work, group, pf, t, rel)
+        cs = canonical_components_on_piece(work, group, ps, t, rel)
+        assert [(c.terms, c.den, c.trunc) for c in cf] == [(c.terms, c.den, c.trunc) for c in cs]
+
+
+def test_branch_at_a_zero_root_is_sized_past_its_valuation():
+    # the worked cubic under PGL(3) meets infinity at w = 0, where the
+    # branch starts at v^3: the cap reads it to order 3 + 32
+    cubic = CurveInput.from_poly(parse("x^2*y + y^2 + y + 64/121"))
+    work = infinity_chart(cubic, GroupId.PGL3).curve
+    fiber = infinity_pieces(work, 80, 32)[0]
+    assert fiber.q == (0, 1)
+    assert fiber.x2.min_exp() == 3
+    assert fiber.x2.trunc == 35
 
 
 def test_affine_term_per_line_when_no_view_separates_points():

@@ -1,18 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import newton_branch_reference
 from sigcurve.errors import TruncationError
 from sigcurve.parser import parse
 from sigcurve.poly import SparsePoly
 from sigcurve.series import (
     SeriesRing,
     TruncatedSeries,
-    evaluate_poly_at_series,
+    evaluate_polys_at_series,
     fiber_min_valuation_sum,
     fiber_valuation_sum,
+    intpoly_from_poly,
     intpoly_gcd,
     intpoly_rem,
+    intpoly_squarefree,
     newton_branch,
 )
 
@@ -114,9 +118,49 @@ def test_evaluate_poly_at_series():
     ring = SeriesRing([0, 1])
     v = TruncatedSeries.variable(ring)
     p = parse("v^2*w + w^2 - 1", R2)
-    out = evaluate_poly_at_series(p, {"v": v, "w": v + TruncatedSeries.constant(ring, 1)}, ring)
+    (out,) = evaluate_polys_at_series(
+        [p], {"v": v, "w": v + TruncatedSeries.constant(ring, 1)}, ring
+    )
     # (v^2)(v+1) + (v+1)^2 - 1 = v^3 + 2v^2 + 2v... wait: v^3 + v^2 + v^2 + 2v = v^3 + 2v^2 + 2v
     assert out.coeff_fractions(0)[0] == 0
     assert out.coeff_fractions(1)[0] == 2
     assert out.coeff_fractions(2)[0] == 2
     assert out.coeff_fractions(3)[0] == 1
+
+
+def _branch_cases(seed, count):
+    """Random H(v, w) whose fiber q = H(0, w) is squarefree of degree >= 1,
+    with a precision each: rings Q[W]/(q) of degree 1 (roots zero and
+    nonzero) and of higher degree."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        d = rng.randint(1, 5)
+        terms = [
+            ((i, j), Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))))
+            for i in range(d + 1)
+            for j in range(d + 1 - i)
+            if rng.random() < 0.7
+        ]
+        H = SparsePoly.from_terms(R2, terms)
+        if H.is_zero() or H.degree_in("w") < 1:
+            continue
+        q = intpoly_from_poly(H.evaluate_partial({"v": Fraction(0)}), "w")
+        if len(q) >= 2 and intpoly_squarefree(q):
+            cases.append((H, q, rng.randint(1, 40)))
+    return cases
+
+
+def test_newton_branch_matches_reference():
+    cases = _branch_cases(11, 60)
+    # rings of degree 1 (the root 0 among them) and of higher degree
+    assert {len(q) > 2 for _, q, _ in cases} == {False, True}
+    assert any(q == (0, 1) for _, q, _ in cases)
+    for H, q, prec in cases:
+        ring = SeriesRing(q)
+        br = newton_branch(H, "v", "w", ring, ring.generator(), prec)
+        ref = newton_branch_reference(H, "v", "w", ring, ring.generator(), prec)
+        assert (br.terms, br.den, br.trunc) == (ref.terms, ref.den, ref.trunc), (H, prec)
+        v = TruncatedSeries.variable(ring).with_trunc(prec)
+        (residual,) = evaluate_polys_at_series([H], {"v": v, "w": br}, ring)
+        assert residual.trunc >= prec and all(j >= prec for j, _ in residual.terms), (H, prec)

@@ -17,7 +17,7 @@ from sigcurve.poly import SparsePoly
 from sigcurve.series import (
     SeriesRing,
     TruncatedSeries,
-    evaluate_poly_at_series,
+    evaluate_polys_at_series,
     newton_branch,
 )
 
@@ -135,7 +135,8 @@ def test_theta_table_matches_classical_chain():
     for k in range(1, 9):
         assert useries[f"u{k}"].coeff_fractions(0)[0] == uvals[k - 1]
     table = theta_table()
-    TH = {i: evaluate_poly_at_series(table[i], useries, ring) for i in range(1, 9)}
+    values = evaluate_polys_at_series([table[i] for i in range(1, 9)], useries, ring)
+    TH = dict(zip(range(1, 9), values))
 
     def inv(s):
         return s.invert(M)
