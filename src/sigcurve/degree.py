@@ -236,29 +236,38 @@ def _triple_components_on_piece(
     return evaluate_polys_at_series(sigma.sigma, at, piece.ring)
 
 
-def _jet_series(
-    curve: CurveInput, piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
-) -> tuple[TruncatedSeries, list[TruncatedSeries]]:
-    """F_y and the Theta_i for i in ``needed`` along a branch piece, from the
-    jets u_k = d^k y / dx^k of the branch; every series is capped ``rel``
-    orders past its first known term."""
-    ring = piece.ring
+def _branch_jets(
+    piece: BranchPiece, trunc: int, rel: int, n_max: int
+) -> tuple[TruncatedSeries, TruncatedSeries, dict[str, TruncatedSeries]]:
+    """x, y and the jets u_k = d^k y / dx^k (k <= n_max; zero past it) of a
+    branch piece, each capped ``rel`` orders past its first known term."""
     x0_inv = piece.x0.invert(trunc + 8)
     x_series = (piece.x1 * x0_inv).rel_capped(rel)
     y_series = (piece.x2 * x0_inv).rel_capped(rel)
     dx_inv = x_series.derivative().invert(trunc + 8).rel_capped(rel)
-    n_max = jet_order(needed)
     u: dict[str, TruncatedSeries] = {}
     cur = y_series
     for k in range(1, n_max + 1):
         cur = (cur.derivative() * dx_inv).rel_capped(rel)
         u[f"u{k}"] = cur
     for k in range(n_max + 1, 9):
-        u[f"u{k}"] = TruncatedSeries.zero(ring, trunc)
+        u[f"u{k}"] = TruncatedSeries.zero(piece.ring, trunc)
+    return x_series, y_series, u
+
+
+def _jet_series(
+    curve: CurveInput, piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
+) -> tuple[TruncatedSeries, list[TruncatedSeries]]:
+    """F_y and the Theta_i for i in ``needed`` along a branch piece, from the
+    jets of the branch; every series is capped ``rel`` orders past its first
+    known term."""
+    x_series, y_series, u = _branch_jets(piece, trunc, rel, jet_order(needed))
     fy = evaluate_polys_at_series(
-        [curve.fy()], {"x": x_series, "y": y_series}, ring, rel_cap=rel
+        [curve.fy()], {"x": x_series, "y": y_series}, piece.ring, rel_cap=rel
     )[0]
-    thetas = evaluate_polys_at_series([theta_table()[i] for i in needed], u, ring, rel_cap=rel)
+    thetas = evaluate_polys_at_series(
+        [theta_table()[i] for i in needed], u, piece.ring, rel_cap=rel
+    )
     return fy, thetas
 
 

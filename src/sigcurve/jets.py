@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExceptionalCurveError, InvalidCurveError, VerticalLineError
-from .poly import RatFunc, SparsePoly, exact_div, gcd, pseudo_remainder
+from .poly import RatFunc, SparsePoly, exact_div, gcd, horner_evaluate, pseudo_remainder
 from .series import SeriesRing, TruncatedSeries, evaluate_polys_at_series, newton_branch
 
 CURVE_RING = ("x", "y")
@@ -163,18 +163,6 @@ def theta_table() -> dict[int, SparsePoly]:
     return {1: th1, 2: th2, 3: th3, 4: th4, 5: th5, 6: th6, 7: th7, 8: th8}
 
 
-# jet weight of u_k is 2k-1 (the F_y exponent of y^(k)|_X)
-def _jet_weight(e: tuple[int, ...]) -> int:
-    return sum(k * (2 * n + 1) for n, k in enumerate(e))
-
-
-@functools.lru_cache(maxsize=1)
-def theta_weights() -> dict[int, int]:
-    """Maximal jet weight D_i of each Theta (its F_y denominator exponent
-    before cancellation); D_i - d_i is the exact power of F_y dividing N_i."""
-    return {i: max(_jet_weight(e) for e in th.terms) for i, th in theta_table().items()}
-
-
 def jet_order(indices: Iterable[int]) -> int:
     """Highest jet u_k that Theta_i uses, over i in ``indices``."""
     table = theta_table()
@@ -273,40 +261,50 @@ class ThetaRestriction:
 
 @functools.lru_cache(maxsize=256)
 def theta(curve: CurveInput, index: int) -> ThetaRestriction:
-    """Restrict Theta_index to the curve and cancel the F_y powers."""
+    """Restrict Theta_index to the curve and cancel the F_y powers.
+
+    Theta_index is evaluated by Horner (``poly.horner_evaluate``) on pairs
+    (N, w) that stand for N / F_y^w: u_n is (P_n, 2n - 1), and a sum brings
+    both operands to the larger weight by one F_y power.  The result has
+    the largest jet weight D of the table's monomials, and N is divisible
+    by F_y^(D - d_i) exactly."""
     if index < 1 or index > 8:
         raise ValueError("theta index must be 1..8")
-    table = theta_table()
-    th = table[index]
-    D = theta_weights()[index]
     d_i = FY_EXPONENT[index]
     jets = implicit_jet(curve, jet_order([index]))
     fy = curve.fy()
-    ring = CURVE_RING
+    one = SparsePoly.const(CURVE_RING, 1)
+    pows_fy = [one, fy]
     pows_p: dict[int, list[SparsePoly]] = {}
-    pows_fy = [SparsePoly.const(ring, 1)]
 
     def fy_pow(k: int) -> SparsePoly:
         while len(pows_fy) <= k:
             pows_fy.append(pows_fy[-1] * fy)
         return pows_fy[k]
 
-    def p_pow(n: int, k: int) -> SparsePoly:
-        tab = pows_p.setdefault(n, [SparsePoly.const(ring, 1)])
+    def power(i: int, k: int) -> tuple[SparsePoly, int]:
+        # u_(i+1)^k = P_(i+1)^k / F_y^(k (2i + 1))
+        tab = pows_p.setdefault(i, [one, jets.p(i + 1)])
         while len(tab) <= k:
-            tab.append(tab[-1] * jets.p(n))
-        return tab[k]
+            tab.append(tab[-1] * tab[1])
+        return tab[k], k * (2 * i + 1)
 
-    num = SparsePoly.zero(ring)
-    for e, c in th.terms.items():
-        w = _jet_weight(e)
-        term = SparsePoly.const(ring, c) * fy_pow(D - w)
-        for n, k in enumerate(e):
-            if k:
-                term = term * p_pow(n + 1, k)
-        num = num + term
-    extra = D - d_i
-    T = exact_div(num, fy_pow(extra)) if extra else num
+    def mul(a: tuple[SparsePoly, int], b: tuple[SparsePoly, int]) -> tuple[SparsePoly, int]:
+        return a[0] * b[0], a[1] + b[1]
+
+    def add(a: tuple[SparsePoly, int], b: tuple[SparsePoly, int]) -> tuple[SparsePoly, int]:
+        (na, wa), (nb, wb) = a, b
+        if wa < wb:
+            na = na * fy_pow(wb - wa)
+        elif wb < wa:
+            nb = nb * fy_pow(wa - wb)
+        return na + nb, max(wa, wb)
+
+    def const(c: Fraction) -> tuple[SparsePoly, int]:
+        return SparsePoly.const(CURVE_RING, c), 0
+
+    num, D = horner_evaluate(theta_table()[index], power, mul, add, const)
+    T = exact_div(num, fy_pow(D - d_i)) if D > d_i else num
     a, b = TAU_COEFFS[index]
     tau = a * curve.d + b
     _spot_check_theta(curve, index, T, d_i, jets)

@@ -21,6 +21,10 @@ is refused by the three rules its docstring states.
 ``resultant`` runs the subresultant PRS, whose sign bookkeeping (a flip at
 every step that pairs two odd degrees) gives the Sylvester-determinant sign by
 construction; the determinant itself is a test oracle (``tests/oracles.py``).
+
+``horner_evaluate`` is the one route that evaluates a polynomial at elements
+of another ring (truncated series, or numerators over powers of F_y): nested
+Horner over a grouping of its terms by variable.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import heapq
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import PoleError, RingMismatchError, SigcurveError, UnknownVariableError
 
 Exponent = tuple[int, ...]
 Coeff = Fraction
 Scalar = Union[int, Fraction]
+T = TypeVar("T")
 
 NEG_INF = float("-inf")
 
@@ -483,6 +488,54 @@ def _unpack(k: int, scales: Sequence[int]) -> Exponent:
         a, k = divmod(k, m)
         e.append(a)
     return tuple(e)
+
+
+# ---------------------------------------------------------------------------
+# evaluation at ring elements
+
+
+def horner_evaluate(
+    p: SparsePoly,
+    power: Callable[[int, int], T],
+    mul: Callable[[T, T], T],
+    add: Callable[[T, T], T],
+    const: Callable[[Fraction], T],
+) -> T:
+    """p at elements of any commutative ring, by nested Horner.
+
+    ``power(i, k)`` is the value of ring variable i to the power k >= 1 (the
+    caller tables it); ``mul``, ``add`` and ``const`` are the ring's
+    operations.  The outermost variable has the largest degree in p (ties
+    broken by ring order): p = sum_k c_k x^k over the exponents k1 > k2 > ...
+    that occur is walked as ((c_k1 x^(k1-k2) + c_k2) x^(k2-k3) + ...) x^kmin,
+    each c_k in the same way over the remaining variables.  The zero
+    polynomial is const(0)."""
+    if not p.terms:
+        return const(Fraction(0))
+    degrees = _degrees(p.terms)
+    order = sorted((i for i, k in enumerate(degrees) if k), key=lambda i: -degrees[i])
+    return _horner_run(list(p.terms.items()), order, power, mul, add, const)
+
+
+# Module-level recursion: a nested recursive closure would form a reference
+# cycle that keeps the caller's power table alive until the cyclic collector
+# runs.
+def _horner_run(items: list, order: Sequence[int], power, mul, add, const):
+    """The terms ``items`` (all equal in the variables before ``order``) at
+    the ring elements: grouped by the exponent of order[0], largest first."""
+    if not order:
+        [(_e, c)] = items
+        return const(c)
+    i, rest = order[0], order[1:]
+    parts: dict[int, list] = {}
+    for e, c in items:
+        parts.setdefault(e[i], []).append((e, c))
+    acc, prev = None, 0
+    for k in sorted(parts, reverse=True):
+        value = _horner_run(parts[k], rest, power, mul, add, const)
+        acc = value if acc is None else add(mul(acc, power(i, prev - k)), value)
+        prev = k
+    return mul(acc, power(i, prev)) if prev else acc
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import TruncationError
-from .poly import SparsePoly, gcd
+from .poly import SparsePoly, gcd, horner_evaluate
 
 INF = 10**9
 
@@ -407,8 +407,10 @@ class TruncatedSeries:
         return best
 
     def invert(self, prec: int) -> "TruncatedSeries":
-        """Multiplicative inverse to v-precision ``prec`` past the valuation."""
+        """Multiplicative inverse to v-precision ``prec`` past the valuation,
+        at most ``trunc - valuation``: the unit part is known only below it."""
         v = self.valuation()
+        prec = min(prec, self.trunc - v)
         base = self.shift(-v)  # unit part
         c0 = base.coeff_fractions(0)
         inv0 = self.ring.invert_vec(c0)
@@ -428,36 +430,36 @@ def evaluate_polys_at_series(
     ring: SeriesRing,
     rel_cap: Optional[int] = None,
 ) -> list[TruncatedSeries]:
-    """Evaluate several polynomials sharing one power-table cache.
+    """Evaluate several polynomials by nested Horner (``poly.horner_evaluate``)
+    on one shared table of the powers of the assigned series.
 
-    ``rel_cap`` truncates every intermediate product ``rel_cap`` orders past
-    its first known term; relative precision is preserved by multiplication,
-    so this is sound whenever downstream valuation queries stay within the
-    cap (they raise TruncationError otherwise).
+    ``rel_cap`` truncates every product ``rel_cap`` orders past its first
+    known term; relative precision is preserved by multiplication, so this
+    is sound whenever downstream valuation queries stay within the cap (they
+    raise TruncationError otherwise).
     """
     pows: dict[str, list[TruncatedSeries]] = {}
     one = TruncatedSeries.constant(ring, Fraction(1))
 
-    def cap(s: TruncatedSeries) -> TruncatedSeries:
-        return s if rel_cap is None else s.rel_capped(rel_cap)
+    def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+        ab = a * b
+        return ab if rel_cap is None else ab.rel_capped(rel_cap)
 
     def power(name: str, k: int) -> TruncatedSeries:
-        tab = pows.setdefault(name, [one])
+        tab = pows.setdefault(name, [one, assignment[name]])
         while len(tab) <= k:
-            tab.append(cap(tab[-1] * assignment[name]))
+            tab.append(mul(tab[-1], tab[1]))
         return tab[k]
 
-    out = []
-    for p in polys:
-        acc = TruncatedSeries.zero(ring)
-        for e, c in p.terms.items():
-            term = TruncatedSeries.constant(ring, c)
-            for name, k in zip(p.ring, e):
-                if k:
-                    term = cap(term * power(name, k))
-            acc = acc + term
-        out.append(acc.normalized())
-    return out
+    def const(c: Fraction) -> TruncatedSeries:
+        return TruncatedSeries.constant(ring, c)
+
+    return [
+        horner_evaluate(
+            p, lambda i, k, names=p.ring: power(names[i], k), mul, TruncatedSeries.__add__, const
+        ).normalized()
+        for p in polys
+    ]
 
 
 def newton_branch(

@@ -21,10 +21,16 @@ slower or narrower, and the tests compare them against the package:
 * ``sylvester_resultant``: the resultant of two univariate coefficient lists
   as the determinant of their Sylvester matrix, against which the sign and
   value of ``poly.resultant`` (subresultant PRS) are checked.
+* ``evaluate_polys_at_series_reference``: polynomials at truncated series
+  monomial by monomial on power tables, against which the Horner route of
+  ``series.evaluate_polys_at_series`` is checked.
+* ``theta_numerator_reference``: the numerator of Theta_i on a curve, summed
+  monomial by monomial with each term brought to the largest jet weight,
+  against which ``jets.theta`` (Horner on weighted pairs) is checked.
 * ``newton_branch_reference``: the branch of H(t, u) = 0 by Newton steps
-  that evaluate H and dH/du monomial by monomial and invert dH/du afresh at
-  every step, against which ``series.newton_branch`` (Horner, carried
-  inverse) is checked.
+  that evaluate H and dH/du with the monomial reference above and invert
+  dH/du afresh at every step, against which ``series.newton_branch``
+  (Horner, carried inverse) is checked.
 
 The elimination order compares monomials first by their total degree in the
 eliminated block, grevlex-tiebroken there, then the same in the kept block.
@@ -41,13 +47,23 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from sigcurve.degree import CHART_RING, _chart_polys, _combine
 from sigcurve.errors import ShearRequiredError, SigcurveError
-from sigcurve.jets import HOMOG_RING, CurveInput, GroupId, HomogeneousTriple, classifying_pair
+from sigcurve.jets import (
+    CURVE_RING,
+    HOMOG_RING,
+    CurveInput,
+    GroupId,
+    HomogeneousTriple,
+    classifying_pair,
+    implicit_jet,
+    jet_order,
+    theta_table,
+)
 from sigcurve.poly import SparsePoly, _int_form, gcd, resultant, square_free_part
-from sigcurve.series import SeriesRing, TruncatedSeries, evaluate_polys_at_series
+from sigcurve.series import SeriesRing, TruncatedSeries
 from sigcurve.signature import (
     SIG_RING,
     SignaturePolynomial,
@@ -661,6 +677,66 @@ def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# evaluation at ring elements, monomial by monomial
+
+
+def evaluate_polys_at_series_reference(
+    polys: Sequence[SparsePoly],
+    assignment: dict[str, TruncatedSeries],
+    ring: SeriesRing,
+    rel_cap: Optional[int] = None,
+) -> list[TruncatedSeries]:
+    """Each polynomial as the sum of its monomials, every monomial a product
+    of powers from one shared table; ``rel_cap`` truncates every product
+    ``rel_cap`` orders past its first known term."""
+    pows: dict[str, list[TruncatedSeries]] = {}
+    one = TruncatedSeries.constant(ring, Fraction(1))
+
+    def cap(s: TruncatedSeries) -> TruncatedSeries:
+        return s if rel_cap is None else s.rel_capped(rel_cap)
+
+    def power(name: str, k: int) -> TruncatedSeries:
+        tab = pows.setdefault(name, [one])
+        while len(tab) <= k:
+            tab.append(cap(tab[-1] * assignment[name]))
+        return tab[k]
+
+    out = []
+    for p in polys:
+        acc = TruncatedSeries.zero(ring)
+        for e, c in p.terms.items():
+            term = TruncatedSeries.constant(ring, c)
+            for name, k in zip(p.ring, e):
+                if k:
+                    term = cap(term * power(name, k))
+            acc = acc + term
+        out.append(acc.normalized())
+    return out
+
+
+def theta_numerator_reference(curve: CurveInput, index: int) -> tuple[SparsePoly, int]:
+    """(N, D) with Theta_index|_X = N / F_y^D: D is the largest jet weight
+    (u_n weighs 2n - 1) of a monomial of Theta_index, and each monomial
+    c * prod u_n^k_n contributes c * F_y^(D - w) * prod P_n^k_n."""
+    th = theta_table()[index]
+    jets = implicit_jet(curve, jet_order([index]))
+    fy = curve.fy()
+
+    def weight(e: Exponent) -> int:
+        return sum(k * (2 * n + 1) for n, k in enumerate(e))
+
+    D = max(weight(e) for e in th.terms)
+    num = SparsePoly.zero(CURVE_RING)
+    for e, c in th.terms.items():
+        term = SparsePoly.const(CURVE_RING, c) * fy ** (D - weight(e))
+        for n, k in enumerate(e):
+            if k:
+                term = term * jets.p(n + 1) ** k
+        num = num + term
+    return num, D
+
+
+# ---------------------------------------------------------------------------
 # branch expansion
 
 
@@ -683,6 +759,6 @@ def newton_branch_reference(
         p = min(2 * p, prec)
         w_ext = TruncatedSeries(ring, w.terms, w.den, p)
         assignment = {param: t.with_trunc(p), unknown: w_ext}
-        hv, dv = evaluate_polys_at_series([H, dH], assignment, ring)
+        hv, dv = evaluate_polys_at_series_reference([H, dH], assignment, ring)
         w = (w_ext - hv * dv.invert(p)).with_trunc(p).normalized()
     return w

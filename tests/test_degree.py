@@ -8,6 +8,7 @@ import pytest
 from oracles import mult_sum_line_resultant
 from sigcurve.degree import (
     GROUP_START_TRUNC,
+    _branch_jets,
     base_locus_on_curve,
     canonical_components_on_piece,
     generic_degree,
@@ -20,9 +21,17 @@ from sigcurve.degree import (
     series_valuations,
 )
 from sigcurve.errors import NonIntegralSymmetryError
-from sigcurve.jets import CurveInput, GroupId, projective_extension
+from sigcurve.jets import (
+    GROUP_THETAS,
+    CurveInput,
+    GroupId,
+    jet_order,
+    projective_extension,
+    theta_table,
+)
 from sigcurve.parser import parse
 from sigcurve.poly import SparsePoly
+from sigcurve.series import INF, TruncatedSeries, evaluate_polys_at_series
 
 R = ("x", "y")
 
@@ -201,6 +210,30 @@ def test_branch_at_a_zero_root_is_sized_past_its_valuation():
     assert fiber.q == (0, 1)
     assert fiber.x2.min_exp() == 3
     assert fiber.x2.trunc == 35
+
+
+def test_theta_series_take_horner_products(monkeypatch):
+    # Theta_5, Theta_7, Theta_8 at the PGL(3) jet series of a dense quartic
+    # take 181 products of two series monomial by monomial and 107 by
+    # Horner.  Not counted: the 70 and 63 products with an exact constant,
+    # each a scaling (one pass over the other operand).
+    group = GroupId.PGL3
+    work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
+    t = GROUP_START_TRUNC[group]
+    piece = infinity_pieces(work, t, 32)[0]
+    _x, _y, u = _branch_jets(piece, t, 32, jet_order(GROUP_THETAS[group]))
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        if not any(s.trunc >= INF and s.terms.keys() <= {(0, 0)} for s in (a, b)):
+            products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    polys = [theta_table()[i] for i in GROUP_THETAS[group]]
+    evaluate_polys_at_series(polys, u, piece.ring, rel_cap=32)
+    assert len(products) <= 130
 
 
 def test_affine_term_per_line_when_no_view_separates_points():

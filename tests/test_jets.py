@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import theta_numerator_reference
 from sigcurve.errors import ExceptionalCurveError
 from sigcurve.jets import (
     CurveInput,
@@ -19,7 +20,7 @@ from sigcurve.jets import (
     transform_point,
 )
 from sigcurve.parser import parse, serialize
-from sigcurve.poly import SparsePoly
+from sigcurve.poly import SparsePoly, exact_div
 from sigcurve.series import SeriesRing, intpoly_from_poly
 
 R = ("x", "y")
@@ -132,6 +133,16 @@ class TestTheta:
                     for n in range(1, 9)
                 }
                 assert theta_table()[i].evaluate(u) * fyv**t.d_i == t.T.evaluate(pt)
+
+    def test_theta_matches_monomial_reference(self):
+        rng = random.Random(23)
+        cases = [(rand_curve(rng, d), range(1, 7)) for d in (3, 4, 5)]
+        cases.append((rand_curve(rng, 3), (7,)))
+        for cv, indices in cases:
+            for i in indices:
+                num, D = theta_numerator_reference(cv, i)
+                t = theta(cv, i)
+                assert t.T == exact_div(num, cv.fy() ** (D - t.d_i)), (cv.F, i)
 
     def test_spot_check_at_the_theta_jet_order(self):
         # the check reads only the jets Theta_i uses and still refuses a

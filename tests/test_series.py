@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import newton_branch_reference
+from oracles import evaluate_polys_at_series_reference, newton_branch_reference
+from sigcurve.degree import infinity_pieces
 from sigcurve.errors import TruncationError
+from sigcurve.jets import CurveInput
 from sigcurve.parser import parse
 from sigcurve.poly import SparsePoly
 from sigcurve.series import (
+    INF,
     SeriesRing,
     TruncatedSeries,
     evaluate_polys_at_series,
@@ -164,3 +167,77 @@ def test_newton_branch_matches_reference():
         v = TruncatedSeries.variable(ring).with_trunc(prec)
         (residual,) = evaluate_polys_at_series([H], {"v": v, "w": br}, ring)
         assert residual.trunc >= prec and all(j >= prec for j, _ in residual.terms), (H, prec)
+
+
+def _agree_below_trunc(a, b):
+    """Equal coefficients at every order below both truncations."""
+    top = min(a.trunc, b.trunc)
+    for j in {j for j, _ in a.terms} | {j for j, _ in b.terms}:
+        if j < top:
+            assert a.coeff_fractions(j) == b.coeff_fractions(j), j
+
+
+def _random_series(rng, ring, exact):
+    """A series with valuation 0..2 and 1..6 terms; truncated at 4..14
+    orders past its valuation unless ``exact``."""
+    v = rng.randint(0, 2)
+    terms = {}
+    for j in range(v, v + rng.randint(1, 6)):
+        for k in range(ring.deg):
+            c = rng.randint(-5, 5)
+            if c or (j == v and k == 0):
+                terms[(j, k)] = c or 1
+    trunc = INF if exact else v + rng.randint(4, 14)
+    return TruncatedSeries(ring, terms, rng.randint(1, 4), trunc).normalized()
+
+
+def _random_polys(seed, count):
+    """Polynomials over 1-3 variables with sparse exponents up to 7 (so with
+    gaps), the zero polynomial and constants among them."""
+    rng = random.Random(seed)
+    polys = [SparsePoly.zero(("a",)), SparsePoly.const(("a", "b"), Fraction(-3, 2))]
+    while len(polys) < count:
+        ring = ("a", "b", "c")[: rng.randint(1, 3)]
+        terms = [
+            (tuple(rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in ring),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        polys.append(SparsePoly.from_terms(ring, terms))
+    return polys
+
+
+@pytest.mark.parametrize("q", [(-2, 1), (-3, 0, 0, 1)], ids=["deg1", "deg3"])
+@pytest.mark.parametrize("rel_cap", [None, 8])
+def test_evaluate_matches_monomial_reference(q, rel_cap):
+    ring = SeriesRing(q)
+    rng = random.Random(f"{q}/{rel_cap}")
+    polys = _random_polys(5, 60)
+    assert any(p.is_zero() for p in polys) and any(p.terms and p.is_constant() for p in polys)
+    for exact in (False, True):
+        for p in polys:
+            at = {name: _random_series(rng, ring, exact) for name in p.ring}
+            (got,) = evaluate_polys_at_series([p], at, ring, rel_cap)
+            (ref,) = evaluate_polys_at_series_reference([p], at, ring, rel_cap)
+            _agree_below_trunc(got, ref)
+            # no known order is lost: a lower trunc would mean a retry at a
+            # doubled truncation on the degree route
+            assert got.trunc >= ref.trunc, p
+            if exact and rel_cap is None:
+                assert (got.terms, got.den, got.trunc) == (ref.terms, ref.den, ref.trunc), p
+
+
+def test_invert_claims_only_known_orders():
+    # the corner branch of this cubic at truncation 16: x0 = s(u) has
+    # valuation 2, so its inverse is known to 16 - 2 - 2 = 12 orders
+    cv = CurveInput.from_poly(parse("y^2-x^3+x^2*y+x+1", ("x", "y")))
+
+    def corner_x0(trunc):
+        [piece] = [p for p in infinity_pieces(cv, trunc) if p.q is None]
+        return piece.x0
+
+    x0 = corner_x0(16)
+    assert (x0.trunc, x0.valuation()) == (16, 2)
+    inv = x0.invert(24)
+    assert inv.trunc == 12
+    _agree_below_trunc(inv, corner_x0(64).invert(80))
