@@ -11,6 +11,7 @@ import time
 import warnings
 
 from sigcurve.degree import generic_degree, predict_degree
+from sigcurve.errors import InvalidCurveError
 from sigcurve.jets import CurveInput, GroupId
 from sigcurve.poly import SparsePoly
 
@@ -23,7 +24,10 @@ def rand_curve(rng, d):
             R,
             [((i, j), rng.randint(-9, 9)) for i in range(d + 1) for j in range(d + 1 - i)],
         )
-        cv = CurveInput.from_poly(F)
+        try:
+            cv = CurveInput.from_poly(F)
+        except InvalidCurveError:
+            continue  # not squarefree
         if cv.d == d and not cv.fy().is_zero():
             return cv
 

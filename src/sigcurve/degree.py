@@ -16,7 +16,8 @@ evaluated there; the canonical triple is assembled from the jet series and
 never builds the T_i products, the only feasible way for PGL(3) at d >= 4),
 one driver runs the trial lines, the lower bound and the truncation
 doubling, and one affine routine adds the affine base points of special
-curves.
+curves.  The canonical components share a factor x0^deg(sigma) * F_y^k,
+counted once by its valuation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import tee
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -69,13 +72,17 @@ DEFAULT_TRUNC = 80  # starting truncation of explicit triples and valuation tabl
 MAX_TRUNC = 320
 SHEAR_RETRIES = 5  # group elements tried before the chart at infinity is refused
 
-# starting truncation per group for the canonical multiplicity route, whose
-# series are capped 32 orders past their first term: the per-branch
-# valuations are degree-independent (0 / 16 / 12 / 72), so a small margin
-# suffices; TruncationError doubles truncation and cap together for special
-# curves (Fermat corner tangencies etc.).  The branches at infinity are
-# expanded only as far as the capped series read them (the branch valuation
-# plus the cap, see infinity_pieces), below the truncation for PGL(3)
+# relative cap of the canonical route: every series is known this many
+# orders past its first term.  The deepest cancellation is in Theta_8 on the
+# fiber piece, which loses 14 orders on every dense and sparse quartic and
+# quintic scanned, leaving 2 known orders (Theta_7 keeps 6, the rest 11-16);
+# TruncationError doubles cap and truncation together for special curves
+CANONICAL_REL_CAP = 16
+
+# starting truncation per group for the canonical route: the per-branch
+# valuations are degree-independent (0 / 16 / 12 / 72).  The branches at
+# infinity are expanded only to their valuation plus the cap (see
+# infinity_pieces), below the truncation for PGL(3)
 GROUP_START_TRUNC = {
     GroupId.SE2: 16,
     GroupId.SA2: 30,
@@ -273,55 +280,28 @@ def _jet_series(
 
 def canonical_components_on_piece(
     curve: CurveInput, group: GroupId, piece: BranchPiece, trunc: int, rel: int
-) -> list[TruncatedSeries]:
-    """The three canonical sigma components along a branch piece, assembled
-    from the jet series: T_i contributes x0^tau_i * Theta_i(jets) * F_y^d_i,
-    never touching the T_i polynomials.
+) -> tuple[list[TruncatedSeries], int]:
+    """The three canonical sigma components along a branch piece with their
+    common factor divided out, and the valuation of that factor.
+
+    T_i restricts to x0^tau_i * Theta_i(jets) * F_y^d_i, so every component
+    x0^e * prod T_i^p is x0^deg(sigma) * F_y^k (k = 6, 24, 24, 96) times the
+    Theta product prod Theta_i^p.  Valuations add at each point of the
+    fiber, so the factor counts once: deg(sigma) * val x0 + k * val F_y, a
+    fiber sum on the quotient-ring piece.
 
     ``rel`` caps every series ``rel`` orders past its first known term;
     relative precision survives multiplication, and insufficient caps
     surface as TruncationError in the downstream valuation queries."""
-    ring = piece.ring
     needed = GROUP_THETAS[group]
     fy, theta_series = _jet_series(curve, piece, trunc, rel, needed)
-    fy_pows: dict[int, TruncatedSeries] = {}
-
-    def fy_pow(k: int) -> TruncatedSeries:
-        if k not in fy_pows:
-            fy_pows[k] = _pow_rel(fy, k, rel)
-        return fy_pows[k]
-
-    x0_pows: dict[int, TruncatedSeries] = {0: TruncatedSeries.constant(ring, Fraction(1))}
-
-    def x0_pow(k: int) -> TruncatedSeries:
-        if k not in x0_pows:
-            x0_pows[k] = _pow_rel(piece.x0, k, rel)
-        return x0_pows[k]
-
-    d = curve.d
-    t_series: dict[int, TruncatedSeries] = {}
-    for i, th in zip(needed, theta_series):
-        a, b = TAU_COEFFS[i]
-        t_series[i] = (th * fy_pow(FY_EXPONENT[i]) * x0_pow(a * d + b)).rel_capped(rel)
-    comps = []
-    for x0p, factors in SIGMA_RECIPES[group]:
-        c = x0_pow(x0p)
-        for i, p in factors:
-            c = (c * _pow_rel(t_series[i], p, rel)).rel_capped(rel)
-        comps.append(c)
-    return comps
-
-
-def _pow_rel(s: TruncatedSeries, n: int, rel: int) -> TruncatedSeries:
-    result = TruncatedSeries.constant(s.ring, Fraction(1))
-    base = s
-    while n:
-        if n & 1:
-            result = (result * base).rel_capped(rel)
-        n >>= 1
-        if n:
-            base = (base * base).rel_capped(rel)
-    return result
+    # products of series known at most ``rel`` orders past their first term
+    # are again so: the Theta products need no further cap
+    thetas = {i: th.rel_capped(rel) for i, th in zip(needed, theta_series)}
+    comps = [reduce(mul, (thetas[i] ** p for i, p in fs)) for _x0p, fs in SIGMA_RECIPES[group]]
+    a, b = SIGMA_DEGREE[group]
+    k = sum(FY_EXPONENT[i] * p for i, p in SIGMA_RECIPES[group][0][1])
+    return comps, (a * curve.d + b) * _piece_val(piece.x0, piece) + k * _piece_val(fy, piece)
 
 
 def _certify_zero_components(
@@ -377,8 +357,9 @@ def _affine_projections(curve: CurveInput, cut: Callable[[], Sequence[SparsePoly
     candidate polynomial gsf (in x, from the resultant gcd) avoids the zeros
     of the leading y-coefficient of F, with the resultants of the cut by
     polynomial; gsf None means the gcd is constant, so no affine base point
-    exists, and ends the views.  ``cut()`` is called when the first view is
-    reached."""
+    exists, and ends the views.  A cut polynomial that vanishes on the curve
+    (resultant 0) constrains nothing.  ``cut()`` is called when the first
+    view is reached."""
     x, y = SparsePoly.var(CURVE_RING, "x"), SparsePoly.var(CURVE_RING, "y")
     cut = cut()
     for images in [None] + [(x + y.scale(k), y) for k in (1, 2, 3)] + [(y, x)]:
@@ -386,11 +367,15 @@ def _affine_projections(curve: CurveInput, cut: Callable[[], Sequence[SparsePoly
         res: dict[SparsePoly, SparsePoly] = {}
         g: Optional[SparsePoly] = None
         for p in cut:
-            res[p] = _curve_resultant(F, _view(p, images))
+            res[p] = resultant(F, _view(p, images), "y")
+            if res[p].is_zero():
+                continue
             g = res[p] if g is None else gcd(g, res[p])
             if g.is_constant():
                 yield images, F, None, res
                 return
+        if g is None:
+            raise ShearRequiredError("every base component vanishes on the curve")
         gsf = square_free_part(g)
         lc = _lc_in(F, 1)
         if lc.is_constant() or gcd(gsf, lc).total_degree() <= 0:
@@ -439,11 +424,13 @@ def _affine_term(
         viewed = {f: _view(f, images) for f in factors}
         if not _one_point_per_fiber(F, gsf, list(viewed.values())):
             continue
-        # Res(F, prod f^k) = prod Res(F, f)^k
+        # Res(F, prod f^k) = prod Res(F, f)^k; a factor that vanishes on the
+        # curve (resultant 0) gives its component infinite order
         for f in factors:
             if f not in res:
-                res[f] = _curve_resultant(F, viewed[f])
-        total = _affine_ideal([[(res[f], k) for f, k in comp] for comp in components], gsf)
+                res[f] = resultant(F, viewed[f], "y")
+        live = [comp for comp in components if all(not res[f].is_zero() for f, _ in comp)]
+        total = _affine_ideal([[(res[f], k) for f, k in comp] for comp in live], gsf)
         return total, ("included" if total else "verified-empty")
     return 0, "per-line"
 
@@ -526,7 +513,8 @@ def _combine(a: Sequence, items: Sequence, acc):
     return acc
 
 
-def _random_lines(rng: random.Random, trials: int) -> Iterable[tuple[Fraction, ...]]:
+def _random_lines(seed: int, trials: int) -> Iterable[tuple[Fraction, ...]]:
+    rng = random.Random(seed * 9176 + 11)
     for _ in range(trials):
         a = tuple(Fraction(rng.randint(-10_000, 10_000)) for _ in range(3))
         while all(x == 0 for x in a):
@@ -543,7 +531,8 @@ def _piece_val(comb: TruncatedSeries, piece: BranchPiece) -> int:
 def _piece_min(comps: Sequence[TruncatedSeries], piece: BranchPiece) -> int:
     if piece.q is not None:
         return fiber_min_valuation_sum(comps, piece.q)
-    return min(c.valuation() for c in comps)
+    # an exact zero has infinite valuation
+    return min(c.valuation() for c in comps if c.terms or c.trunc < INF)
 
 
 def _doubling(attempt: Callable, trunc: int):
@@ -561,9 +550,9 @@ def _doubling(attempt: Callable, trunc: int):
 
 def _mult_report(
     curve: CurveInput,
-    components: Callable[[BranchPiece, int, int], list[TruncatedSeries]],
+    components: Callable[[BranchPiece, int, int], tuple[list[TruncatedSeries], int]],
     affine: Callable[[list], tuple[list[int], int, str]],
-    lines: Callable[[], Iterable[Sequence[Fraction]]],
+    lines: Iterable[Sequence[Fraction]],
     trunc: int,
     rel: Optional[int],
 ) -> tuple[MultiplicityReport, str]:
@@ -572,30 +561,31 @@ def _mult_report(
 
     ``components(piece, trunc, rel)`` gives the three sigma series on a
     branch piece, each capped ``rel`` orders past its first term (None: no
-    cap, and the branches are expanded to the full truncation);
-    ``lines()`` yields the trial a-vectors of one attempt; ``affine(lines)``
-    gives the per-line affine terms, the affine term of the lower bound and
-    its status.  Truncation and the relative cap double together until
-    every valuation is certified.
+    cap, and the branches are expanded to the full truncation), and the
+    valuation of a factor common to all three that the series leave out;
+    ``affine(lines)`` gives the per-line affine terms, the affine term of
+    the lower bound and its status.  Truncation and the relative cap double
+    together until every valuation is certified; the trial lines are drawn
+    once, so the report does not depend on the doublings.
     """
+    lines = list(lines)
 
     def attempt(t: int):
         cap = None if rel is None else rel * t // trunc
-        pieces = infinity_pieces(curve, t, cap)
-        all_comps = [components(p, t, cap) for p in pieces]
-        results = []
-        for a in lines():
-            total = sum(
-                _piece_val(_combine(a, comps, TruncatedSeries.zero(piece.ring)), piece)
-                for piece, comps in zip(pieces, all_comps)
+        on_pieces = [(p, *components(p, t, cap)) for p in infinity_pieces(curve, t, cap)]
+        results = [
+            sum(
+                _piece_val(_combine(a, comps, TruncatedSeries.zero(piece.ring)), piece) + common
+                for piece, comps, common in on_pieces
             )
-            results.append((a, total))
-        lower = sum(_piece_min(comps, piece) for piece, comps in zip(pieces, all_comps))
+            for a in lines
+        ]
+        lower = sum(_piece_min(comps, piece) + common for piece, comps, common in on_pieces)
         return results, lower
 
     results, lower = _doubling(attempt, trunc)
-    line_sums, affine_lower, status = affine([a for a, _ in results])
-    trials = tuple((tuple(a), s + t) for (a, s), t in zip(results, line_sums))
+    line_sums, affine_lower, status = affine(lines)
+    trials = tuple((tuple(a), s + t) for a, s, t in zip(lines, results, line_sums))
     min_sum = min(s for _, s in trials)
     lower += affine_lower
     report = MultiplicityReport(
@@ -613,7 +603,7 @@ def _mult_report(
 
 
 def _triple_report(
-    curve: CurveInput, sigma: HomogeneousTriple, lines: Callable
+    curve: CurveInput, sigma: HomogeneousTriple, lines: Iterable[Sequence[Fraction]]
 ) -> MultiplicityReport:
     comps = sigma.dehomogenized()
     nonzero = [c for c in comps if not c.is_zero()]
@@ -626,7 +616,7 @@ def _triple_report(
 
     return _mult_report(
         curve,
-        lambda piece, _t, _rel: _triple_components_on_piece(sigma, piece),
+        lambda piece, _t, _rel: (_triple_components_on_piece(sigma, piece), 0),
         affine_part,
         lines,
         DEFAULT_TRUNC,
@@ -639,7 +629,7 @@ def mult_sum_line(curve: CurveInput, sigma: HomogeneousTriple, a: Sequence) -> i
     the branches at infinity (the corner [0:0:1] in its own chart when it
     lies on the curve) plus the affine base points of this line."""
     line = tuple(Fraction(x) for x in a)
-    return _triple_report(curve, sigma, lambda: [line]).min_sum
+    return _triple_report(curve, sigma, [line]).min_sum
 
 
 def mult_min(
@@ -652,8 +642,7 @@ def mult_min(
     ideal lower bound; the sandwich closes on generic inputs."""
     if trials < 3:
         raise ValueError("at least 3 trials required")
-    rng = random.Random(seed * 9176 + 11)
-    return _triple_report(curve, sigma, lambda: _random_lines(rng, trials))
+    return _triple_report(curve, sigma, _random_lines(seed, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +696,10 @@ def mult_min_canonical(
     """
     chart = infinity_chart(curve, group, seed)
     work = chart.curve
-    rng = random.Random(seed * 9176 + 11)
 
-    def components(piece: BranchPiece, t: int, rel: int) -> list[TruncatedSeries]:
-        comps = canonical_components_on_piece(work, group, piece, t, rel)
-        return _certify_zero_components(work, group, comps)
+    def components(piece: BranchPiece, t: int, rel: int) -> tuple[list[TruncatedSeries], int]:
+        comps, common = canonical_components_on_piece(work, group, piece, t, rel)
+        return _certify_zero_components(work, group, comps), common
 
     def affine_part(trial_lines: list) -> tuple[list[int], int, str]:
         views, first = tee(_affine_projections(work, lambda: _canonical_cut(work, group)))
@@ -725,9 +713,9 @@ def mult_min_canonical(
         work,
         components,
         affine_part,
-        lambda: _random_lines(rng, max(trials, 3)),
+        _random_lines(seed, max(trials, 3)),
         GROUP_START_TRUNC[group],
-        rel=32,
+        rel=CANONICAL_REL_CAP,
     )
     return report, chart, status
 
@@ -800,7 +788,7 @@ def base_locus_on_curve(curve: CurveInput, sigma: HomogeneousTriple) -> BaseLocu
             evidence = f"common x-candidates cut out by a degree-{gsf.total_degree()} polynomial"
             return BaseLocusReport(None, evidence, inf)
     except ShearRequiredError:
-        return BaseLocusReport(None, "a component shares a factor with F", inf)
+        return BaseLocusReport(None, "every component vanishes on the curve", inf)
     return BaseLocusReport(None, "candidates meet the leading coefficient of F in every view", inf)
 
 

@@ -31,6 +31,10 @@ slower or narrower, and the tests compare them against the package:
   that evaluate H and dH/du with the monomial reference above and invert
   dH/du afresh at every step, against which ``series.newton_branch``
   (Horner, carried inverse) is checked.
+* ``canonical_components_reference``: the canonical sigma components along
+  a branch piece with the common factor x0^deg(sigma) * F_y^k multiplied
+  in, against which ``degree.canonical_components_on_piece`` (the Theta
+  products, the factor counted once by its valuation) is checked.
 
 The elimination order compares monomials first by their total degree in the
 eliminated block, grevlex-tiebroken there, then the same in the kept block.
@@ -49,11 +53,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from sigcurve.degree import CHART_RING, _chart_polys, _combine
+from sigcurve.degree import CHART_RING, BranchPiece, _chart_polys, _combine, _jet_series
 from sigcurve.errors import ShearRequiredError, SigcurveError
 from sigcurve.jets import (
     CURVE_RING,
+    FY_EXPONENT,
+    GROUP_THETAS,
     HOMOG_RING,
+    SIGMA_RECIPES,
+    TAU_COEFFS,
     CurveInput,
     GroupId,
     HomogeneousTriple,
@@ -762,3 +770,36 @@ def newton_branch_reference(
         hv, dv = evaluate_polys_at_series_reference([H, dH], assignment, ring)
         w = (w_ext - hv * dv.invert(p)).with_trunc(p).normalized()
     return w
+
+
+# ---------------------------------------------------------------------------
+# canonical sigma components with the common factor
+
+
+def canonical_components_reference(
+    curve: CurveInput, group: GroupId, piece: BranchPiece, trunc: int, rel: int
+) -> list[TruncatedSeries]:
+    """The three canonical sigma components along a branch piece: T_i as
+    x0^tau_i * Theta_i(jets) * F_y^d_i, and each component as x0^e * prod
+    T_i^p, every product capped ``rel`` orders past its first term."""
+    fy, thetas = _jet_series(curve, piece, trunc, rel, GROUP_THETAS[group])
+    one = TruncatedSeries.constant(piece.ring, Fraction(1))
+
+    def power(s: TruncatedSeries, k: int) -> TruncatedSeries:
+        out = one
+        for _ in range(k):
+            out = (out * s).rel_capped(rel)
+        return out
+
+    t_series = {}
+    for i, th in zip(GROUP_THETAS[group], thetas):
+        a, b = TAU_COEFFS[i]
+        tau = a * curve.d + b
+        t_series[i] = (th * power(fy, FY_EXPONENT[i]) * power(piece.x0, tau)).rel_capped(rel)
+    comps = []
+    for x0p, factors in SIGMA_RECIPES[group]:
+        c = power(piece.x0, x0p)
+        for i, p in factors:
+            c = (c * power(t_series[i], p)).rel_capped(rel)
+        comps.append(c)
+    return comps

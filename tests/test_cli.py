@@ -92,6 +92,7 @@ def check_schema(payload):
         ["signature", "--curve", "x^2+x*y+y^2-1", "--group", "SE2"],
         ["signature", "--curve", "x^2+y^2-1", "--group", "SE2"],
         ["degree", "--curve", "x^3+y^3+1", "--group", "A2"],
+        ["degree", "--curve", "y^2-x^3", "--group", "PGL3"],
         ["symmetry", "--curve", "y^2-x^3", "--group", "SE2"],
         ["equiv", "--curve", "x^2+x*y+y^2-1", "--curve2", "x^2+y^2-1", "--group", "SE2"],
         ["samples", "--curve", "x^2+y^2-1", "--group", "SE2", "--count", "3"],

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import mult_sum_line_resultant
+import sigcurve.degree as degree_mod
+from oracles import canonical_components_reference, mult_sum_line_resultant
 from sigcurve.degree import (
+    CANONICAL_REL_CAP,
     GROUP_START_TRUNC,
     _branch_jets,
+    _certify_zero_components,
+    _jet_series,
+    _mult_report,
+    _random_lines,
     base_locus_on_curve,
     canonical_components_on_piece,
     generic_degree,
@@ -191,25 +197,117 @@ def test_sized_branches_give_the_same_components(curve, group, doublings):
     # relative cap; the components must equal those from the full branch
     work = infinity_chart(curve(), group).curve
     t = GROUP_START_TRUNC[group] << doublings
-    rel = 32 << doublings
+    rel = CANONICAL_REL_CAP << doublings
     full = infinity_pieces(work, t)
     sized = infinity_pieces(work, t, rel)
     assert [p.q for p in full] == [p.q for p in sized]
     for pf, ps in zip(full, sized):
-        cf = canonical_components_on_piece(work, group, pf, t, rel)
-        cs = canonical_components_on_piece(work, group, ps, t, rel)
+        cf, common_f = canonical_components_on_piece(work, group, pf, t, rel)
+        cs, common_s = canonical_components_on_piece(work, group, ps, t, rel)
         assert [(c.terms, c.den, c.trunc) for c in cf] == [(c.terms, c.den, c.trunc) for c in cs]
+        assert common_f == common_s
+
+
+CANONICAL_CURVES = {
+    "worked-cubic": lambda: CurveInput.from_poly(parse("x^2*y + y^2 + y + 64/121")),
+    "cusp": lambda: CurveInput.from_poly(parse("y^2 - x^3")),
+    "fermat-quartic": lambda: CurveInput.from_poly(parse("x^4 + y^4 + 1")),
+    "dense-quartic": lambda: rand_curve(random.Random(15), 4, height=1),
+    "dense-quintic": lambda: rand_curve(random.Random(8), 5, height=2),
+}
+ALL_GROUPS = (GroupId.SE2, GroupId.SA2, GroupId.A2, GroupId.PGL3)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS)
+@pytest.mark.parametrize("name", CANONICAL_CURVES)
+def test_common_factor_counted_once_matches_reference(name, group):
+    # the components with x0^deg(sigma) * F_y^k multiplied in give the same
+    # trial-line sums and lower bound as the Theta products plus the
+    # factor's valuation (the worked cubic meets infinity at w = 0 under
+    # PGL(3); the cusp's branch at infinity is the corner piece, where its
+    # PGL(3) component T_8 * T_5^4 is an exact zero)
+    work = infinity_chart(CANONICAL_CURVES[name](), group).curve
+
+    def reference(piece, t, rel):
+        comps = canonical_components_reference(work, group, piece, t, rel)
+        return _certify_zero_components(work, group, comps), 0
+
+    def counted_once(piece, t, rel):
+        comps, common = canonical_components_on_piece(work, group, piece, t, rel)
+        return _certify_zero_components(work, group, comps), common
+
+    def report(components):
+        no_affine = lambda lines: ([0] * len(lines), 0, "none")
+        return _mult_report(
+            work, components, no_affine, _random_lines(3, 4), GROUP_START_TRUNC[group],
+            CANONICAL_REL_CAP,
+        )[0]
+
+    want, got = report(reference), report(counted_once)
+    assert got.trials == want.trials
+    assert got.lower_bound == want.lower_bound
+
+
+def _count_pieces(monkeypatch) -> list:
+    calls = []
+    pieces = degree_mod.infinity_pieces
+
+    def counted(*args):
+        calls.append(args)
+        return pieces(*args)
+
+    monkeypatch.setattr(degree_mod, "infinity_pieces", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d, seed", [(4, 3), (4, 11), (5, 6)])
+def test_relative_cap_leaves_a_margin_on_generic_curves(monkeypatch, d, seed):
+    # the cap's justification: at the starting cap every Theta series along
+    # every branch piece keeps at least 2 known orders past its first
+    # nonzero term, and predict_degree never doubles the truncation
+    cv = rand_curve(random.Random(seed), d)
+    calls = _count_pieces(monkeypatch)
+    for group in ALL_GROUPS:
+        work = infinity_chart(cv, group).curve
+        t = GROUP_START_TRUNC[group]
+        for piece in infinity_pieces(work, t, CANONICAL_REL_CAP):
+            _fy, thetas = _jet_series(work, piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
+            assert all(th.trunc - th.valuation() >= 2 for th in thetas), (group, piece.q)
+        calls.clear()
+        rep = predict_degree(cv, group, n=1, seed=seed)
+        assert rep.deg_S_predicted == generic_degree(group, d)
+        assert len(calls) == 1
+
+
+def test_report_does_not_depend_on_the_doublings(monkeypatch):
+    # a cap of 2 is too small for the Fermat cubic under A(2): one doubling,
+    # and the report, trial lines included, is the unforced one
+    cv = CurveInput.from_poly(parse("x^3 + y^3 + 1"))
+    want = predict_degree(cv, GroupId.A2, seed=4)
+    monkeypatch.setattr(degree_mod, "CANONICAL_REL_CAP", 2)
+    calls = _count_pieces(monkeypatch)
+    assert predict_degree(cv, GroupId.A2, seed=4) == want
+    assert len(calls) == 2
+
+
+def test_cusp_degree_under_pgl3_is_zero():
+    # the cusp's PGL(3) signature is a point: T_8 vanishes on the curve, its
+    # component is an exact zero at infinity and has infinite order at the
+    # affine base point
+    rep = predict_degree(CurveInput.from_poly(parse("y^2 - x^3")), GroupId.PGL3)
+    assert rep.n_times_deg_S == 0
+    assert rep.mult_report.sandwich_closed
 
 
 def test_branch_at_a_zero_root_is_sized_past_its_valuation():
     # the worked cubic under PGL(3) meets infinity at w = 0, where the
-    # branch starts at v^3: the cap reads it to order 3 + 32
+    # branch starts at v^3: the cap reads it to order 3 + the cap
     cubic = CurveInput.from_poly(parse("x^2*y + y^2 + y + 64/121"))
     work = infinity_chart(cubic, GroupId.PGL3).curve
-    fiber = infinity_pieces(work, 80, 32)[0]
+    fiber = infinity_pieces(work, 80, CANONICAL_REL_CAP)[0]
     assert fiber.q == (0, 1)
     assert fiber.x2.min_exp() == 3
-    assert fiber.x2.trunc == 35
+    assert fiber.x2.trunc == 3 + CANONICAL_REL_CAP
 
 
 def test_theta_series_take_horner_products(monkeypatch):
