@@ -16,8 +16,11 @@ evaluated there; the canonical triple is assembled from the jet series and
 never builds the T_i products, the only feasible way for PGL(3) at d >= 4),
 one driver runs the trial lines, the lower bound and the truncation
 doubling, and one affine routine adds the affine base points of special
-curves.  The canonical components share a factor x0^deg(sigma) * F_y^k,
-counted once by its valuation.
+curves.  On a generic curve that routine takes one exact resultant: images
+mod a 31-bit prime prove the resultant gcd constant, and further exact
+resultants and gcds run only where the images cannot decide.  The canonical
+components share a factor x0^deg(sigma) * F_y^k, counted once by its
+valuation.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .jets import (
     theta,
     theta_table,
 )
+from .modp import resultant_coprime_image
 from .poly import SparsePoly, _lc_in, exact_div, gcd, resultant, square_free_part
 from .series import (
     INF,
@@ -359,7 +363,18 @@ def _affine_projections(curve: CurveInput, cut: Callable[[], Sequence[SparsePoly
     polynomial; gsf None means the gcd is constant, so no affine base point
     exists, and ends the views.  A cut polynomial that vanishes on the curve
     (resultant 0) constrains nothing.  ``cut()`` is called when the first
-    view is reached."""
+    view is reached.
+
+    The first resultant with a nonzero value is exact.  In the first view,
+    before each later one, ``resultant_coprime_image`` tries to prove from
+    images mod a 31-bit prime that its gcd with the exact one so far is
+    constant; when it does, the view yields gsf None at once and ``res``
+    lacks that resultant, which no caller reads then.  A generic curve is
+    settled so, after one exact resultant, unless the prime is unlucky; the
+    exact resultant and gcd run only when the image cannot decide.  Later
+    views are reached only when the first gcd is nonconstant, which on the
+    special curves means affine base points that every view sees, so the
+    image is not tried there."""
     x, y = SparsePoly.var(CURVE_RING, "x"), SparsePoly.var(CURVE_RING, "y")
     cut = cut()
     for images in [None] + [(x + y.scale(k), y) for k in (1, 2, 3)] + [(y, x)]:
@@ -367,7 +382,11 @@ def _affine_projections(curve: CurveInput, cut: Callable[[], Sequence[SparsePoly
         res: dict[SparsePoly, SparsePoly] = {}
         g: Optional[SparsePoly] = None
         for p in cut:
-            res[p] = resultant(F, _view(p, images), "y")
+            viewed = _view(p, images)
+            if images is None and g is not None and resultant_coprime_image(g, F, viewed, "y"):
+                yield images, F, None, res
+                return
+            res[p] = resultant(F, viewed, "y")
             if res[p].is_zero():
                 continue
             g = res[p] if g is None else gcd(g, res[p])

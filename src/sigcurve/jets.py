@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExceptionalCurveError, InvalidCurveError, VerticalLineError
+from .modp import pseudo_remainder_image
 from .poly import RatFunc, SparsePoly, exact_div, gcd, horner_evaluate, pseudo_remainder
 from .series import SeriesRing, TruncatedSeries, evaluate_polys_at_series, newton_branch
 
@@ -353,9 +354,18 @@ class ExceptionalVerdict:
 def _vanishes_on_curve(p: SparsePoly, curve: CurveInput) -> bool:
     """Exact test that p is 0 modulo F (for irreducible F with deg_y F >= 1):
     pseudo-reduce with respect to y; the remainder has smaller y-degree than
-    F, so it vanishes exactly when p was a multiple of F."""
+    F, so it vanishes exactly when p was a multiple of F.
+
+    A nonzero image of the remainder mod a 31-bit prime proves it nonzero
+    (``pseudo_remainder_image``: the prime divides no denominator and F keeps
+    its y-degree), which answers "no" on a curve that is not exceptional
+    unless the prime is unlucky.  The exact ``pseudo_remainder`` runs only
+    when the image is zero or cannot be taken."""
     if p.is_zero():
         return True
+    image = pseudo_remainder_image(p, curve.F, "y")
+    if image is not None and any(image):
+        return False
     return pseudo_remainder(p, curve.F, "y").is_zero()
 
 

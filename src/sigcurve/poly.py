@@ -25,6 +25,9 @@ construction; the determinant itself is a test oracle (``tests/oracles.py``).
 ``horner_evaluate`` is the one route that evaluates a polynomial at elements
 of another ring (truncated series, or numerators over powers of F_y): nested
 Horner over a grouping of its terms by variable.
+
+The dense arithmetic modulo a prime, for the gcd images and for the images
+that answer "no" without an exact remainder or resultant, is in ``modp``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import PoleError, RingMismatchError, SigcurveError, UnknownVariableError
+from .modp import _modp_gcd_dict, _primes_31bit
 
 Exponent = tuple[int, ...]
 Coeff = Fraction
@@ -794,176 +798,6 @@ def _gcd_crt(
                 pass  # not a common divisor yet: more primes
         if modulus > ceiling * prime:
             raise SigcurveError("modular gcd: the images do not lift to a common divisor")
-
-
-def _modp_gcd_dict(a: dict, b: dict, prime: int, start: int) -> dict:
-    """Monic (lex) gcd over F_p of two nonzero polynomials given as
-    exponent -> residue dicts, by recursion on the last variable.
-
-    Both operands are split into their content in the last variable and a
-    primitive part.  The primitive parts are evaluated at start, start + 1,
-    ... (skipping points where a leading coefficient in the other variables
-    vanishes), the gcd of each evaluation is scaled by gamma, the gcd of those
-    leading coefficients, and the scaled images are interpolated by Newton's
-    formula.
-    An image of larger degree vector comes from an unlucky point and is
-    discarded; a smaller one restarts the interpolation, and a constant one
-    leaves the gcd of the contents as the answer.  After one point more than
-    the degree bound, the interpolant's primitive part times the gcd of the
-    contents is the answer."""
-    ac, bc = _split_last(a), _split_last(b)
-    if len(next(iter(a))) == 1:
-        return _join_last({(): _modp_gcd(ac[()], bc[()], prime)})
-    cont_a, cont_b = _modp_content(ac.values(), prime), _modp_content(bc.values(), prime)
-    cont = _modp_gcd(cont_a, cont_b, prime)
-    ac = {h: _modp_quo(c, cont_a, prime) for h, c in ac.items()}
-    bc = {h: _modp_quo(c, cont_b, prime) for h, c in bc.items()}
-    la, lb = ac[max(ac)], bc[max(bc)]
-    gamma = _modp_gcd(la, lb, prime)
-    bound = min(max(map(len, ac.values())), max(map(len, bc.values()))) + len(gamma) - 2
-    lead = None
-    for point in range(start, start + prime):
-        if not _horner(la, point, prime) or not _horner(lb, point, prime):
-            continue
-        ac_pt, bc_pt = _eval_last(ac, point, prime), _eval_last(bc, point, prime)
-        image = _modp_gcd_dict(ac_pt, bc_pt, prime, start)
-        top = max(image)
-        if not any(top):
-            return _join_last({top: cont})
-        if lead is None or top < lead:
-            lead, interp, basis = top, {}, [1]
-        elif top > lead:
-            continue  # unlucky point
-        g_pt = _horner(gamma, point, prime)
-        inv = pow(_horner(basis, point, prime), -1, prime)
-        for h in interp.keys() | image.keys():
-            cur = interp.setdefault(h, [])
-            diff = (image.get(h, 0) * g_pt - _horner(cur, point, prime)) * inv % prime
-            cur.extend([0] * (len(basis) - len(cur)))
-            for j, c in enumerate(basis):
-                cur[j] = (cur[j] + diff * c) % prime
-        basis = _modp_mul(basis, [-point % prime, 1], prime)
-        if len(basis) - 1 > bound:
-            break
-    hc = _modp_content(interp.values(), prime)
-    g = _join_last({h: _modp_mul(_modp_quo(c, hc, prime), cont, prime) for h, c in interp.items()})
-    inv = pow(g[max(g)], -1, prime)
-    return {e: c * inv % prime for e, c in g.items()}
-
-
-def _modp_gcd(a: list[int], b: list[int], prime: int) -> list[int]:
-    """Monic gcd of dense coefficient lists over F_p (ascending order)."""
-    a = [c % prime for c in a]
-    b = [c % prime for c in b]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    trim(a)
-    trim(b)
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = pow(b[-1], -1, prime)
-        while a and len(a) >= len(b):
-            f = a[-1] * inv % prime
-            sh = len(a) - len(b)
-            for k, c in enumerate(b):
-                a[k + sh] = (a[k + sh] - f * c) % prime
-            trim(a)
-        a, b = b, a
-    inv = pow(a[-1], -1, prime)
-    return [c * inv % prime for c in a]
-
-
-def _primes_31bit():
-    n = 2**31 - 1
-    while True:
-        while not _is_probable_prime(n):
-            n -= 2
-        yield n
-        n -= 2
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _split_last(a: dict) -> dict:
-    """exponent -> residue as head exponent -> ascending list in the last variable."""
-    out: dict[Exponent, list[int]] = {}
-    for e, c in a.items():
-        v = out.setdefault(e[:-1], [])
-        v.extend([0] * (e[-1] + 1 - len(v)))
-        v[e[-1]] = c
-    return out
-
-
-def _join_last(heads: dict) -> dict:
-    return {h + (k,): c for h, v in heads.items() for k, c in enumerate(v) if c}
-
-
-def _eval_last(heads: dict, point: int, prime: int) -> dict:
-    return {h: c for h, v in heads.items() if (c := _horner(v, point, prime))}
-
-
-def _horner(v: Sequence[int], x: int, prime: int) -> int:
-    acc = 0
-    for c in reversed(v):
-        acc = (acc * x + c) % prime
-    return acc
-
-
-def _modp_content(polys: Iterable[list[int]], prime: int) -> list[int]:
-    g: list[int] = []
-    for v in polys:
-        g = _modp_gcd(v, g, prime)
-        if len(g) == 1:
-            break
-    return g
-
-
-def _modp_mul(a: list[int], b: list[int], prime: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [c % prime for c in out]
-
-
-def _modp_quo(a: list[int], b: list[int], prime: int) -> list[int]:
-    """Quotient of an exact division of dense lists over F_p."""
-    a = list(a)
-    inv = pow(b[-1], -1, prime)
-    out = [0] * (len(a) - len(b) + 1)
-    for k in reversed(range(len(out))):
-        f = out[k] = a[k + len(b) - 1] * inv % prime
-        for j, c in enumerate(b):
-            a[k + j] = (a[k + j] - f * c) % prime
-    return out
 
 
 def square_free_part(p: SparsePoly) -> SparsePoly:

@@ -55,7 +55,8 @@ from .jets import (
     fiber_invariants,
     require_non_exceptional,
 )
-from .poly import SparsePoly, _lc_in, _primes_31bit, grlex_key, pseudo_remainder
+from .modp import _primes_31bit
+from .poly import SparsePoly, _lc_in, grlex_key, pseudo_remainder
 from .series import SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")

@@ -36,7 +36,8 @@ from sigcurve.jets import (
     theta_table,
 )
 from sigcurve.parser import parse
-from sigcurve.poly import SparsePoly
+from sigcurve.modp import resultant_coprime_image
+from sigcurve.poly import SparsePoly, gcd, resultant
 from sigcurve.series import INF, TruncatedSeries, evaluate_polys_at_series
 
 R = ("x", "y")
@@ -349,6 +350,42 @@ def test_affine_term_per_line_when_no_view_separates_points():
     # a generic line meets the curve transversally at the origin only
     lines = [(Fraction(3), Fraction(5), Fraction(7)), (Fraction(-2), Fraction(1), Fraction(4))]
     assert _affine_line_sums(first, factored, lines) == [1, 1]
+
+
+@pytest.mark.parametrize("text", ["x^2*y + y^2 + y + 64/121", "x^3 + y^3 + 1", "x^4 + y^4 + 1"])
+def test_coprime_image_never_certifies_a_common_factor(text):
+    # every view of these curves has a nonconstant resultant gcd, so the
+    # image must stay inconclusive in each, and the exact route decides
+    from sigcurve.degree import _affine_projections, _canonical_cut, _view
+
+    cv = CurveInput.from_poly(parse(text))
+    cut = _canonical_cut(cv, GroupId.A2)
+    views = list(_affine_projections(cv, lambda: cut))
+    assert views
+    for images, F, gsf, _res in views:
+        a, b = (resultant(F, _view(p, images), "y") for p in cut)
+        assert not gcd(a, b).is_constant() and gsf is not None
+        assert not resultant_coprime_image(a, F, _view(cut[1], images), "y")
+    assert predict_degree(cv, GroupId.A2).affine_status == "included"
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_generic_affine_check_takes_one_exact_resultant(monkeypatch, seed):
+    # on dense quartics the image certifies the first view after the exact
+    # resultant of the cheaper cut polynomial; PGL3 skips the check
+    calls = []
+    exact = degree_mod.resultant
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(degree_mod, "resultant", counted)
+    cv = rand_curve(random.Random(seed), 4)
+    for group in (GroupId.SE2, GroupId.SA2, GroupId.A2):
+        calls.clear()
+        assert predict_degree(cv, group).affine_status == "verified-empty"
+        assert len(calls) == 1, group
 
 
 class TestBaseLocus:

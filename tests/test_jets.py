@@ -229,6 +229,57 @@ class TestExceptional:
         assert exceptional_check(circle, GroupId.A2).exceptional
 
 
+class TestRemainderImage:
+    """``_vanishes_on_curve`` answers "no" from an image of the remainder mod
+    a prime; the image must be the reduced exact remainder."""
+
+    def cases(self):
+        rng = random.Random(23)  # the curves of test_theta_matches_monomial_reference
+        cases = [(rand_curve(rng, d), range(1, 7)) for d in (3, 4, 5)]
+        cases.append((rand_curve(rng, 3), (7, 8)))
+        return cases + [(CurveInput.from_poly(parse("x^2 + y^2")), (1, 2))]
+
+    def test_image_is_the_reduced_remainder(self):
+        from sigcurve.jets import _vanishes_on_curve
+        from sigcurve.modp import IMAGE_PRIME, _modp_ylists, pseudo_remainder_image
+        from sigcurve.poly import pseudo_remainder
+
+        for cv, indices in self.cases():
+            for i in indices:
+                T = theta(cv, i).T
+                image = pseudo_remainder_image(T, cv.F, "y")
+                exact = pseudo_remainder(T, cv.F, "y")
+                lists = _modp_ylists(exact, "y", IMAGE_PRIME)
+                n = max(len(image), len(lists))
+                assert image + [[]] * (n - len(image)) == lists + [[]] * (n - len(lists)), (cv.F, i)
+                if any(image):
+                    assert not exact.is_zero()
+                assert _vanishes_on_curve(T, cv) == exact.is_zero()
+
+    def test_generic_curves_skip_the_exact_remainder(self, monkeypatch):
+        import sigcurve.jets as jets_mod
+
+        calls = []
+        monkeypatch.setattr(jets_mod, "pseudo_remainder", lambda *a: calls.append(a))
+        for cv, _ in self.cases()[:4]:
+            for g in GroupId:
+                assert not exceptional_check(cv, g).exceptional
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "text, group, reason",
+        [
+            ("x^2 + y^2", GroupId.SE2, "Theta_1 vanishes on the curve"),
+            ("x^2 + 2*y^2 - 3", GroupId.A2, "conic"),
+            ("3*x - y + 2", GroupId.SE2, "line"),
+            ("y - x^2", GroupId.SA2, "conic"),
+        ],
+    )
+    def test_exceptional_reasons(self, text, group, reason):
+        verdict = exceptional_check(CurveInput.from_poly(parse(text)), group)
+        assert verdict.exceptional and verdict.reason == reason
+
+
 class TestGroupAction:
     def test_identity(self, ellipse):
         ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

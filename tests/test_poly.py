@@ -7,6 +7,14 @@ from hypothesis import strategies as st
 from oracles import exact_div_grevlex, mul_tuple_keys, sylvester_resultant
 from sigcurve.errors import PoleError, RingMismatchError
 from sigcurve.parser import parse, serialize
+from sigcurve.modp import (
+    IMAGE_PRIME,
+    _modp_gcd,
+    _modp_resultant,
+    _modp_ylists,
+    pseudo_remainder_image,
+    resultant_coprime_image,
+)
 from sigcurve.poly import (
     RatFunc,
     SparsePoly,
@@ -445,3 +453,121 @@ class TestPseudoRemainder:
         lc = parse("x^2")
         k = int(p.degree_in("y")) - int(f.degree_in("y")) + 1
         assert divides(f, p * lc**k - r)
+
+
+def test_modp_gcd_of_zeros_is_zero():
+    # gcd(0, 0) = 0, as for ``gcd``; a zero operand leaves the other, monic
+    p = 101
+    assert _modp_gcd([], [], p) == []
+    assert _modp_gcd([0, 0], [0], p) == []
+    assert _modp_gcd([], [4, 2], p) == [2, 1]
+    assert _modp_gcd([3], [], p) == [1]
+
+
+@st.composite
+def two_variable_pairs(draw):
+    """(p, q) in x, y with small rational coefficients (denominators 1-3)
+    and deg_y q >= 1."""
+    coeffs = st.fractions(-9, 9, max_denominator=3)
+
+    def poly(dy):
+        below = st.integers(0, max(dy - 1, 0))
+        terms = draw(st.lists(st.tuples(st.integers(0, 3), below, coeffs), max_size=8))
+        terms.append((draw(st.integers(0, 2)), dy, draw(coeffs) or 1))
+        return SparsePoly.from_terms(R, [((i, j), c) for i, j, c in terms])
+
+    return poly(draw(st.integers(0, 6))), poly(draw(st.integers(1, 3)))
+
+
+def reduced(p: SparsePoly, prime: int, length: int) -> list[list[int]]:
+    """The exact reduction of p in the layout of ``_modp_ylists``, padded
+    with zero positions to ``length``."""
+    lists = _modp_ylists(p, "y", prime)
+    return lists + [[]] * (length - len(lists))
+
+
+class TestImages:
+    @settings(max_examples=120, deadline=None)
+    @given(two_variable_pairs(), st.sampled_from((3, 7, 101, IMAGE_PRIME)))
+    def test_remainder_image_is_the_reduced_remainder(self, pair, prime):
+        p, q = pair
+        image = pseudo_remainder_image(p, q, "y", prime)
+        lists = _modp_ylists(q, "y", prime)
+        if image is None:
+            # refused only for a denominator or a leading coefficient the
+            # prime divides
+            assert lists is None or _modp_ylists(p, "y", prime) is None or not lists[-1]
+            return
+        exact = pseudo_remainder(p, q, "y")
+        length = max(len(image), len(_modp_ylists(exact, "y", prime)))
+        assert image + [[]] * (length - len(image)) == reduced(exact, prime, length)
+        if any(image):
+            assert not exact.is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(two_variable_pairs(), st.sampled_from((101, IMAGE_PRIME)))
+    def test_resultant_image_is_the_reduced_resultant(self, pair, prime):
+        # formal degrees are the degrees over Q, so the image is exact even
+        # where a leading coefficient vanishes mod the prime; one more formal
+        # degree of q multiplies the resultant by lc_y(p)
+        p, q = pair
+        if p.degree_in("y") < 1:
+            return
+        fp, gp = _modp_ylists(p, "y", prime), _modp_ylists(q, "y", prime)
+        if fp is None or gp is None:
+            return
+        res = resultant(p, q, "y")
+        image = _modp_resultant(fp, gp, prime)
+        assert image == reduced(res, prime, 1)[0]
+        lc = SparsePoly(R, {(e[0], 0): c for e, c in p.terms.items() if e[1] == p.degree_in("y")})
+        assert _modp_resultant(fp, gp + [[]], prime) == reduced(lc * res, prime, 1)[0]
+
+    def test_resultant_image_refuses_a_prime_below_its_degree_bound(self):
+        f, g = parse("y^3 - x^5"), parse("y - x^3")
+        images = {p: (_modp_ylists(f, "y", p), _modp_ylists(g, "y", p)) for p in (7, 13)}
+        assert _modp_resultant(*images[7], 7) is None  # degree bound 1*5 + 3*3 - 3*1 = 11
+        assert _modp_resultant(*images[13], 13) == reduced(resultant(f, g, "y"), 13, 1)[0]
+
+    def test_coprime_certificate(self):
+        F, T = parse("y^2 - x"), parse("y - x - 1")  # Res = x^2 + x + 1
+        assert resultant_coprime_image(parse("x"), F, T, "y")
+        assert not resultant_coprime_image(parse("x^3 - 1"), F, T, "y")
+        assert resultant_coprime_image(parse("5"), F, T, "y")
+        # a cut polynomial of larger y-degree goes through its remainder
+        assert resultant_coprime_image(parse("x - 2"), F, parse("y^5 + x*y^2 + 3"), "y")
+
+    def test_coprime_certificate_refuses_a_prime_dividing_lc_a(self):
+        # A and B share 7x + 1; mod 7 that factor drops to the constant 1 and
+        # the images are coprime, so only the leading-coefficient guard
+        # stops a false certificate
+        F, T = parse("y - x"), parse("(7*x + 1)*(x + 3) + (y - x)*y")
+        A = parse("(7*x + 1)*(x + 2)")
+        B = resultant(F, T, "y")
+        assert gcd(A, B) == parse("7*x + 1")
+        assert _modp_gcd(reduced(A, 7, 1)[0], reduced(B, 7, 1)[0], 7) == [1]
+        for prime in (7, 101, IMAGE_PRIME):
+            assert not resultant_coprime_image(A, F, T, "y", prime)
+
+    @pytest.mark.parametrize(
+        "F, T, refused",
+        [
+            ("y^2 - x", "y/7 - 1", "a denominator of T"),
+            ("y^2 - x/7", "y - 1", "a denominator of F"),
+            ("7*y^2 + y - x", "y - 1", "lc_y(F)"),
+        ],
+    )
+    def test_coprime_certificate_refuses_a_prime_dividing(self, F, T, refused):
+        F, T, A = parse(F), parse(T), parse("x + 5")
+        assert gcd(A, resultant(F, T, "y")).is_constant()
+        assert resultant_coprime_image(A, F, T, "y", 101)
+        assert not resultant_coprime_image(A, F, T, "y", 7), refused
+
+    def test_coprime_certificate_inconclusive_cases(self):
+        F = parse("y^2 - x")
+        # a zero B (Res(F, y*F) = 0) and a zero a
+        assert not resultant_coprime_image(parse("x + 1"), F, parse("y^3 - x*y"), "y")
+        assert not resultant_coprime_image(SparsePoly.zero(R), F, parse("y - 1"), "y")
+        # an unlucky prime: Res(F, y - 7) = 49 - x is prime to x, but not mod 7
+        assert not resultant_coprime_image(parse("x"), F, parse("y - 7"), "y", 7)
+        # the primitive part of 7x is x, whose image keeps its degree
+        assert resultant_coprime_image(parse("7*x"), F, parse("y - 1"), "y", 7)
