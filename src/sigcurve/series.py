@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import TruncationError
+from .modp import IMAGE_PRIME, _modp_gcd
 from .poly import SparsePoly, gcd, horner_evaluate
 
 INF = 10**9
@@ -64,9 +65,18 @@ def intpoly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
 
 
 def intpoly_squarefree(q: Sequence[int]) -> bool:
-    """Whether q has no repeated root (constants count as squarefree)."""
+    """Whether q has no repeated root (constants count as squarefree).
+
+    A coprime image of q and q' modulo p = ``IMAGE_PRIME`` answers yes when
+    p does not divide lc(q): a repeated factor h^2 of q over Z would leave
+    h mod p, of the same degree as h, dividing both images.  The exact gcd
+    runs only when that image cannot decide."""
+    if len(q) < 2:
+        return True
     dq = [i * q[i] for i in range(1, len(q))]
-    return len(q) < 2 or len(intpoly_gcd(q, dq)) == 1
+    if q[-1] % IMAGE_PRIME and len(_modp_gcd(q, dq, IMAGE_PRIME)) == 1:
+        return True
+    return len(intpoly_gcd(q, dq)) == 1
 
 
 def intpoly_rem(a: Sequence[int], q: Sequence[int]) -> IntPoly:

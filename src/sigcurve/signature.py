@@ -19,13 +19,15 @@ Q, so no polynomial of degree D vanishes on the curve; a one-dimensional
 kernel is lifted by Chinese remaindering and rational reconstruction.  The
 fit only proposes S; the certificate decides.
 
-Certificate.  Write K1 = A/B and K2 = C/E in lowest terms, alpha =
-max(deg A, deg B) and gamma = max(deg C, deg E).  A line of the (k1, k2)
-plane pulls back to a curve of degree at most alpha + gamma, so deg S <=
-d (alpha + gamma).  For S of degree D, N = B^D E^D S(A/B, C/E) is a
-polynomial of degree at most deg_N = D (alpha + gamma), and it vanishes at
-every point of a table fiber on which S(K1, K2) = 0 (B and E are nonzero
-there, or ``fiber_invariants`` would have raised).  ``certify_signature``
+Certificate.  Write K1 = A/B and K2 = C/E in lowest terms, L = lcm(B, E)
+and deg_line = max(deg A + deg L - deg B, deg L, deg C + deg L - deg E).
+A line a k1 + b k2 + c of the (k1, k2) plane pulls back to the curve
+a A (L/B) + b C (L/E) + c L of degree at most deg_line, so deg S <=
+d deg_line.  For S of degree D, N = L^D S(A/B, C/E) = sum c_ij A^i C^j
+(L/B)^i (L/E)^j L^(D-i-j) is a polynomial of degree at most deg_N =
+D deg_line, and it vanishes at every point of a table fiber on which
+S(K1, K2) = 0 (each factor of L divides B or E, which are nonzero there, or
+``fiber_invariants`` would have raised).  ``certify_signature``
 checks S(K1, K2) = 0 exactly on more than d deg_N / deg_y F fibers: then F
 meets N in more than d deg_N points, so F divides N by Bezout and S vanishes
 on the signature curve.  It also checks that no nonzero polynomial of degree
@@ -56,7 +58,7 @@ from .jets import (
     require_non_exceptional,
 )
 from .modp import _primes_31bit
-from .poly import SparsePoly, _lc_in, grlex_key, pseudo_remainder
+from .poly import SparsePoly, _lc_in, gcd, grlex_key, pseudo_remainder
 from .series import SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")
@@ -72,7 +74,7 @@ class SignatureCertificate:
     """A Bezout-count proof that S is the signature polynomial (see the
     module docstring)."""
 
-    deg_N: int  # bound on the degree of B^D E^D S(A/B, C/E)
+    deg_N: int  # bound on the degree of L^D S(A/B, C/E), L = lcm(B, E)
     fibers: int  # fibers on which S(K1, K2) = 0 was checked exactly
     kind: str = "bezout-count"
     curve: str = "irreducible-asserted"  # Bezout's premise, not proven
@@ -161,7 +163,7 @@ def signature_polynomial(
     """The certified signature polynomial, or a PointSignature for a
     constant signature map.
 
-    For D = 1, 2, ... up to d (alpha + gamma), ``exact_signature_fit``
+    For D = 1, 2, ... up to d deg_line, ``exact_signature_fit``
     either proves that no polynomial of degree D vanishes on the curve or
     proposes one, which ``certify_signature`` proves or rejects; a rejected
     proposal is fitted again on more fibers."""
@@ -171,7 +173,7 @@ def signature_polynomial(
         return PointSignature(const, group, curve)
     table = FiberTable(curve, group)
     fibers = 1
-    for degree in range(1, curve.d * table.alpha_gamma + 1):
+    for degree in range(1, curve.d * table.deg_line + 1):
         while True:
             S, fibers = exact_signature_fit(table, degree, fibers)
             if S is None:
@@ -184,7 +186,7 @@ def signature_polynomial(
                     f"the degree-{degree} fit on {fibers} fibers fails its certificate"
                 )
             fibers += STABLE_BATCH
-    raise SigcurveError("no signature polynomial up to the degree bound d (alpha + gamma)")
+    raise SigcurveError("no signature polynomial up to the degree bound d deg_line")
 
 
 def certify_signature(table: FiberTable, S: SparsePoly) -> Optional[SignatureCertificate]:
@@ -203,7 +205,7 @@ def certify_signature(table: FiberTable, S: SparsePoly) -> Optional[SignatureCer
         kernel.extend(range(fibers))
         if kernel.nullity:
             return None
-    return SignatureCertificate(degree * table.alpha_gamma, fibers)
+    return SignatureCertificate(degree * table.deg_line, fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +285,15 @@ def _mulmod(a: list[int], b: list[int], monic: list[int], prime: int) -> list[in
 
 class FiberTable:
     """The usable fibers of a curve under a group, in abscissa order, grown
-    on demand; ``alpha_gamma`` is alpha + gamma (module docstring).  Not
-    safe to share between threads."""
+    on demand; ``deg_line`` bounds the degree of the pullback of a line
+    (module docstring).  Not safe to share between threads."""
 
     def __init__(self, curve: CurveInput, group: GroupId):
         pair = classifying_pair(curve, group)
-        self.alpha_gamma = sum(
-            max(int(k.num.total_degree()), int(k.den.total_degree()))
-            for k in (pair.K1, pair.K2)
-        )
+        K1, K2 = pair.K1, pair.K2
+        a, b, c, e = (int(p.total_degree()) for p in (K1.num, K1.den, K2.num, K2.den))
+        lcm = b + e - int(gcd(K1.den, K2.den).total_degree())
+        self.deg_line = max(a + lcm - b, lcm, c + lcm - e)
         self.curve, self.group = curve, group
         self.dy = int(curve.F.degree_in("y"))
         self.fibers: list[_Fiber] = []
@@ -300,7 +302,7 @@ class FiberTable:
     def bezout_fibers(self, degree: int) -> int:
         """The fibers whose conditions a polynomial of this degree must meet
         before it provably vanishes on the signature curve."""
-        return self.curve.d * degree * self.alpha_gamma // self.dy + 1
+        return self.curve.d * degree * self.deg_line // self.dy + 1
 
     def fiber(self, index: int) -> _Fiber:
         skipped = 0

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import sigcurve.series as series_module
 from oracles import evaluate_polys_at_series_reference, newton_branch_reference
 from sigcurve.degree import infinity_pieces
 from sigcurve.errors import TruncationError
 from sigcurve.jets import CurveInput
+from sigcurve.modp import IMAGE_PRIME
 from sigcurve.parser import parse
 from sigcurve.poly import SparsePoly
 from sigcurve.series import (
@@ -115,6 +117,74 @@ def test_intpoly_helpers():
     assert intpoly_gcd([2, 4, 2], [1, 2, 1]) == (1, 2, 1)
     assert intpoly_rem([1, 0, 0, 1], [1, 1]) == ()  # w^3+1 divisible by w+1
     assert intpoly_gcd([6], [4]) == (2,) or intpoly_gcd([6], [4]) == (1,)
+
+
+def _intpoly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _exact_squarefree(q):
+    return len(q) < 2 or len(intpoly_gcd(q, [i * q[i] for i in range(1, len(q))])) == 1
+
+
+@pytest.fixture
+def exact_gcd_calls(monkeypatch):
+    """The polynomials that ``intpoly_squarefree`` hands to the exact gcd."""
+    calls = []
+
+    def recording(a, b):
+        calls.append(tuple(a))
+        return intpoly_gcd(a, b)
+
+    monkeypatch.setattr(series_module, "intpoly_gcd", recording)
+    return calls
+
+
+def test_squarefree_image_agrees_with_the_exact_gcd(exact_gcd_calls):
+    """Seeded products of random factors, a repeated factor in about a third
+    of them: the answer is the exact gcd's, and the exact gcd runs exactly
+    when the image mod p shares a factor (every repeated root) or p | lc."""
+    rng = random.Random(13)
+    answers = set()
+    for _ in range(300):
+        factors = [
+            [rng.randint(-30, 30) for _ in range(rng.randint(1, 3))] + [rng.choice((1, -2, 3, 7))]
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.35:
+            factors.append(factors[0])
+        if rng.random() < 0.1:
+            factors.append([rng.randint(1, 5), IMAGE_PRIME * rng.randint(1, 3)])
+        q = (1,)
+        for f in factors:
+            q = _intpoly_mul(q, f)
+        calls = len(exact_gcd_calls)
+        answer = series_module.intpoly_squarefree(q)
+        assert answer == _exact_squarefree(q), q
+        fell_back = len(exact_gcd_calls) > calls
+        assert fell_back == (not answer or q[-1] % IMAGE_PRIME == 0), q
+        answers.add((answer, q[-1] % IMAGE_PRIME == 0))
+    assert answers == {(True, False), (False, False), (True, True), (False, True)}
+
+
+@pytest.mark.parametrize(
+    "q, squarefree, exact",
+    [
+        ((1, 3, IMAGE_PRIME), True, True),  # p | lc: the image drops a degree
+        (_intpoly_mul((1, IMAGE_PRIME), (1, IMAGE_PRIME)), False, True),  # (p w + 1)^2
+        ((1, 2, 1), False, True),  # (w + 1)^2
+        (_intpoly_mul((-3, 1), (-3 - IMAGE_PRIME, 1)), True, True),  # (w - 3)(w - 3 - p) = (w - 3)^2 mod p
+        ((5, 1), True, False),
+        ((7,), True, False),
+    ],
+)
+def test_squarefree_image_falls_back_when_it_cannot_decide(q, squarefree, exact, exact_gcd_calls):
+    assert series_module.intpoly_squarefree(q) is squarefree
+    assert exact_gcd_calls == ([q] if exact else [])
 
 
 def test_evaluate_poly_at_series():

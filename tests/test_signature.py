@@ -6,9 +6,15 @@ import oracles
 import sigcurve.signature as signature_module
 from oracles import SampleCheckError, relative_residual, verify_signature_samples
 from sigcurve.fermat import fermat_curve, fermat_signature
-from sigcurve.jets import CurveInput, GroupId, apply_group_element, classifying_pair
+from sigcurve.jets import (
+    ClassifyingPair,
+    CurveInput,
+    GroupId,
+    apply_group_element,
+    classifying_pair,
+)
 from sigcurve.parser import parse, serialize
-from sigcurve.poly import SparsePoly, divides, resultant
+from sigcurve.poly import RatFunc, SparsePoly, divides, exact_div, gcd, resultant
 from sigcurve.signature import (
     SIG_RING,
     FiberTable,
@@ -116,13 +122,74 @@ class TestResultantCrossCheck:
         assert divides(up(sig.S), iterated)
 
 
+def _pullback_numerator(S, K1, K2):
+    """N = L^D S(A/B, C/E) with L = lcm(B, E), term by term:
+    the sum of c_ij (A L/B)^i (C L/E)^j L^(D - i - j)."""
+    L = exact_div(K1.den * K2.den, gcd(K1.den, K2.den))
+    pa, pc = K1.num * exact_div(L, K1.den), K2.num * exact_div(L, K2.den)
+    D = int(S.total_degree())
+    N = SparsePoly.zero(L.ring)
+    for (i, j), c in S.terms.items():
+        N = N + (pa**i * pc**j * L ** (D - i - j)).scale(c)
+    return N
+
+
 class TestCertificate:
     def test_records_the_bezout_count(self, ellipse):
         cert = signature_polynomial(ellipse, GroupId.SE2).certificate
-        # K1, K2: degree 4 over degree 6; deg N <= 6 * (6 + 6), fibers > 2 * 72 / 2
+        # K1, K2: degree 4 over one degree-6 denominator, so deg L = 6 and
+        # deg_line = 6; deg N <= 6 * 6, fibers > 2 * 36 / 2
         assert (cert.kind, cert.deg_N, cert.fibers, cert.curve) == (
-            "bezout-count", 72, 73, "irreducible-asserted"
+            "bezout-count", 36, 37, "irreducible-asserted"
         )
+
+    @pytest.mark.parametrize(
+        "curve, group",
+        [
+            ("x^2 + x*y + y^2 - 1", GroupId.SE2),
+            ("y^2 - x^3", GroupId.SE2),
+            ("x^3 + y^3 + 1", GroupId.A2),
+        ],
+    )
+    def test_deg_N_bounds_the_pulled_back_signature(self, curve, group):
+        """N = L^D S(A/B, C/E), built exactly, has degree at most deg_N, which
+        is never above the separate bound D (alpha + gamma); and the
+        certificate checks more than d deg_N / deg_y F fibers.  (On the
+        Fermat cubic N is the zero polynomial: S(K1, K2) = 0 holds on the
+        whole plane there.)"""
+        cv = CurveInput.from_poly(parse(curve))
+        sig = signature_polynomial(cv, group)
+        cert, D = sig.certificate, sig.degree()
+        pair = classifying_pair(cv, group)
+        N = _pullback_numerator(sig.S, pair.K1, pair.K2)
+        alpha_gamma = sum(
+            max(k.num.total_degree(), k.den.total_degree()) for k in (pair.K1, pair.K2)
+        )
+        assert N.total_degree() <= cert.deg_N <= D * alpha_gamma
+        assert cert.fibers * cv.F.degree_in("y") > cv.d * cert.deg_N
+
+    @pytest.mark.parametrize(
+        "A, B, C, E",
+        [
+            ("x^5 + y", "x^2 + 1", "y", "x*y + 2"),  # deg A + deg L - deg B binds
+            ("y", "x*y + 2", "x^5 + y", "x^2 + 1"),  # deg C + deg L - deg E binds
+            ("x", "(x + 1)^2*(x - y)", "y", "(x + 1)^2*(y + 2)"),  # deg L binds
+        ],
+    )
+    def test_deg_line_is_the_degree_of_a_pulled_back_line(self, ellipse, monkeypatch, A, B, C, E):
+        """On synthetic pairs, each of the three terms of deg_line in turn the
+        largest: a generic line a k1 + b k2 + c pulls back to a curve of
+        degree deg_line, and N = L^D S(A/B, C/E) of a dense S of degree 2
+        has degree 2 deg_line."""
+        K1, K2 = RatFunc.build(parse(A), parse(B)), RatFunc.build(parse(C), parse(E))
+        monkeypatch.setattr(
+            signature_module, "classifying_pair", lambda curve, group: ClassifyingPair(group, K1, K2)
+        )
+        table = FiberTable(ellipse, GroupId.SE2)
+        line = parse("3*k1 - 5*k2 + 7", SIG_RING)
+        dense = parse("2*k1^2 + 3*k1*k2 - k2^2 + 5*k1 - 7*k2 + 11", SIG_RING)
+        assert _pullback_numerator(line, K1, K2).total_degree() == table.deg_line
+        assert _pullback_numerator(dense, K1, K2).total_degree() == 2 * table.deg_line
 
     def test_rejects_another_curves_signature(self):
         """The quartic's PGL3 closed form has the cubic's degree but does
