@@ -10,9 +10,9 @@ For every workload and seed of the plan, ``perfbench/run.py --seconds 30
 ``src``), alternating which side runs first; the last JSON line of each run
 is recorded as printed.  ``--trace`` adds one ``--trace 1`` run per side on
 the named workloads (seed 1).  The file also records the git sha of each
-checkout (when it has one), the Python version, ``nproc`` and, per workload
-and end-to-end metric, the median and quartiles of each side and the number
-of pairs the change won.
+checkout (when it has one) and the line count of its ``src/sigcurve/*.py``,
+the Python version, ``nproc`` and, per workload and end-to-end metric, the
+median and quartiles of each side and the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -45,6 +45,17 @@ def git_sha(path: str) -> str | None:
         return None
     dirty = git("status", "--porcelain", "--", "src")
     return git("rev-parse", "HEAD") + (" with uncommitted src changes" if dirty else "")
+
+
+def src_lines(path: str) -> int:
+    """Lines of the checkout's package source: ``cat src/sigcurve/*.py | wc -l``."""
+    pkg = os.path.join(path, "src", "sigcurve")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def bench(path: str, workload: str, seed: int, trace: int) -> dict:
@@ -113,8 +124,8 @@ def main() -> int:
                    "--trace 0|1, run from each checkout's root",
         "python": platform.python_version(),
         "nproc": int(nproc) if nproc.isdigit() else os.cpu_count(),
-        "parent": {"sha": git_sha(args.parent)},
-        "change": {"sha": git_sha(args.change)},
+        **{side: {"sha": git_sha(path), "src_lines": src_lines(path)}
+           for side, path in sides.items()},
         "summary": summarize(runs),
         "runs": runs,
         "traced": traced,

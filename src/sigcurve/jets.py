@@ -23,7 +23,9 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ExceptionalCurveError, InvalidCurveError, VerticalLineError
 from .modp import pseudo_remainder_image
-from .poly import RatFunc, SparsePoly, exact_div, gcd, horner_evaluate, pseudo_remainder
+from .poly import (
+    RatFunc, SparsePoly, exact_div, gcd, horner_evaluate, mat_inverse, pseudo_remainder,
+)
 from .series import SeriesRing, TruncatedSeries, evaluate_polys_at_series, newton_branch
 
 CURVE_RING = ("x", "y")
@@ -177,16 +179,15 @@ def jet_order(indices: Iterable[int]) -> int:
 class CurveInput:
     """An affine plane curve V(F), F primitive with integer coefficients.
 
-    ``from_poly`` checks that F is squarefree; ``irreducible_asserted`` is
-    the caller's promise and is not checked.
+    ``from_poly`` checks that F is squarefree; irreducibility is the
+    caller's promise and is not checked.
     """
 
     F: SparsePoly
     d: int
-    irreducible_asserted: bool = True
 
     @classmethod
-    def from_poly(cls, F: SparsePoly, irreducible_asserted: bool = True) -> "CurveInput":
+    def from_poly(cls, F: SparsePoly) -> "CurveInput":
         if F.ring != CURVE_RING:
             F = F.map_variables(CURVE_RING)
         if F.is_zero() or F.is_constant():
@@ -199,7 +200,7 @@ class CurveInput:
                 "curve polynomial is not squarefree: "
                 f"gcd(F, F_x, F_y) has degree {g.total_degree()}"
             )
-        return cls(F, int(F.total_degree()), irreducible_asserted)
+        return cls(F, int(F.total_degree()))
 
     def fx(self) -> SparsePoly:
         return self.F.partial_derivative("x")
@@ -493,23 +494,6 @@ def projective_extension(
 # group elements
 
 
-def _mat_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _check_group_shape(m: list[list[Fraction]], group: GroupId) -> list[list[Fraction]]:
     m = [[Fraction(x) for x in row] for row in m]
     det = (
@@ -543,7 +527,7 @@ def apply_group_element(
     inverse action into the homogenization, clear x0, take the primitive
     part."""
     m = _check_group_shape([list(r) for r in matrix], group)
-    minv = _mat_inverse(m)
+    minv = mat_inverse(m)
     Fh = curve.homogenized()
     xs = [SparsePoly.var(HOMOG_RING, v) for v in HOMOG_RING]
     images = []
@@ -555,7 +539,7 @@ def apply_group_element(
         images.append(img)
     G = Fh.compose_linear(images)
     affine = G.dehomogenize("x0").rename_ring(CURVE_RING)
-    return CurveInput.from_poly(affine, curve.irreducible_asserted)
+    return CurveInput.from_poly(affine)
 
 
 def transform_point(

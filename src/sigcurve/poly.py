@@ -289,24 +289,6 @@ class SparsePoly:
                 terms[e2] = c2
         return SparsePoly(self.ring, terms)
 
-    def substitute(self, name: str, value: "RatFunc") -> "RatFunc":
-        """Substitute a rational function for one variable."""
-        i = _var_index(self.ring, name)
-        dmax = 0 if not self.terms else max(e[i] for e in self.terms)
-        num_pows = [SparsePoly.const(self.ring, 1)]
-        den_pows = [SparsePoly.const(self.ring, 1)]
-        for _ in range(dmax):
-            num_pows.append(num_pows[-1] * value.num)
-            den_pows.append(den_pows[-1] * value.den)
-        acc = SparsePoly.zero(self.ring)
-        for e, c in self.terms.items():
-            k = e[i]
-            e2 = list(e)
-            e2[i] = 0
-            mono = SparsePoly(self.ring, {tuple(e2): c})
-            acc = acc + mono * num_pows[k] * den_pows[dmax - k]
-        return RatFunc.build(acc, den_pows[dmax])
-
     def rename_ring(self, target_ring: tuple[str, ...]) -> "SparsePoly":
         """Positional rename of the ring variables (same arity)."""
         if len(target_ring) != len(self.ring):
@@ -864,3 +846,27 @@ def _subresultant_prs_resultant(p, q, i: int, name: str, odd: bool) -> SparsePol
             # Res = b^da / h^(da-1), exact in the subresultant PRS
             res = exact_div(b**da, h ** (da - 1))
             return -res if odd else res
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+
+
+def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix by Gauss-Jordan elimination;
+    ZeroDivisionError when it is singular."""
+    n = len(m)
+    zero, one = Fraction(0), Fraction(1)
+    aug = [[Fraction(x) for x in m[i]] + [one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = row = [a / pv if a else a for a in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [a - f * b if b else a for a, b in zip(aug[r], row)]
+    return [row[n:] for row in aug]

@@ -5,7 +5,9 @@ points (e.g. the points at infinity of a projective curve); q need not be
 irreducible.  A single series with coefficients in the quotient ring then
 tracks all conjugate branches at once, and valuation sums over the fiber are
 recovered by gcd-splitting against q: no number-field arithmetic and no
-factorization are ever required.
+factorization are ever required.  An element a is inverted as a linear map,
+by ``poly.mat_inverse`` on the matrix of multiplication by a; a zero divisor
+raises with gcd(q, a), on which callers split the fiber.
 
 Representation: a series is a dict mapping (v_exponent, W_exponent) to an
 integer numerator over one shared denominator, plus ``trunc``: the first
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import TruncationError
 from .modp import IMAGE_PRIME, _modp_gcd
-from .poly import SparsePoly, gcd, horner_evaluate
+from .poly import SparsePoly, gcd, horner_evaluate, mat_inverse
 
 INF = 10**9
 
@@ -79,26 +81,6 @@ def intpoly_squarefree(q: Sequence[int]) -> bool:
     return len(intpoly_gcd(q, dq)) == 1
 
 
-def intpoly_rem(a: Sequence[int], q: Sequence[int]) -> IntPoly:
-    """Primitive remainder of a modulo q (content-insensitive)."""
-    fa = [Fraction(x) for x in a]
-    dq = len(q) - 1
-    lc = Fraction(q[-1])
-    while len(fa) - 1 >= dq and any(fa):
-        while fa and fa[-1] == 0:
-            fa.pop()
-        if len(fa) - 1 < dq:
-            break
-        shift = len(fa) - 1 - dq
-        factor = fa[-1] / lc
-        for i, c in enumerate(q):
-            fa[i + shift] -= factor * c
-    den_lcm = 1
-    for x in fa:
-        den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
-    return intpoly_normalize([int(x * den_lcm) for x in fa])
-
-
 class SeriesRing:
     """Coefficient domain Q[W]/(q(W)) with precomputed reduction rows."""
 
@@ -152,79 +134,25 @@ class SeriesRing:
         return self.element(vec)
 
     def invert_vec(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Inverse of an element modulo q via the extended Euclidean scheme.
+        """Inverse of an element a of Q[W]/(q): the first column of the
+        inverse of the matrix of multiplication by a, whose column k is
+        a W^k.
 
-        Raises ZeroDivisionError carrying the offending gcd if the element is
-        a zero divisor (callers split the fiber on that gcd).
+        Raises ZeroDivisionError carrying gcd(q, a) as ``.gcd`` when a is a
+        zero divisor, i.e. vanishes at the points of the fiber where that
+        gcd does (callers split the fiber on it).
         """
-        a = [Fraction(c) for c in self.q]
-        b = [Fraction(c) for c in vec]
-        # extended euclid tracking the b-cofactor only
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        a, b = trim(a), trim(b)
-        if not b:
-            raise ZeroDivisionError("zero element")
-        while True:
-            if not b:
-                a, b = b, a
-                s0, s1 = s1, s0
-                break
-            if len(b) > len(a):
-                a, b = b, a
-                s0, s1 = s1, s0
-                continue
-            if len(b) <= 0:
-                break
-            # a = qb + r
-            q_acc = [Fraction(0)] * (len(a) - len(b) + 1)
-            r = a[:]
-            while len(r) >= len(b) and trim(r):
-                if len(r) < len(b):
-                    break
-                f = r[-1] / b[-1]
-                sh = len(r) - len(b)
-                q_acc[sh] += f
-                for i, c in enumerate(b):
-                    r[i + sh] -= f * c
-                trim(r)
-            # s_new = s0 - q*s1
-            qs1 = [Fraction(0)] * (len(q_acc) + len(s1) - 1) if s1 else []
-            for i, qa in enumerate(q_acc):
-                if qa:
-                    for j, sc in enumerate(s1):
-                        qs1[i + j] += qa * sc
-            s_new = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                s_new[i] += c
-            for i, c in enumerate(qs1):
-                s_new[i] -= c
-            a, b = b, trim(r)
-            s0, s1 = s1, trim(s_new)
-            if not b:
-                break
-        # now a holds the gcd and s0 its b-cofactor
-        if len(a) != 1:
+        w = TruncatedSeries(self, {(0, 1): 1}, 1, INF)  # W, used when deg q > 1
+        cols = [self.element(vec)]
+        while len(cols) < self.deg:
+            cols.append(cols[-1] * w)
+        try:
+            inv = mat_inverse(list(zip(*(c.coeff_fractions(0) for c in cols))))
+        except ZeroDivisionError:
             err = ZeroDivisionError("zero divisor modulo q")
-            err.gcd = intpoly_normalize([int(x * _clear(a)) for x in a])  # type: ignore[attr-defined]
-            raise err
-        g = a[0]
-        inv = [c / g for c in s0]
-        inv += [Fraction(0)] * (self.deg - len(inv))
-        return inv[: self.deg]
-
-
-def _clear(fracs: Sequence[Fraction]) -> int:
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return den
+            err.gcd = intpoly_gcd(self.q, vec)  # type: ignore[attr-defined]
+            raise err from None
+        return [row[0] for row in inv]
 
 
 class TruncatedSeries:
@@ -522,7 +450,7 @@ def newton_branch(
 
 def _param_series(ring: SeriesRing, coeffs: dict[int, Fraction]) -> TruncatedSeries:
     """The exact series sum_j c_j t^j with rational coefficients c_j."""
-    den = _clear(coeffs.values())
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
     terms = {(j, 0): int(c * den) for j, c in coeffs.items() if c}
     return TruncatedSeries(ring, terms, den, INF).normalized()
 
@@ -576,21 +504,16 @@ def _fiber_scan(components: list[TruncatedSeries], q: IntPoly) -> int:
     start = min(s.min_exp() for s in components)
     stop = min(s.trunc for s in components)
     for j in range(start, stop):
-        vecs = []
-        any_nonzero = False
-        for s in components:
-            r = intpoly_rem(s.coeff_vec(j), modulus)
-            if r:
-                any_nonzero = True
-                vecs.append(r)
-        if not any_nonzero:
-            continue
+        # gcd(g, c mod g) = gcd(g, c): the branches where some component's
+        # coefficient is nonzero split off at order j
         g = modulus
-        for r in vecs:
-            g = intpoly_gcd(g, r)
-            if len(g) == 1:
-                break
-        resolved = (len(modulus) - 1) - (len(g) - 1)
+        for s in components:
+            c = s.coeff_vec(j)
+            if any(c):
+                g = intpoly_gcd(g, c)
+                if len(g) == 1:
+                    break
+        resolved = len(modulus) - len(g)
         total += j * resolved
         if len(g) == 1:
             return total

@@ -291,6 +291,9 @@ class FiberTable:
     def __init__(self, curve: CurveInput, group: GroupId):
         pair = classifying_pair(curve, group)
         K1, K2 = pair.K1, pair.K2
+        for name, K in (("K1", K1), ("K2", K2)):
+            if K.num.is_zero():
+                raise SigcurveError(f"{name} is 0 on the curve: the signature is a point, not a curve")
         a, b, c, e = (int(p.total_degree()) for p in (K1.num, K1.den, K2.num, K2.den))
         lcm = b + e - int(gcd(K1.den, K2.den).total_degree())
         self.deg_line = max(a + lcm - b, lcm, c + lcm - e)

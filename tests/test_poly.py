@@ -422,12 +422,6 @@ class TestEvaluate:
     def test_fermat_point(self):
         assert parse("x^3+y^3+1").evaluate({"x": 0, "y": -1}) == 0
 
-    def test_substitute(self):
-        p = parse("y + x^2")
-        sub = RatFunc.build(parse("1 - x^2"), SparsePoly.const(R, 1))
-        out = p.substitute("y", sub)
-        assert out.num == SparsePoly.const(R, 1) and out.den == SparsePoly.const(R, 1)
-
     def test_float_path_flagged_by_type(self):
         v = parse("x^2+y^2-1").evaluate({"x": 0.5, "y": 0.5})
         assert isinstance(v, float)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import sigcurve.series as series_module
 from oracles import evaluate_polys_at_series_reference, newton_branch_reference
@@ -20,7 +22,6 @@ from sigcurve.series import (
     fiber_valuation_sum,
     intpoly_from_poly,
     intpoly_gcd,
-    intpoly_rem,
     intpoly_squarefree,
     newton_branch,
 )
@@ -115,7 +116,6 @@ def test_mul_trunc_tracking():
 
 def test_intpoly_helpers():
     assert intpoly_gcd([2, 4, 2], [1, 2, 1]) == (1, 2, 1)
-    assert intpoly_rem([1, 0, 0, 1], [1, 1]) == ()  # w^3+1 divisible by w+1
     assert intpoly_gcd([6], [4]) == (2,) or intpoly_gcd([6], [4]) == (1,)
 
 
@@ -142,6 +142,49 @@ def exact_gcd_calls(monkeypatch):
 
     monkeypatch.setattr(series_module, "intpoly_gcd", recording)
     return calls
+
+
+@st.composite
+def _moduli_and_elements(draw):
+    """A squarefree integer modulus q of degree 1-6, a product of small
+    factors so that zero divisors are common, and a nonzero element of
+    Q[W]/(q): random, or a multiple of the first factor."""
+    small = st.integers(-5, 5)
+    factors = [
+        draw(st.lists(small, min_size=d, max_size=d)) + [draw(small.filter(bool))]
+        for d in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    ]
+    q = (1,)
+    for f in factors:
+        q = _intpoly_mul(q, f)
+    assume(_exact_squarefree(q))
+    ring = SeriesRing(q)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    vec = draw(st.lists(coeff, min_size=ring.deg, max_size=ring.deg))
+    if len(factors) > 1 and draw(st.booleans()):
+        prod = ring.element(factors[0]) * ring.element(vec)
+        vec = prod.coeff_fractions(0) if prod.terms else vec
+    assume(any(vec))
+    return q, vec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moduli_and_elements())
+@example(((2, -3, 1), [Fraction(-1), Fraction(1)]))  # q = (w-1)(w-2), a = w-1
+def test_invert_vec_inverts_or_names_the_zero_divisor_gcd(case):
+    """Either a a^-1 = 1 in Q[W]/(q), or a is a zero divisor and the error
+    carries gcd(q, a), the factor of the fiber it vanishes on."""
+    q, vec = case
+    ring = SeriesRing(q)
+    g = intpoly_gcd(q, vec)
+    try:
+        inv = ring.invert_vec(vec)
+    except ZeroDivisionError as err:
+        assert err.gcd == g and len(g) > 1
+        return
+    assert len(g) == 1
+    prod = ring.element(inv) * ring.element(vec)
+    assert prod.terms == {(0, 0): 1} and prod.den == 1
 
 
 def test_squarefree_image_agrees_with_the_exact_gcd(exact_gcd_calls):

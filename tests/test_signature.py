@@ -5,6 +5,7 @@ import pytest
 import oracles
 import sigcurve.signature as signature_module
 from oracles import SampleCheckError, relative_residual, verify_signature_samples
+from sigcurve.errors import SigcurveError
 from sigcurve.fermat import fermat_curve, fermat_signature
 from sigcurve.jets import (
     ClassifyingPair,
@@ -72,6 +73,12 @@ class TestConstantSignature:
         assert is_constant_signature(circle, GroupId.SE2) == 1
         out = signature_polynomial(circle, GroupId.SE2)
         assert isinstance(out, PointSignature) and out.value == 1
+
+    def test_fiber_table_refuses_a_zero_invariant(self, circle):
+        """K2 = 0 on the circle: the signature is a point, so there is no S
+        for the Bezout route to certify."""
+        with pytest.raises(SigcurveError, match="K2 is 0 on the curve"):
+            FiberTable(circle, GroupId.SE2)
 
     def test_ellipse_not_constant(self, ellipse):
         assert is_constant_signature(ellipse, GroupId.SE2) is None
