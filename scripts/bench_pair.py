@@ -12,7 +12,9 @@ is recorded as printed.  ``--trace`` adds one ``--trace 1`` run per side on
 the named workloads (seed 1).  The file also records the git sha of each
 checkout (when it has one) and the line count of its ``src/sigcurve/*.py``,
 the Python version, ``nproc`` and, per workload and end-to-end metric, the
-median and quartiles of each side and the number of pairs the change won.
+median and quartiles of each side, the number of pairs in which the change
+is lower and in which it is higher (a tie counts for neither), and whether
+the medians differ by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -88,10 +90,15 @@ def summarize(runs: list[dict]) -> dict:
         for name in pairs[0]["parent"]["metrics"]:
             par = [r["parent"]["metrics"][name]["value"] for r in pairs]
             chg = [r["change"]["metrics"][name]["value"] for r in pairs]
+            par_q, chg_q = quartiles(par), quartiles(chg)
             out[workload][name] = {
-                "parent": quartiles(par),
-                "change": quartiles(chg),
+                "parent": par_q,
+                "change": chg_q,
+                # a tied pair counts for neither side
                 "change_lower_in_pairs": sum(c < p for p, c in zip(par, chg)),
+                "change_higher_in_pairs": sum(c > p for p, c in zip(par, chg)),
+                "beyond_parent_iqr":
+                    abs(chg_q["median"] - par_q["median"]) > par_q["q3"] - par_q["q1"],
             }
     return out
 

@@ -16,6 +16,7 @@ monomial combinations of the T_i recorded in the recipe tables below.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -467,21 +468,16 @@ def projective_extension(
     holds for either normalization, with matching multiplicity sums)."""
     require_non_exceptional(curve, group)
     ts = thetas_for_group(curve, group)
-    homog = {}
-    for i, t in ts.items():
-        homog[i] = t.T.homogenize("x0", t.tau_i).rename_ring(HOMOG_RING)
-    x0 = SparsePoly.var(HOMOG_RING, "x0")
-    comps = []
-    for x0_pow, factors in SIGMA_RECIPES[group]:
-        c = x0**x0_pow if x0_pow else SparsePoly.const(HOMOG_RING, 1)
-        for i, p in factors:
-            c = c * homog[i] ** p
-        comps.append(c)
     a, b = SIGMA_DEGREE[group]
     deg = a * curve.d + b
-    for c in comps:
-        if not c.is_zero() and c.total_degree() != deg:
+    comps = []
+    for x0_pow, factors in SIGMA_RECIPES[group]:
+        # x0^x0_pow * prod homogenize(T_i, tau_i)^p = homogenize(prod T_i^p, deg):
+        # the products run over (x, y), where the Kronecker route applies
+        if x0_pow + sum(p * ts[i].tau_i for i, p in factors) != deg:
             raise AssertionError("projective extension degree mismatch")
+        c = functools.reduce(operator.mul, [ts[i].T ** p for i, p in factors])
+        comps.append(c.homogenize("x0", deg).rename_ring(HOMOG_RING))
     if cancel:
         g = homogeneous_gcd(comps)
         if g.total_degree() > 0:

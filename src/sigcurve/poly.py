@@ -14,9 +14,15 @@ The product and exact-division kernels key terms by packed exponents: one int
 per exponent vector, in a mixed radix large enough that no exponent of the
 result carries (deg_i(p) + deg_i(q) + 1 for a product, deg_i(p) + 1 for a
 quotient), so adding two keys adds the exponent vectors and integer order is
-lex order.  ``exact_div`` divides integer numerators by the primitive part of
-the divisor: by Gauss's lemma an exact quotient is integral, and the division
-is refused by the three rules its docstring states.
+lex order.  A product takes one of two routes, chosen from its operands: the
+double loop over term pairs, or, when the operands are dense in the box of
+the product's radix, Kronecker substitution, which places each coefficient
+in a slot of one big integer at its packed key and lets one ``int`` product
+(Karatsuba, in C) do the pair work (Harvey, J. Symb. Comput. 2009).  The rule
+is stated at ``KRONECKER_MIN_PAIRS``.  ``exact_div`` divides integer
+numerators by the primitive part of the divisor: by Gauss's lemma an exact
+quotient is integral, and the division is refused by the three rules its
+docstring states.
 
 ``resultant`` runs the subresultant PRS, whose sign bookkeeping (a flip at
 every step that pairs two odd degrees) gives the Sylvester-determinant sign by
@@ -33,6 +39,7 @@ that answer "no" without an exact remainder or resultant, is in ``modp``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -203,39 +210,37 @@ class SparsePoly:
         if not self.terms or not other.terms:
             return SparsePoly.zero(self.ring)
         pn, pd = _int_form(self)
-        qn, qd = _int_form(other)
+        qn, qd = (pn, pd) if other is self else _int_form(other)
         if len(pn) > len(qn):
             pn, qn = qn, pn
         # in radix deg_i(p) + deg_i(q) + 1 no sum of two exponents carries,
         # so adding two packed keys adds the exponent vectors
-        scales = _radix_scales([a + b + 1 for a, b in zip(_degrees(pn), _degrees(qn))])
-        pk = [(_pack(e, scales), c) for e, c in pn.items()]
-        qk = [(_pack(e, scales), c) for e, c in qn.items()]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in pk:
-            for k2, c2 in qk:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
+        bases = [a + b + 1 for a, b in zip(_degrees(pn), _degrees(qn))]
+        pairs = len(pn) * len(qn)
+        dense = (
+            pairs >= KRONECKER_MIN_PAIRS
+            and KRONECKER_PAIRS_PER_SLOT * math.prod(bases) <= pairs
+        )
+        product = (_mul_kronecker if dense else _mul_loop)(pn, qn, bases)
         den = pd * qd
-        terms = {_unpack(k, scales): Fraction(c, den) for k, c in acc.items() if c}
-        return SparsePoly(self.ring, terms)
+        return SparsePoly(self.ring, {e: Fraction(c, den) for e, c in product})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = SparsePoly.const(self.ring, 1)
+        if n == 0:
+            return SparsePoly.const(self.ring, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base_needed = n > 1
+                result = base if result is None else result * base
             n >>= 1
-            if base_needed:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- calculus and substitution -----------------------------------------
 
@@ -474,6 +479,79 @@ def _unpack(k: int, scales: Sequence[int]) -> Exponent:
         a, k = divmod(k, m)
         e.append(a)
     return tuple(e)
+
+
+# A product of integer numerators pn * qn (#pn <= #qn) whose exponents lie
+# in the box of ``bases`` (base_i = deg_i pn + deg_i qn + 1) takes the
+# Kronecker route when it has at least KRONECKER_MIN_PAIRS term pairs and at
+# least KRONECKER_PAIRS_PER_SLOT of them per slot of the box.  The box holds
+# more than #qn slots unless pn is a constant, so an operand of at most 8
+# terms always takes the loop.
+KRONECKER_MIN_PAIRS = 256
+KRONECKER_PAIRS_PER_SLOT = 8
+
+
+def _mul_loop(pn: dict[Exponent, int], qn: dict[Exponent, int], bases: Sequence[int]):
+    """The nonzero (exponent, coefficient) terms of pn * qn, by the double
+    loop over term pairs on packed keys."""
+    scales = _radix_scales(bases)
+    pk = [(_pack(e, scales), c) for e, c in pn.items()]
+    qk = [(_pack(e, scales), c) for e, c in qn.items()]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k1, c1 in pk:
+        for k2, c2 in qk:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return [(_unpack(k, scales), c) for k, c in acc.items() if c]
+
+
+def _mul_kronecker(pn: dict[Exponent, int], qn: dict[Exponent, int], bases: Sequence[int]):
+    """The nonzero terms of pn * qn (#pn <= #qn) in lex order, by Kronecker
+    substitution: each operand becomes one integer with its coefficient of
+    packed key k in a signed slot of w bits at bit w*k, and one ``int``
+    product does the work of every term pair.
+
+    A product coefficient is a sum of at most #pn products each below
+    2^(bits max|pn| + bits max|qn|), so w = that + bits #pn + 1, rounded up to
+    whole bytes, holds it with its sign.  Adding 2^(w-1) to every slot of
+    the product makes every slot nonnegative, so the slots are read back from
+    its bytes with no borrow from a neighbour."""
+    scales = _radix_scales(bases)
+    box = math.prod(bases)
+    bits = (
+        max(map(abs, pn.values())).bit_length()
+        + max(map(abs, qn.values())).bit_length()
+        + len(pn).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * box, "little")
+    packed = _kronecker_pack(pn, scales, width)
+    # a square stays one object, so the product takes CPython's squaring path
+    prod = packed * (packed if qn is pn else _kronecker_pack(qn, scales, width))
+    buf = (prod + offset).to_bytes(box * width, "little")
+    out = []
+    for e, i in zip(itertools.product(*map(range, bases)), range(0, box * width, width)):
+        c = int.from_bytes(buf[i : i + width], "little") - half
+        if c:
+            out.append((e, c))
+    return out
+
+
+def _kronecker_pack(terms: dict[Exponent, int], scales: Sequence[int], width: int) -> int:
+    """sum c * 2^(8 width key(e)), built in O(#terms) as the bytes of the
+    positive coefficients minus those of the negative ones."""
+    keyed = [(_pack(e, scales) * width, c) for e, c in terms.items()]
+    size = max(keyed)[0] + width
+    pos, neg = bytearray(size), bytearray(size)
+    for i, c in keyed:
+        if c > 0:
+            pos[i : i + width] = c.to_bytes(width, "little")
+        else:
+            neg[i : i + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # ---------------------------------------------------------------------------

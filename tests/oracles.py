@@ -35,6 +35,10 @@ slower or narrower, and the tests compare them against the package:
   a branch piece with the common factor x0^deg(sigma) * F_y^k multiplied
   in, against which ``degree.canonical_components_on_piece`` (the Theta
   products, the factor counted once by its valuation) is checked.
+* ``projective_extension_reference``: the homogeneous triple as products of
+  the homogenized T_i over (x0, x1, x2), against which
+  ``jets.projective_extension`` (products in the affine chart, homogenized
+  once) is checked.
 
 The elimination order compares monomials first by their total degree in the
 eliminated block, grevlex-tiebroken there, then the same in the kept block.
@@ -60,17 +64,21 @@ from sigcurve.jets import (
     FY_EXPONENT,
     GROUP_THETAS,
     HOMOG_RING,
+    SIGMA_DEGREE,
     SIGMA_RECIPES,
     TAU_COEFFS,
     CurveInput,
     GroupId,
     HomogeneousTriple,
     classifying_pair,
+    homogeneous_gcd,
     implicit_jet,
     jet_order,
+    require_non_exceptional,
     theta_table,
+    thetas_for_group,
 )
-from sigcurve.poly import SparsePoly, _int_form, gcd, resultant, square_free_part
+from sigcurve.poly import SparsePoly, _int_form, exact_div, gcd, resultant, square_free_part
 from sigcurve.series import SeriesRing, TruncatedSeries
 from sigcurve.signature import (
     SIG_RING,
@@ -803,3 +811,37 @@ def canonical_components_reference(
             c = (c * power(t_series[i], p)).rel_capped(rel)
         comps.append(c)
     return comps
+
+
+# ---------------------------------------------------------------------------
+# projective extension by homogeneous products
+
+
+def projective_extension_reference(
+    curve: CurveInput, group: GroupId, cancel: bool = False
+) -> HomogeneousTriple:
+    """The homogeneous triple with every T_i homogenized to degree tau_i
+    first and each component formed as x0^e * prod homogenize(T_i)^p over
+    (x0, x1, x2), against which ``jets.projective_extension`` (products over
+    (x, y), one homogenization) is checked."""
+    require_non_exceptional(curve, group)
+    ts = thetas_for_group(curve, group)
+    homog = {i: t.T.homogenize("x0", t.tau_i).rename_ring(HOMOG_RING) for i, t in ts.items()}
+    x0 = SparsePoly.var(HOMOG_RING, "x0")
+    comps = []
+    for x0_pow, factors in SIGMA_RECIPES[group]:
+        c = x0**x0_pow if x0_pow else SparsePoly.const(HOMOG_RING, 1)
+        for i, p in factors:
+            c = c * homog[i] ** p
+        comps.append(c)
+    a, b = SIGMA_DEGREE[group]
+    deg = a * curve.d + b
+    for c in comps:
+        if not c.is_zero() and c.total_degree() != deg:
+            raise AssertionError("projective extension degree mismatch")
+    if cancel:
+        g = homogeneous_gcd(comps)
+        if g.total_degree() > 0:
+            comps = [exact_div(c, g) for c in comps]
+            deg -= int(g.total_degree())
+    return HomogeneousTriple(tuple(comps), deg, group, cancelled=cancel)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import theta_numerator_reference
+from oracles import projective_extension_reference, theta_numerator_reference
+from sigcurve import jets
 from sigcurve.errors import ExceptionalCurveError
 from sigcurve.jets import (
     CurveInput,
@@ -344,5 +345,38 @@ class TestProjectiveExtension:
         assert tri.deg == 96 * 3 - 144
 
     def test_worked_cubic_cancellation(self, worked_cubic):
-        assert projective_extension(worked_cubic, GroupId.A2, cancel=False).deg == 36
-        assert projective_extension(worked_cubic, GroupId.A2, cancel=True).deg == 26
+        for cancel, deg in ((False, 36), (True, 26)):
+            tri = projective_extension(worked_cubic, GroupId.A2, cancel=cancel)
+            assert tri.deg == deg
+            assert tri == projective_extension_reference(worked_cubic, GroupId.A2, cancel=cancel)
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_matches_the_homogeneous_product_oracle(self, circle, cancel):
+        # products in the affine chart, homogenized once, against the
+        # products of the homogenized T_i
+        rng = random.Random(15)
+        cases = [
+            (rand_curve(rng, d, height=3), g)
+            for d in (3, 4)
+            for g in (GroupId.SE2, GroupId.SA2, GroupId.A2)
+        ]
+        cases += [
+            (CurveInput.from_poly(parse("x^3 + x*y + y^2 + 1")), GroupId.PGL3),
+            (circle, GroupId.SE2),
+        ]
+        for cv, g in cases:
+            tri = projective_extension(cv, g, cancel=cancel)
+            ref = projective_extension_reference(cv, g, cancel=cancel)
+            assert tri == ref
+            assert [serialize(s) for s in tri.sigma] == [serialize(s) for s in ref.sigma]
+        # T_3 vanishes on the circle, and so does its sigma_2
+        assert [s.is_zero() for s in projective_extension(circle, GroupId.SE2).sigma] == [
+            False, False, True,
+        ]
+
+    def test_recipe_degree_mismatch_raises(self, monkeypatch, circle):
+        # x0^1 * T_1^3 has degree 6d - 5 against deg sigma = 6d - 6
+        recipe = jets.SIGMA_RECIPES[GroupId.SE2]
+        monkeypatch.setitem(jets.SIGMA_RECIPES, GroupId.SE2, ((1, ((1, 3),)),) + recipe[1:])
+        with pytest.raises(AssertionError):
+            projective_extension(circle, GroupId.SE2)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,15 @@ from sigcurve.modp import (
     pseudo_remainder_image,
     resultant_coprime_image,
 )
+from sigcurve import poly
 from sigcurve.poly import (
     RatFunc,
     SparsePoly,
+    _degrees,
     _gcd_cofactors,
+    _int_form,
+    _mul_kronecker,
+    _mul_loop,
     divides,
     exact_div,
     gcd,
@@ -83,6 +90,17 @@ class TestArithmetic:
 
     def test_binomial_cube(self):
         assert (X + 1) ** 3 == parse("x^3 + 3x^2 + 3x + 1")
+
+    def test_powers_by_squaring(self):
+        p = parse("2x - 3/2*y + 1")
+        assert p**0 == SparsePoly.const(R, 1) == SparsePoly.zero(R) ** 0
+        assert p**1 == p
+        assert SparsePoly.zero(R) ** 3 == SparsePoly.zero(R)
+        for n in (2, 5, 6, 13):
+            want = SparsePoly.const(R, 1)
+            for _ in range(n):
+                want = want * p
+            assert p**n == want
 
     def test_ring_mismatch(self):
         other = SparsePoly.var(("u", "v"), "u")
@@ -285,6 +303,155 @@ class TestPackedKernels:
         with pytest.raises(ValueError):
             exact_div(parse("x^2 + x"), parse("2*x + 1"))
         assert exact_div(parse("4*x^2 + 2*x"), parse("2*x + 1")) == parse("2*x")
+
+
+BIG = 2**300
+# small and huge magnitudes, and the extremes of a byte slot
+MAGNITUDES = st.integers(1, 9) | st.integers(BIG, 2**520) | st.sampled_from(
+    [2**k + a for k in (7, 8, 15, 300, 512) for a in (-1, 0)]
+)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """(p, q) with rational coefficients over a ring of 1, 2 or 3 variables,
+    in one of four shapes: any terms; q a monomial; q is p (a square); and a
+    telescoping pair c * prod_i (1 + v_i + ... + v_i^k) * r times
+    prod_i (1 - v_i), in which with r = 1 every coefficient that two term
+    pairs reach cancels, and with a random r some of them do."""
+    ring = RINGS[draw(st.sampled_from((1, 2, 3)))]
+    n = len(ring)
+    max_deg = {1: 12, 2: 6, 3: 3}[n]
+    coeffs = st.builds(
+        lambda sign, m, den: Fraction(sign * m, den),
+        st.sampled_from((1, -1)), MAGNITUDES, st.integers(1, 12),
+    )
+    exps = st.tuples(*[st.integers(0, max_deg)] * n)
+
+    def draw_poly(min_size, max_size):
+        terms = st.lists(
+            st.tuples(exps, coeffs), min_size=min_size, max_size=max_size,
+            unique_by=lambda t: t[0],
+        )
+        return SparsePoly(ring, dict(draw(terms)))
+
+    shape = draw(st.sampled_from(("any", "monomial", "square", "telescoping")))
+    if shape == "telescoping":
+        p = SparsePoly.const(ring, draw(coeffs))
+        q = SparsePoly.const(ring, draw(coeffs))
+        for v in ring:
+            k = draw(st.integers(1, max_deg))
+            p = p * SparsePoly.from_terms(ring, [(_unit(ring, v, i), 1) for i in range(k + 1)])
+            q = q * (1 - SparsePoly.var(ring, v))
+        if draw(st.booleans()):
+            p = p * draw_poly(1, 4)
+        return p, q
+    p = draw_poly(1, 40)
+    if shape == "square":
+        return p, p
+    return p, draw_poly(1, 1 if shape == "monomial" else 40)
+
+
+def _unit(ring, v, i):
+    return tuple(i if w == v else 0 for w in ring)
+
+
+def product_by(kernel, p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """p * q with the given kernel, on the integer numerators and box that
+    ``SparsePoly.__mul__`` hands it."""
+    pn, pd = _int_form(p)
+    qn, qd = (pn, pd) if q is p else _int_form(q)
+    if len(pn) > len(qn):
+        pn, qn = qn, pn
+    bases = [a + b + 1 for a, b in zip(_degrees(pn), _degrees(qn))]
+    return SparsePoly(p.ring, {e: Fraction(c, pd * qd) for e, c in kernel(pn, qn, bases)})
+
+
+class TestKroneckerProduct:
+    """The Kronecker kernel of ``SparsePoly.__mul__`` against its term loop,
+    each called directly whatever the size rule would pick."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_pairs())
+    def test_matches_the_term_loop(self, pq):
+        p, q = pq
+        packed = product_by(_mul_kronecker, p, q)
+        assert packed == product_by(_mul_loop, p, q) == mul_tuple_keys(p, q)
+        assert list(packed.terms) == sorted(packed.terms)  # lex order of the packed keys
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_telescoping_product_keeps_only_the_corners(self, n):
+        ring = RINGS[n]
+        p = SparsePoly.const(ring, -(BIG + 1))
+        q = SparsePoly.const(ring, Fraction(BIG - 1, 7))
+        want = SparsePoly.const(ring, Fraction(-(BIG + 1) * (BIG - 1), 7))
+        for v in ring:
+            x = SparsePoly.var(ring, v)
+            p = p * SparsePoly.from_terms(ring, [(_unit(ring, v, i), 1) for i in range(9)])
+            q = q * (1 - x)
+            want = want * (1 - x**9)
+        assert product_by(_mul_kronecker, p, q) == product_by(_mul_loop, p, q) == want
+
+    @pytest.mark.parametrize("a, b, m", [(6, 6, 15), (100, 152, 15), (300, 301, 127)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_width_holds_the_largest_coefficient(self, a, b, m, sign):
+        # a + b + bits(m) is a multiple of 8, so the sign bit takes a byte of
+        # its own; the middle coefficient m (2^a - 1)(2^b - 1) needs all of it
+        p = SparsePoly(("x",), {(i,): Fraction(2**a - 1) for i in range(m)})
+        q = SparsePoly(("x",), {(j,): Fraction(sign * (2**b - 1)) for j in range(m)})
+        got = product_by(_mul_kronecker, p, q)
+        assert got.terms[(m - 1,)] == sign * m * (2**a - 1) * (2**b - 1)
+        assert got == product_by(_mul_loop, p, q)
+
+    @staticmethod
+    def routes_of(product):
+        """The kernels that ``product()`` runs, in call order."""
+        calls = []
+
+        def spy(name, kernel):
+            def run(*args):
+                calls.append(name)
+                return kernel(*args)
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_mul_kronecker", spy("kronecker", _mul_kronecker))
+            mp.setattr(poly, "_mul_loop", spy("loop", _mul_loop))
+            result = product()
+        return calls, result
+
+    def test_dense_quartic_powers_take_the_packed_route(self):
+        rng = random.Random(15)
+        F = SparsePoly.from_terms(R, [
+            ((i, j), rng.choice((-1, 1)) * rng.randint(1, 9))
+            for i in range(5) for j in range(5 - i)
+        ])
+        p, q = F**2, F**3
+        assert len(p.terms) * len(q.terms) >= poly.KRONECKER_MIN_PAIRS
+        calls, pq = self.routes_of(lambda: p * q)
+        assert calls == ["kronecker"]
+        assert pq == mul_tuple_keys(p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_an_operand_of_at_most_eight_terms_takes_the_loop(self, data):
+        ring = RINGS[data.draw(st.sampled_from((1, 2, 3)))]
+        n = len(ring)
+        # q fills its whole box, the densest operand there is
+        box = data.draw(st.tuples(*[st.integers(0, {1: 200, 2: 20, 3: 7}[n])] * n))
+        q = SparsePoly(ring, {
+            e: Fraction(1 + 7 * sum(e) % 9)
+            for e in itertools.product(*[range(k + 1) for k in box])
+        })
+        small = st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 8)] * n), st.integers(1, 9)),
+            min_size=1, max_size=8, unique_by=lambda t: t[0],
+        )
+        p = SparsePoly(ring, {e: Fraction(c) for e, c in data.draw(small)})
+        for product in (lambda: p * q, lambda: q * p):
+            calls, pq = self.routes_of(product)
+            assert calls == ["loop"]
+            assert pq == mul_tuple_keys(p, q)
 
 
 @st.composite
