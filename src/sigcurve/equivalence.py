@@ -4,10 +4,11 @@ Two non-exceptional curves with finite symmetry groups are G-equivalent
 exactly when their canonical signature polynomials coincide; constant
 signatures compare as constants but only give a necessary condition (the
 signature classification holds unconditionally only there).  ``equivalent``
-computes S_F by the certified route and checks it on G's fibers with the
-same certificate: S_F is irreducible, so if it vanishes on G's signature
-curve it is S_G, and one fiber of G where S_F(K1, K2) is nonzero proves
-S_G != S_F.  The symmetry order n is recovered from
+computes S_F by the certified route; one ``FiberTable`` of G decides whether
+G's signature is constant and checks S_F on G's fibers with the same
+certificate: S_F is irreducible, so if it vanishes on G's signature curve it
+is S_G, and one fiber of G where S_F(K1, K2) is nonzero proves S_G != S_F.
+The symmetry order n is recovered from
 n * deg(S) = d * deg(sigma) - mult_sum with deg(S) from the certified S.
 """
 
@@ -49,11 +50,13 @@ class EquivalenceVerdict:
 
 
 def equivalent(F: CurveInput, G: CurveInput, group: GroupId) -> EquivalenceVerdict:
-    """Decide G-equivalence: the certified S_F, then ``certify_signature``
-    of S_F on G (``right`` is None when it fails)."""
+    """Decide G-equivalence: the certified S_F, then the constancy of G's
+    signature and ``certify_signature`` of S_F, both on one fiber table of G
+    (``right`` is None when the certificate fails)."""
     try:
         sig_f = signature_polynomial(F, group)
-        const_g = is_constant_signature(G, group)
+        table_g = FiberTable(G, group)
+        const_g = table_g.constant()
     except ExceptionalCurveError as e:
         return EquivalenceVerdict(None, VerdictReason.EXCEPTIONAL_INPUT, note=str(e))
     const_f = isinstance(sig_f, PointSignature)
@@ -73,7 +76,7 @@ def equivalent(F: CurveInput, G: CurveInput, group: GroupId) -> EquivalenceVerdi
         )
     if const_f or const_g is not None:
         return EquivalenceVerdict(False, VerdictReason.CONSTANT_VS_CURVE, sig_f)
-    cert = certify_signature(FiberTable(G, group), sig_f.S)
+    cert = certify_signature(table_g, sig_f.S)
     if cert is None:
         return EquivalenceVerdict(False, VerdictReason.SIGNATURES_DIFFER, sig_f)
     return EquivalenceVerdict(

@@ -12,6 +12,14 @@ gives (K1, K2) there exactly.  ``FiberTable`` keeps such fibers, x0 running
 through the rationals by height, with the exact powers of K1;
 ``signature_polynomial`` reads one table for every fit and its certificate.
 
+Constant signatures.  ``FiberTable.constant`` decides first whether K1 is
+constant.  q is squarefree, so K1 on a fiber is one rational number exactly
+when it takes that value at every point of the fiber: a fiber where K1 is
+not rational, or two fibers with different values (needed when deg_y F = 1),
+prove "not constant".  A common value c is proved by F | A - c B, K1 = A/B
+(``jets._vanishes_on_curve``); the Theta powers of K1 differ from A and B by
+a factor that F does not divide on a curve that is not exceptional.
+
 Fit.  S(K1, K2) = 0 on a fiber is deg q linear conditions on the
 coefficients of S.  ``exact_signature_fit`` solves them modulo a 31-bit
 prime for one degree D.  A kernel that is zero modulo a prime is zero over
@@ -46,19 +54,21 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import SigcurveError
 from .jets import (
-    CLASSIFYING_RECIPES,
+    ClassifyingPair,
     CurveInput,
     GroupId,
+    _vanishes_on_curve,
     classifying_pair,
     fiber_invariants,
     require_non_exceptional,
 )
 from .modp import _primes_31bit
-from .poly import SparsePoly, _lc_in, gcd, grlex_key, pseudo_remainder
+from .poly import SparsePoly, gcd
 from .series import SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")
@@ -116,45 +126,9 @@ def canonical_signature_poly(S: SparsePoly) -> SparsePoly:
 
 
 def is_constant_signature(curve: CurveInput, group: GroupId) -> Optional[Fraction]:
-    """The constant value of K1 on the curve, or None when non-constant.
-
-    Exact test: the pseudo-reductions of numerator and denominator modulo F
-    must be proportional over Q (their y-degrees are below F's, so class
-    equality in the coordinate ring is literal polynomial proportionality).
-    """
-    require_non_exceptional(curve, group)
-    # unreduced Theta-power ratio: gcd cancellation is irrelevant for the
-    # proportionality test and can be very expensive at PGL(3) scale
-    from .jets import thetas_for_group
-
-    ts = thetas_for_group(curve, group)
-    ((na, npow), (da, dpow)), _ = CLASSIFYING_RECIPES[group]
-    A = ts[na].T ** npow
-    B = ts[da].T ** dpow
-    F = curve.F
-    dy = int(F.degree_in("y"))
-    if dy <= 0:
-        return None
-    lcy = _lc_in(F, 1)
-
-    def reduce_with_scale(p: SparsePoly) -> tuple[SparsePoly, int]:
-        k = max(int(p.degree_in("y")) - dy + 1, 0)
-        return pseudo_remainder(p, F, "y"), k
-
-    rA, kA = reduce_with_scale(A)
-    rB, kB = reduce_with_scale(B)
-    if rB.is_zero():
-        return None  # denominator vanishes on the curve; exceptional-adjacent
-    U = rA * lcy**kB
-    W = rB * lcy**kA
-    if U.is_zero():
-        return Fraction(0)
-    _, uc = U.leading(grlex_key)
-    _, wc = W.leading(grlex_key)
-    c = uc / wc
-    if U == W.scale(c):
-        return c
-    return None
+    """The constant value of K1 on the curve, or None when it is not
+    constant: ``FiberTable.constant`` of a fresh table."""
+    return FiberTable(curve, group).constant()
 
 
 def signature_polynomial(
@@ -167,11 +141,10 @@ def signature_polynomial(
     either proves that no polynomial of degree D vanishes on the curve or
     proposes one, which ``certify_signature`` proves or rejects; a rejected
     proposal is fitted again on more fibers."""
-    require_non_exceptional(curve, group)
-    const = is_constant_signature(curve, group)
+    table = FiberTable(curve, group)
+    const = table.constant()
     if const is not None:
         return PointSignature(const, group, curve)
-    table = FiberTable(curve, group)
     fibers = 1
     for degree in range(1, curve.d * table.deg_line + 1):
         while True:
@@ -232,6 +205,11 @@ class _Fiber:
         self.ring, self.k1, self.k2 = ring, k1, k2
         self.powers = [TruncatedSeries.constant(ring, Fraction(1)), k1]
 
+    def k1_value(self) -> Optional[Fraction]:
+        """K1 on the fiber when it is one rational number, else None."""
+        value = self.k1.coeff_fractions(0)
+        return None if any(value[1:]) else value[0]
+
     def vanishes(self, S: SparsePoly) -> bool:
         """Whether S(K1, K2) = 0 in Q[W]/(q), by Horner's rule in K2 over
         the stored powers of K1."""
@@ -285,22 +263,40 @@ def _mulmod(a: list[int], b: list[int], monic: list[int], prime: int) -> list[in
 
 class FiberTable:
     """The usable fibers of a curve under a group, in abscissa order, grown
-    on demand; ``deg_line`` bounds the degree of the pullback of a line
-    (module docstring).  Not safe to share between threads."""
+    on demand; ``constant`` and ``deg_line`` (module docstring) build the
+    classifying pair only when they need it.  Not safe to share between
+    threads."""
 
     def __init__(self, curve: CurveInput, group: GroupId):
-        pair = classifying_pair(curve, group)
-        K1, K2 = pair.K1, pair.K2
+        require_non_exceptional(curve, group)
+        self.curve, self.group = curve, group
+        self.dy = int(curve.F.degree_in("y"))
+        self.fibers: list[_Fiber] = []
+        self._abscissas = _abscissas()
+
+    @cached_property
+    def pair(self) -> ClassifyingPair:
+        return classifying_pair(self.curve, self.group)
+
+    @cached_property
+    def deg_line(self) -> int:
+        K1, K2 = self.pair.K1, self.pair.K2
         for name, K in (("K1", K1), ("K2", K2)):
             if K.num.is_zero():
                 raise SigcurveError(f"{name} is 0 on the curve: the signature is a point, not a curve")
         a, b, c, e = (int(p.total_degree()) for p in (K1.num, K1.den, K2.num, K2.den))
         lcm = b + e - int(gcd(K1.den, K2.den).total_degree())
-        self.deg_line = max(a + lcm - b, lcm, c + lcm - e)
-        self.curve, self.group = curve, group
-        self.dy = int(curve.F.degree_in("y"))
-        self.fibers: list[_Fiber] = []
-        self._abscissas = _abscissas()
+        return max(a + lcm - b, lcm, c + lcm - e)
+
+    def constant(self) -> Optional[Fraction]:
+        """The constant value of K1 on the curve, or None: two fibers answer
+        "not constant", one exact identity "constant c"."""
+        values = {self.fiber(i).k1_value() for i in range(2)}
+        if len(values) > 1 or None in values:
+            return None
+        [c] = values
+        K1 = self.pair.K1
+        return c if _vanishes_on_curve(K1.num - K1.den.scale(c), self.curve) else None
 
     def bezout_fibers(self, degree: int) -> int:
         """The fibers whose conditions a polynomial of this degree must meet

@@ -51,8 +51,9 @@ class TestVerdicts:
         assert v.equivalent is True
 
     def test_constant_vs_curve(self, ellipse, circle):
-        v = equivalent(ellipse, circle, GroupId.SE2)
-        assert v.equivalent is False and v.reason is VerdictReason.CONSTANT_VS_CURVE
+        for F, G in ((ellipse, circle), (circle, ellipse)):
+            v = equivalent(F, G, GroupId.SE2)
+            assert v.equivalent is False and v.reason is VerdictReason.CONSTANT_VS_CURVE
 
     def test_both_constant_carries_caveat(self, circle):
         big = CurveInput.from_poly(parse("x^2 + y^2 - 4"))
@@ -63,8 +64,9 @@ class TestVerdicts:
 
     def test_exceptional_input(self, circle, ellipse):
         line = CurveInput.from_poly(parse("x + y - 1"))
-        v = equivalent(line, ellipse, GroupId.SE2)
-        assert v.equivalent is None and v.reason is VerdictReason.EXCEPTIONAL_INPUT
+        for F, G in ((line, ellipse), (ellipse, line)):
+            v = equivalent(F, G, GroupId.SE2)
+            assert v.equivalent is None and v.reason is VerdictReason.EXCEPTIONAL_INPUT
 
     def test_fermat3_vs_fermat4_pgl3_closed_forms(self):
         # both signatures have degree four; the polynomials differ

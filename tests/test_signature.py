@@ -74,11 +74,34 @@ class TestConstantSignature:
         out = signature_polynomial(circle, GroupId.SE2)
         assert isinstance(out, PointSignature) and out.value == 1
 
-    def test_fiber_table_refuses_a_zero_invariant(self, circle):
-        """K2 = 0 on the circle: the signature is a point, so there is no S
-        for the Bezout route to certify."""
+    def test_fiber_table_answers_a_zero_invariant(self, circle):
+        """K2 = 0 on the circle: the table proves the constant, and refuses
+        to bound a line's pullback, since there is no S to certify."""
+        table = FiberTable(circle, GroupId.SE2)
+        assert table.constant() == 1
         with pytest.raises(SigcurveError, match="K2 is 0 on the curve"):
-            FiberTable(circle, GroupId.SE2)
+            table.deg_line
+
+    @pytest.mark.parametrize(
+        "curve, group, value",
+        [
+            ("y^2 - x^3", GroupId.A2, Fraction(25)),
+            ("y^2 - x^3", GroupId.PGL3, Fraction(250047, 12800)),
+            ("y^3 - x^5", GroupId.A2, Fraction(256, 7)),
+            ("y^3 - x^5", GroupId.PGL3, Fraction(5000211, 100352)),
+            ("x*y^2 - 1", GroupId.PGL3, Fraction(250047, 12800)),
+            ("y^2 - x^3", GroupId.SA2, None),  # the first fibers give 16 and -16
+            ("y - x^3", GroupId.SE2, None),  # deg_y F = 1: every fiber value is rational
+        ],
+    )
+    def test_constant_values(self, curve, group, value):
+        cv = CurveInput.from_poly(parse(curve))
+        assert is_constant_signature(cv, group) == value
+
+    def test_pgl3_image_not_constant(self):
+        """Two fibers answer "no" on a dense PGL3 image of the Fermat cubic."""
+        G = apply_group_element(fermat_curve(3), [[1, 1, 0], [0, 1, 1], [2, 0, 1]], GroupId.PGL3)
+        assert is_constant_signature(G, GroupId.PGL3) is None
 
     def test_ellipse_not_constant(self, ellipse):
         assert is_constant_signature(ellipse, GroupId.SE2) is None
