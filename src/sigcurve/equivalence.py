@@ -108,20 +108,21 @@ def symmetry_order(
     deg(S) is ``known_signature_degree`` (e.g. a verified closed form) or
     the degree of the certified signature polynomial.  Infinite symmetry is
     the constant-signature case, detected before the degree formula is ever
-    invoked (it does not apply).
+    invoked (it does not apply): the certified route answers it with a
+    ``PointSignature``, and ``is_constant_signature`` when deg(S) is known.
     """
-    const = is_constant_signature(curve, group)
+    if known_signature_degree is None:
+        sig = signature_polynomial(curve, group)
+        const = sig.value if isinstance(sig, PointSignature) else None
+    else:
+        const = is_constant_signature(curve, group)
     if const is not None:
         return SymmetryResult(
             None, True, "constant-signature", constant_value=const
         )
+    deg_s = sig.degree() if known_signature_degree is None else known_signature_degree
     pred = predict_degree(curve, group, seed=seed)
     total = pred.n_times_deg_S
-    deg_s = known_signature_degree
-    if deg_s is None:
-        sig = signature_polynomial(curve, group)
-        assert isinstance(sig, SignaturePolynomial)
-        deg_s = sig.degree()
     if deg_s <= 0 or total % deg_s:
         raise NonIntegralSymmetryError(total, deg_s, "d*deg(sigma) - mult_sum")
     return SymmetryResult(

@@ -538,18 +538,6 @@ def apply_group_element(
     return CurveInput.from_poly(affine)
 
 
-def transform_point(
-    matrix: Sequence[Sequence[Fraction]], p: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Affine action of a 3x3 matrix on (x, y); raises on the line at
-    infinity (vanishing 0th homogeneous coordinate)."""
-    vec = (Fraction(1), Fraction(p[0]), Fraction(p[1]))
-    out = [sum(Fraction(matrix[j][k]) * vec[k] for k in range(3)) for j in range(3)]
-    if out[0] == 0:
-        raise ZeroDivisionError("point maps to the line at infinity")
-    return (out[1] / out[0], out[2] / out[0])
-
-
 # ---------------------------------------------------------------------------
 # jets and invariants on a fiber
 
@@ -593,7 +581,11 @@ def fiber_invariants(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """(K1, K2) at the points of the fiber x = x0 that ``ring`` describes (see
     ``fiber_jets``), as elements of Q[W]/(q).  Raises ZeroDivisionError when a
-    denominator Theta vanishes at some point of the fiber."""
+    denominator Theta vanishes at some point of the fiber.
+
+    This route needs no classifying pair: ``FiberTable.constant``,
+    ``signature_samples`` and ``invariants_at_point`` use it.  The table's
+    own fibers read (K1, K2) from the reduced pair instead."""
     ((na, npow), (da, dpow)), ((nc, cpow), (de, epow)) = CLASSIFYING_RECIPES[group]
     needed = sorted({na, da, nc, de})
     u = fiber_jets(curve, x0, ring, jet_order(needed))

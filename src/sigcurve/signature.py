@@ -7,18 +7,25 @@ coefficients of content 1 with positive leading coefficient under grlex
 k1 > k2, enabling byte-exact comparisons.
 
 Fibers.  A fiber x = x0 on which q = F(x0, W) is squarefree of full y-degree
-is one point of the curve with coordinates in Q[W]/(q): ``fiber_invariants``
-gives (K1, K2) there exactly.  ``FiberTable`` keeps such fibers, x0 running
-through the rationals by height, with the exact powers of K1;
-``signature_polynomial`` reads one table for every fit and its certificate.
+is one point of the curve with coordinates in Q[W]/(q).  ``FiberTable``
+keeps such fibers, x0 running through the rationals by height, with (K1, K2)
+read exactly from the reduced classifying pair K1 = A/B, K2 = C/E: A, B, C,
+E evaluated at x = x0 in Q[W]/(q), and B and E inverted there (a fiber on
+which B or E is a zero divisor is skipped).  It keeps the exact powers of
+K1; ``signature_polynomial`` reads one table for every fit and its
+certificate.  ``fiber_invariants`` (a Newton branch, jets and Theta series)
+gives (K1, K2) on a fiber without the pair; ``FiberTable.constant`` and
+``signature_samples`` use it.
 
 Constant signatures.  ``FiberTable.constant`` decides first whether K1 is
 constant.  q is squarefree, so K1 on a fiber is one rational number exactly
 when it takes that value at every point of the fiber: a fiber where K1 is
 not rational, or two fibers with different values (needed when deg_y F = 1),
-prove "not constant".  A common value c is proved by F | A - c B, K1 = A/B
-(``jets._vanishes_on_curve``); the Theta powers of K1 differ from A and B by
-a factor that F does not divide on a curve that is not exceptional.
+prove "not constant".  These two fibers come from ``fiber_invariants``, so
+a "not constant" answer never builds the classifying pair.  A common value
+c is proved by F | A - c B, K1 = A/B (``jets._vanishes_on_curve``); the
+Theta powers of K1 differ from A and B by a factor that F does not divide
+on a curve that is not exceptional.
 
 Fit.  S(K1, K2) = 0 on a fiber is deg q linear conditions on the
 coefficients of S.  ``exact_signature_fit`` solves them modulo a 31-bit
@@ -34,9 +41,9 @@ a A (L/B) + b C (L/E) + c L of degree at most deg_line, so deg S <=
 d deg_line.  For S of degree D, N = L^D S(A/B, C/E) = sum c_ij A^i C^j
 (L/B)^i (L/E)^j L^(D-i-j) is a polynomial of degree at most deg_N =
 D deg_line, and it vanishes at every point of a table fiber on which
-S(K1, K2) = 0 (each factor of L divides B or E, which are nonzero there, or
-``fiber_invariants`` would have raised).  ``certify_signature``
-checks S(K1, K2) = 0 exactly on more than d deg_N / deg_y F fibers: then F
+S(K1, K2) = 0 (each factor of L divides B or E, which are nonzero there:
+B and E are inverted on the fiber).  ``certify_signature`` checks
+S(K1, K2) = 0 exactly on more than d deg_N / deg_y F fibers: then F
 meets N in more than d deg_N points, so F divides N by Bezout and S vanishes
 on the signature curve.  It also checks that no nonzero polynomial of degree
 D - 1 meets the table's conditions modulo a prime, so S is the signature
@@ -51,11 +58,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import SigcurveError
 from .jets import (
@@ -69,9 +77,12 @@ from .jets import (
 )
 from .modp import _primes_31bit
 from .poly import SparsePoly, gcd
-from .series import SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
+from .series import INF, SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")
+
+# (x0, ring) -> (K1, K2) on the fiber, or ZeroDivisionError
+Invariants = Callable[[Fraction, SeriesRing], tuple[TruncatedSeries, TruncatedSeries]]
 
 # Fibers a one-dimensional kernel must survive before it is lifted.
 STABLE_BATCH = 2
@@ -261,22 +272,103 @@ def _mulmod(a: list[int], b: list[int], monic: list[int], prime: int) -> list[in
     return [c % prime for c in acc[:n]]
 
 
+def fiber_evaluator(P: SparsePoly) -> Callable[[Fraction, SeriesRing], TruncatedSeries]:
+    """The map (x0, ring) -> P(x0, W) in Q[W]/(q) of a polynomial P over
+    (x, y).
+
+    P's coefficients are fixed once as integers over one denominator, one
+    list per power of y.  At x0 = r/s each power of y takes its value in x
+    as a dot product with the integers r^i s^(dx - i); the values are then
+    reduced modulo q by Horner's rule in W on integer vectors.  A step past
+    deg q multiplies the accumulator by lc(q), and each later value by the
+    running power of lc(q), which the result carries in its denominator."""
+    ix, iy = P.ring.index("x"), P.ring.index("y")
+    den = math.lcm(1, *(c.denominator for c in P.terms.values()))
+    dx = max((e[ix] for e in P.terms), default=0)
+    dy = max((e[iy] for e in P.terms), default=-1)
+    columns = [[0] * (dx + 1) for _ in range(dy + 1)]
+    for e, c in P.terms.items():
+        columns[dy - e[iy]][e[ix]] = int(c * den)
+
+    def evaluate(x0: Fraction, ring: SeriesRing) -> TruncatedSeries:
+        r, s = x0.numerator, x0.denominator
+        rs = [r**i * s ** (dx - i) for i in range(dx + 1)]
+        q, lc = ring.q, ring.q[-1]
+        acc, scale = [0] * ring.deg, 1
+        for column in columns:
+            top = acc.pop()
+            acc.insert(0, 0)
+            if top:
+                if lc != 1:
+                    acc = [a * lc for a in acc]
+                    scale *= lc
+                acc = [a - top * c for a, c in zip(acc, q)]
+            acc[0] += scale * sum(map(operator.mul, column, rs))
+        terms = {(0, k): a for k, a in enumerate(acc) if a}
+        return TruncatedSeries(ring, terms, den * s**dx * scale, INF).normalized()
+
+    return evaluate
+
+
+def _usable_fibers(curve: CurveInput, invariants: Invariants) -> Iterator[_Fiber]:
+    """The fibers x = x0, in abscissa order, on which q = F(x0, W) is
+    squarefree of full y-degree and ``invariants(x0, ring)`` gives (K1, K2)
+    without a ZeroDivisionError; SigcurveError after ``MAX_SKIPPED``
+    unusable abscissas in a row."""
+    dy = int(curve.F.degree_in("y"))
+    skipped = 0
+    for x0 in _abscissas():
+        q = intpoly_from_poly(curve.F.evaluate_partial({"x": x0}), "y")
+        if len(q) - 1 == dy and intpoly_squarefree(q):
+            ring = SeriesRing(q)
+            try:
+                fiber = _Fiber(ring, *invariants(x0, ring))
+            except ZeroDivisionError:
+                pass  # a denominator vanishes somewhere on the fiber
+            else:
+                skipped = 0
+                yield fiber
+                continue
+        skipped += 1
+        if skipped > MAX_SKIPPED:
+            raise SigcurveError(
+                f"no usable fiber among {MAX_SKIPPED} abscissas in a row (F not squarefree?)"
+            )
+
+
 class FiberTable:
     """The usable fibers of a curve under a group, in abscissa order, grown
-    on demand; ``constant`` and ``deg_line`` (module docstring) build the
-    classifying pair only when they need it.  Not safe to share between
-    threads."""
+    on demand.  Table fibers take (K1, K2) from ``invariants``: the reduced
+    classifying pair A/B, C/E evaluated at x = x0 (``fiber_evaluator``); a
+    fiber on which B or E is a zero divisor is skipped.  ``constant`` reads
+    its two fibers from the jets route (``fiber_invariants``), so that it
+    and ``deg_line`` (module docstring) build the pair only when they need
+    it.  Not safe to share between threads."""
 
     def __init__(self, curve: CurveInput, group: GroupId):
         require_non_exceptional(curve, group)
         self.curve, self.group = curve, group
         self.dy = int(curve.F.degree_in("y"))
         self.fibers: list[_Fiber] = []
-        self._abscissas = _abscissas()
+        self._usable = _usable_fibers(curve, self.invariants)  # lazy: no pair yet
 
     @cached_property
     def pair(self) -> ClassifyingPair:
         return classifying_pair(self.curve, self.group)
+
+    @cached_property
+    def _evaluators(self) -> list[Callable[[Fraction, SeriesRing], TruncatedSeries]]:
+        K1, K2 = self.pair.K1, self.pair.K2
+        return [fiber_evaluator(p) for p in (K1.num, K1.den, K2.num, K2.den)]
+
+    def invariants(self, x0: Fraction, ring: SeriesRing) -> tuple[TruncatedSeries, TruncatedSeries]:
+        """(K1, K2) = (A B^-1, C E^-1) on the fiber x = x0 that ``ring``
+        describes; ZeroDivisionError when B or E is a zero divisor there."""
+        A, B, C, E = self._evaluators
+        inv_b, inv_e = (
+            ring.element(ring.invert_vec(den(x0, ring).coeff_fractions(0))) for den in (B, E)
+        )
+        return A(x0, ring) * inv_b, C(x0, ring) * inv_e
 
     @cached_property
     def deg_line(self) -> int:
@@ -291,7 +383,8 @@ class FiberTable:
     def constant(self) -> Optional[Fraction]:
         """The constant value of K1 on the curve, or None: two fibers answer
         "not constant", one exact identity "constant c"."""
-        values = {self.fiber(i).k1_value() for i in range(2)}
+        jets = _usable_fibers(self.curve, partial(fiber_invariants, self.curve, self.group))
+        values = {fiber.k1_value() for fiber in itertools.islice(jets, 2)}
         if len(values) > 1 or None in values:
             return None
         [c] = values
@@ -304,24 +397,8 @@ class FiberTable:
         return self.curve.d * degree * self.deg_line // self.dy + 1
 
     def fiber(self, index: int) -> _Fiber:
-        skipped = 0
         while len(self.fibers) <= index:
-            x0 = next(self._abscissas)
-            q = intpoly_from_poly(self.curve.F.evaluate_partial({"x": x0}), "y")
-            if len(q) - 1 == self.dy and intpoly_squarefree(q):
-                ring = SeriesRing(q)
-                try:
-                    k1, k2 = fiber_invariants(self.curve, self.group, x0, ring)
-                    self.fibers.append(_Fiber(ring, k1, k2))
-                    skipped = 0
-                    continue
-                except ZeroDivisionError:
-                    pass  # a denominator Theta vanishes somewhere on the fiber
-            skipped += 1
-            if skipped > MAX_SKIPPED:
-                raise SigcurveError(
-                    f"no usable fiber among {MAX_SKIPPED} abscissas in a row (F not squarefree?)"
-                )
+            self.fibers.append(next(self._usable))
         return self.fibers[index]
 
 

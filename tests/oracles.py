@@ -39,6 +39,8 @@ slower or narrower, and the tests compare them against the package:
   the homogenized T_i over (x0, x1, x2), against which
   ``jets.projective_extension`` (products in the affine chart, homogenized
   once) is checked.
+* ``transform_point``: the affine action of a 3x3 matrix on a point, with
+  which the tests move points along with ``jets.apply_group_element``.
 
 The elimination order compares monomials first by their total degree in the
 eliminated block, grevlex-tiebroken there, then the same in the kept block.
@@ -845,3 +847,15 @@ def projective_extension_reference(
             comps = [exact_div(c, g) for c in comps]
             deg -= int(g.total_degree())
     return HomogeneousTriple(tuple(comps), deg, group, cancelled=cancel)
+
+
+def transform_point(
+    matrix: Sequence[Sequence[Fraction]], p: tuple[Fraction, Fraction]
+) -> tuple[Fraction, Fraction]:
+    """Affine action of a 3x3 matrix on (x, y); raises on the line at
+    infinity (vanishing 0th homogeneous coordinate)."""
+    vec = (Fraction(1), Fraction(p[0]), Fraction(p[1]))
+    out = [sum(Fraction(matrix[j][k]) * vec[k] for k in range(3)) for j in range(3)]
+    if out[0] == 0:
+        raise ZeroDivisionError("point maps to the line at infinity")
+    return (out[1] / out[0], out[2] / out[0])

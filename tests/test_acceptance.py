@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import relative_residual
+from oracles import relative_residual, transform_point
 from sigcurve.degree import (
     generic_degree,
     mult_min,
@@ -33,7 +33,6 @@ from sigcurve.jets import (
     invariants_at_point,
     jets_at_point,
     projective_extension,
-    transform_point,
 )
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import SparsePoly

@@ -5,6 +5,7 @@ from sigcurve.equivalence import VerdictReason, equivalent, symmetry_order
 from sigcurve.fermat import fermat_curve, fermat_signature, fermat_symmetry_order
 from sigcurve.jets import CurveInput, GroupId, apply_group_element
 from sigcurve.parser import parse
+from sigcurve.signature import FiberTable
 
 
 def rand_se2(rng):
@@ -94,6 +95,21 @@ class TestSymmetry:
         r = symmetry_order(circle, GroupId.SE2)
         assert r.infinite and r.route == "constant-signature"
         assert r.constant_value == 1
+
+    def test_one_fiber_table(self, circle, cusp_cubic, monkeypatch):
+        """Without a known degree, constancy is read from the certified
+        route's own table: one table per command, constant or not."""
+        built = []
+        init = FiberTable.__init__
+
+        def counting(self, curve, group):
+            built.append(curve)
+            init(self, curve, group)
+
+        monkeypatch.setattr(FiberTable, "__init__", counting)
+        assert symmetry_order(circle, GroupId.SE2).infinite
+        assert symmetry_order(cusp_cubic, GroupId.SE2).n == 1
+        assert built == [circle, cusp_cubic]
 
     def test_cusp_cubic_trivial_symmetry(self, cusp_cubic):
         r = symmetry_order(cusp_cubic, GroupId.SE2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import projective_extension_reference, theta_numerator_reference
+from oracles import projective_extension_reference, theta_numerator_reference, transform_point
 from sigcurve import jets
 from sigcurve.errors import ExceptionalCurveError
 from sigcurve.jets import (
@@ -18,7 +18,6 @@ from sigcurve.jets import (
     jets_at_point,
     projective_extension,
     theta,
-    transform_point,
 )
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import SparsePoly, exact_div

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import sigcurve.signature as signature_module
@@ -13,18 +16,22 @@ from sigcurve.jets import (
     GroupId,
     apply_group_element,
     classifying_pair,
+    fiber_invariants,
 )
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import RatFunc, SparsePoly, divides, exact_div, gcd, resultant
+from sigcurve.series import SeriesRing, intpoly_from_poly, intpoly_squarefree
 from sigcurve.signature import (
     SIG_RING,
     FiberTable,
     PointSignature,
     certify_signature,
+    fiber_evaluator,
     is_constant_signature,
     signature_polynomial,
     signature_samples,
 )
+from test_jets import rand_curve
 
 ELLIPSE_S_REFERENCE = (
     "2916*k1^6 + 972*k1^4*k2^2 + 108*k1^2*k2^4 + 4*k2^6"
@@ -103,6 +110,14 @@ class TestConstantSignature:
         G = apply_group_element(fermat_curve(3), [[1, 1, 0], [0, 1, 1], [2, 0, 1]], GroupId.PGL3)
         assert is_constant_signature(G, GroupId.PGL3) is None
 
+    def test_pgl3_image_not_constant_without_the_pair(self):
+        """The two fibers of "not constant" come from the jets route, so the
+        table never builds the image's classifying pair (seconds of work)."""
+        G = apply_group_element(fermat_curve(3), [[1, 1, 0], [0, 1, 1], [2, 0, 1]], GroupId.PGL3)
+        table = FiberTable(G, GroupId.PGL3)
+        assert table.constant() is None
+        assert "pair" not in table.__dict__
+
     def test_ellipse_not_constant(self, ellipse):
         assert is_constant_signature(ellipse, GroupId.SE2) is None
 
@@ -150,6 +165,132 @@ class TestResultantCrossCheck:
         iterated = resultant(r1, r2, "x")
         assert not iterated.is_zero()
         assert divides(up(sig.S), iterated)
+
+
+def _usable_abscissas(curve, count):
+    """The first ``count`` abscissas, in table order, whose fiber is
+    squarefree of full y-degree, each with its ring."""
+    dy = int(curve.F.degree_in("y"))
+    out = []
+    for x0 in signature_module._abscissas():
+        q = intpoly_from_poly(curve.F.evaluate_partial({"x": x0}), "y")
+        if len(q) - 1 == dy and intpoly_squarefree(q):
+            out.append((x0, SeriesRing(q)))
+            if len(out) == count:
+                return out
+
+
+class TestPairRoute:
+    """Table fibers read (K1, K2) from the reduced classifying pair; the
+    jets route (``fiber_invariants``) is the reference."""
+
+    @pytest.mark.parametrize(
+        "spec, group",
+        [
+            ("x^2 + x*y + y^2 - 1", GroupId.SE2),
+            ("y^2 - x^3", GroupId.SE2),
+            ("x^3 + y^3 + 1", GroupId.A2),
+            ("x^4 + y^4 + 1", GroupId.A2),
+            ("x^3 + y^3 + 1", GroupId.PGL3),
+            ("x^4 + y^4 + 1", GroupId.PGL3),
+            ("y^2 - x^3 - x - 1", GroupId.SE2),
+            ("x^2*y + y^2 + y + 64/121", GroupId.SA2),
+            *[((3, 4, 9), g) for g in (GroupId.SE2, GroupId.SA2, GroupId.A2)],
+            ((3, 2, 2), GroupId.PGL3),
+            *[((4, 4, 9), g) for g in (GroupId.SE2, GroupId.SA2, GroupId.A2)],
+        ],
+    )
+    def test_equals_the_jets_route(self, spec, group):
+        """The same normalized numerators and denominator on every fiber
+        where the jets route succeeds, and the table's fibers are the pair
+        route's in abscissa order.  ``spec`` is a curve or the (degree,
+        seed, height) of a dense one; a dense quartic under PGL3 is left
+        out, its classifying pair alone takes 20-50 s."""
+        if isinstance(spec, str):
+            cv = CurveInput.from_poly(parse(spec))
+        else:
+            d, seed, height = spec
+            cv = rand_curve(random.Random(seed), d, height)
+        table = FiberTable(cv, group)
+        pair_values, compared = [], 0
+        for x0, ring in _usable_abscissas(cv, 12):
+            try:
+                got = table.invariants(x0, ring)
+            except ZeroDivisionError:
+                continue
+            pair_values.append(got)
+            try:
+                want = fiber_invariants(cv, group, x0, ring)
+            except ZeroDivisionError:
+                continue
+            compared += 1
+            for a, b in zip(got, want):
+                assert (a.terms, a.den) == (b.terms, b.den)
+        assert compared >= 8
+        for i, (k1, k2) in enumerate(pair_values):
+            fiber = table.fiber(i)
+            assert (fiber.k1.terms, fiber.k1.den, fiber.k2.terms, fiber.k2.den) == (
+                k1.terms, k1.den, k2.terms, k2.den
+            )
+
+    def test_keeps_a_fiber_the_jets_route_skips(self):
+        """On x^4 + y^4 + 1 under A2 a denominator Theta vanishes on the
+        fiber x = 0, the only one of the first 49 that the jets route skips;
+        B and E are units there, so the table keeps it as its first fiber."""
+        cv = CurveInput.from_poly(parse("x^4 + y^4 + 1"))
+        skipped = []
+        for x0, ring in _usable_abscissas(cv, 49):
+            try:
+                fiber_invariants(cv, GroupId.A2, x0, ring)
+            except ZeroDivisionError:
+                skipped.append((x0, ring))
+        [(x0, ring)] = skipped
+        assert x0 == 0
+        table = FiberTable(cv, GroupId.A2)
+        one = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+        for den in (table.pair.K1.den, table.pair.K2.den):
+            value = fiber_evaluator(den)(x0, ring)
+            inverse = ring.element(ring.invert_vec(value.coeff_fractions(0)))
+            assert (value * inverse).coeff_fractions(0) == one
+        assert table.fiber(0).k1.coeff_fractions(0) == [Fraction(-50, 7), 0, 0, 0]
+
+
+def _reduced_reference(P, x0, q):
+    """P(x0, W) modulo q, ascending, by ``evaluate_partial`` and long
+    division over Q."""
+    rem = [Fraction(0)] * (int(P.degree_in("y")) + 1 if P.terms else 1)
+    for (_, j), c in P.evaluate_partial({"x": x0}).terms.items():
+        rem[j] += c
+    while len(rem) >= len(q):
+        t = rem[-1] / q[-1]
+        for k, c in enumerate(q):
+            rem[len(rem) - len(q) + k] -= t * c
+        rem.pop()
+    return rem + [Fraction(0)] * (len(q) - 1 - len(rem))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 7)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        max_size=12,
+    ),
+    x0=st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    q=st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(lambda c: c[-1] != 0),
+)
+@example(terms={(2, 6): Fraction(3, 4), (0, 1): Fraction(-1)}, x0=Fraction(0), q=[1, 0, 3])
+@example(terms={(3, 7): Fraction(5), (1, 2): Fraction(2, 3)}, x0=Fraction(-5, 3), q=[2, -1, 0, 6])
+@example(terms={(4, 1): Fraction(7, 2), (0, 0): Fraction(1)}, x0=Fraction(-2), q=[-3, 1, 1, 4])
+@example(terms={(0, 0): Fraction(-9, 5)}, x0=Fraction(1, 2), q=[5, 0, 2])
+@example(terms={}, x0=Fraction(3), q=[1, 1])
+def test_fiber_evaluator_matches_exact_reduction(terms, x0, q):
+    """P(x0, W) in Q[W]/(q): x0 = 0, negative and non-integer, lc(q) != 1,
+    deg_y P < deg q and a constant P among the examples."""
+    P = SparsePoly.from_terms(("x", "y"), terms.items())
+    ring = SeriesRing(q)
+    got = fiber_evaluator(P)(Fraction(x0), ring)
+    assert got.coeff_fractions(0) == _reduced_reference(P, Fraction(x0), ring.q)
 
 
 def _pullback_numerator(S, K1, K2):
