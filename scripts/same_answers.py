@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Check that two sigcurve checkouts give the same answers to the benchmark.
+
+    python3 scripts/same_answers.py --parent DIR --change DIR
+
+Each checkout answers in fresh processes, with its own ``src`` and the inputs
+of its own ``perfbench/workloads.py`` (imported, not edited):
+
+* desk-session, seeds 1-2, round 0: the exit code and ``--format json``
+  standard output of every command, each a fresh ``sigcurve.cli`` process;
+* degree-generic, seeds 1-3, rounds 0-1: the ``repr`` of every
+  ``DegreeReport``;
+* sigma-extension, seeds 1-3, rounds 0-2: the degree and the serialized
+  components of every projective extension.
+
+An operation that raises answers with its exception.  The first answer that
+differs is printed and the script exits 1; it exits 0 when all agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from typing import Optional
+
+# (workload, seeds, rounds)
+PLAN = (
+    ("desk-session", (1, 2), (0,)),
+    ("degree-generic", (1, 2, 3), (0, 1)),
+    ("sigma-extension", (1, 2, 3), (0, 1, 2)),
+)
+
+Answers = list[tuple[str, str]]  # (what was asked, the answer as text)
+
+
+def first_difference(parent: Answers, change: Answers) -> Optional[str]:
+    """A description of the first answer that differs, or None."""
+    for i, (p, c) in enumerate(zip(parent, change)):
+        if p[0] != c[0]:
+            return f"answer {i}: the questions differ: {p[0]!r} / {c[0]!r}"
+        if p[1] != c[1]:
+            return f"{p[0]}:\n  parent: {p[1]}\n  change: {c[1]}"
+    if len(parent) != len(change):
+        return f"{len(parent)} answers at the parent, {len(change)} at the change"
+    return None
+
+
+def collect(root: str, workload: str, seed: int, rounds: tuple[int, ...]) -> Answers:
+    """The answers of one checkout to one workload seed, from a fresh process
+    started in the checkout's root."""
+    argv = [sys.executable, os.path.abspath(__file__), "--collect", workload, str(seed),
+            *map(str, rounds)]
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=True)
+    return [tuple(a) for a in json.loads(out.stdout)]
+
+
+def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
+    """Run in the checkout's root: the answers of the given rounds."""
+    root = os.getcwd()
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+    from sigcurve import jets
+    from sigcurve.parser import serialize
+
+    answers: Answers = []
+
+    def cli(args: list) -> str:
+        argv = [sys.executable, "-m", "sigcurve.cli", "--format", "json", *args]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        answers.append((" ".join(args), json.dumps([proc.returncode, proc.stdout])))
+        return proc.stdout
+
+    def text(out) -> str:
+        if workload == "sigma-extension":
+            return repr((out.deg, [serialize(s) for s in out.sigma]))
+        return repr(out)
+
+    for r in rounds:
+        rng = workloads.round_rng(workload, seed, r)
+        if workload == "desk-session":
+            for op in workloads.desk_session(rng, cli):
+                try:
+                    op.call()  # the answer is recorded by cli
+                except ValueError:
+                    pass  # not JSON: the exit code and stdout are recorded
+            continue
+        jets.theta.cache_clear()
+        jets.implicit_jet.cache_clear()
+        for op in workloads.IN_PROCESS[workload](rng):
+            try:
+                answer = text(op.call())
+            except Exception as e:  # a raised error is an answer to compare
+                answer = f"raised {type(e).__name__}: {e}"
+            answers.append((f"{workload} seed {seed} round {r} {op.label}", answer))
+    return answers
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--collect"]:
+        workload, seed, *rounds = sys.argv[2:]
+        json.dump(answer_rounds(workload, int(seed), [int(r) for r in rounds]), sys.stdout)
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout with the change")
+    args = ap.parse_args()
+    total = 0
+    for workload, seeds, rounds in PLAN:
+        for seed in seeds:
+            parent = collect(args.parent, workload, seed, rounds)
+            change = collect(args.change, workload, seed, rounds)
+            diff = first_difference(parent, change)
+            if diff is not None:
+                print(f"{workload} seed {seed}: {diff}")
+                return 1
+            total += len(parent)
+            print(f"{workload} seed {seed}: {len(parent)} answers agree", flush=True)
+    print(f"same answers: {total}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -317,6 +317,7 @@ def _certify_zero_components(
     Degenerate invariants (e.g. kappa_s on a circle) make a sigma component
     identically zero along every branch; without the exact certificate the
     valuation scans would keep doubling the truncation forever.
+    ``mult_min_canonical`` calls it only once the truncation has doubled.
     """
     from .jets import _vanishes_on_curve
 
@@ -718,7 +719,12 @@ def mult_min_canonical(
 
     def components(piece: BranchPiece, t: int, rel: int) -> tuple[list[TruncatedSeries], int]:
         comps, common = canonical_components_on_piece(work, group, piece, t, rel)
-        return _certify_zero_components(work, group, comps), common
+        # a component empty at the starting cap is settled by a doubling far
+        # more cheaply than by the exact T_i; only one still empty after a
+        # doubling needs the exact check
+        if t > GROUP_START_TRUNC[group]:
+            comps = _certify_zero_components(work, group, comps)
+        return comps, common
 
     def affine_part(trial_lines: list) -> tuple[list[int], int, str]:
         views, first = tee(_affine_projections(work, lambda: _canonical_cut(work, group)))

@@ -1,14 +1,23 @@
 """Exact sparse multivariate polynomial arithmetic over big rationals.
 
-A polynomial is a dict mapping exponent tuples to ``Fraction`` coefficients,
-wrapped with its ring (an ordered tuple of variable names).  Zero coefficients
-are never stored; the zero polynomial has an empty term dict and total degree
-``-inf``.  All operations are pure: no method mutates its operands, so values
-may be shared freely across threads.
+A polynomial maps exponent tuples to rational coefficients, wrapped with its
+ring (an ordered tuple of variable names), in one or both of two forms:
+``terms``, a dict of ``Fraction`` coefficients, and the integer form
+(numerators, den), a dict of integer numerators over one positive common
+denominator, reduced so that gcd(den, numerators) = 1.  Zero coefficients are
+never stored; the zero polynomial has no terms and total degree ``-inf``.
 
-Multiplication, gcd, resultants and exact division work internally on integer
-coefficients (one common denominator per operand) because ``Fraction``
-normalises on every operation, which is far too slow in convolution loops.
+``Fraction`` normalises on every operation, which is far too slow in
+convolution loops, so sums, differences, negation, scaling, products,
+derivatives, exact quotients and primitive parts run on the integer form and
+produce only it.  Either form is built from the other once, on first use,
+and cached, with the same terms in the same order; questions about exponents
+alone read whichever form exists, and renaming, re-embedding and
+homogenizing re-key it.  An exact ``evaluate`` is one integer sum
+over the numerators.  All operations are pure: no method mutates its
+operands or either of their dicts, and no caller may mutate them, so values
+may be shared freely across threads (two threads that build the same cached
+form build equal ones).
 
 The product and exact-division kernels key terms by packed exponents: one int
 per exponent vector, in a mixed radix large enough that no exponent of the
@@ -30,7 +39,8 @@ construction; the determinant itself is a test oracle (``tests/oracles.py``).
 
 ``horner_evaluate`` is the one route that evaluates a polynomial at elements
 of another ring (truncated series, or numerators over powers of F_y): nested
-Horner over a grouping of its terms by variable.
+Horner over a grouping of its terms by variable.  ``mat_inverse`` is the one
+exact matrix inverse: fraction-free Gauss-Jordan elimination on integer rows.
 
 The dense arithmetic modulo a prime, for the gcd images and for the images
 that answer "no" without an exact remainder or resultant, is in ``modp``.
@@ -62,13 +72,55 @@ def grlex_key(e: Exponent) -> tuple:
 
 
 class SparsePoly:
-    """Immutable-by-convention sparse polynomial over ``Fraction``."""
+    """Immutable sparse polynomial over ``Fraction``, held in two forms.
 
-    __slots__ = ("ring", "terms")
+    ``terms`` maps exponent tuples to ``Fraction`` coefficients; the integer
+    form ``_int_form(p)`` is (numerators, den): integer coefficients over one
+    positive common denominator, with gcd(den, numerators) = 1 so that equal
+    polynomials have equal integer forms.  Both are dicts with the same keys
+    in the same order.  The constructor takes the ``Fraction`` dict; the
+    arithmetic produces only the integer form, and each form is built from
+    the other once, on first use, and cached.  Neither dict may be mutated by
+    a caller.
+    """
+
+    __slots__ = ("ring", "_terms", "_ints")
 
     def __init__(self, ring: tuple[str, ...], terms: dict[Exponent, Fraction]):
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
+        self._ints = None
+
+    @classmethod
+    def _from_ints(cls, ring: tuple[str, ...], nums: dict[Exponent, int], den: int) -> "SparsePoly":
+        """The polynomial nums / den; reduced here when den > 1."""
+        if den > 1:
+            g = math.gcd(den, *nums.values())
+            if g > 1:
+                nums = {e: c // g for e, c in nums.items()}
+                den //= g
+        p = object.__new__(cls)
+        p.ring = ring
+        p._terms = None
+        p._ints = (nums, den)
+        return p
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        terms = self._terms
+        if terms is None:
+            nums, den = self._ints
+            if den == 1:
+                terms = {e: Fraction(c) for e, c in nums.items()}
+            else:
+                terms = {e: Fraction(c, den) for e, c in nums.items()}
+            self._terms = terms
+        return terms
+
+    def _keys(self) -> dict:
+        """Whichever form exists, for questions about exponents only."""
+        terms = self._terms
+        return self._ints[0] if terms is None else terms
 
     # -- constructors ------------------------------------------------------
 
@@ -107,13 +159,13 @@ class SparsePoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys()
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._keys())
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._keys():
             return Fraction(0)
         [(e, c)] = self.terms.items()
         if sum(e) != 0:
@@ -121,19 +173,21 @@ class SparsePoly:
         return c
 
     def total_degree(self) -> Union[int, float]:
-        if not self.terms:
+        keys = self._keys()
+        if not keys:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in keys)
 
     def degree_in(self, name: str) -> Union[int, float]:
-        if not self.terms:
+        keys = self._keys()
+        if not keys:
             return NEG_INF
         i = _var_index(self.ring, name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in keys)
 
     def variables_used(self) -> tuple[str, ...]:
         used = [False] * len(self.ring)
-        for e in self.terms:
+        for e in self._keys():
             for i, x in enumerate(e):
                 if x:
                     used[i] = True
@@ -157,7 +211,7 @@ class SparsePoly:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._keys())
 
     def __repr__(self) -> str:
         from .parser import serialize
@@ -171,46 +225,58 @@ class SparsePoly:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other: Union["SparsePoly", Scalar]) -> "SparsePoly":
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.const(self.ring, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            s = c if acc is None else acc + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return SparsePoly(self.ring, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.ring, {e: -c for e, c in self.terms.items()})
+        nums, den = _int_form(self)
+        return SparsePoly._from_ints(self.ring, {e: -c for e, c in nums.items()}, den)
 
     def __sub__(self, other: Union["SparsePoly", Scalar]) -> "SparsePoly":
-        if not isinstance(other, SparsePoly):
-            other = SparsePoly.const(self.ring, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Scalar) -> "SparsePoly":
         return SparsePoly.const(self.ring, other) - self
+
+    def _plus(self, other: Union["SparsePoly", Scalar], sign: int) -> "SparsePoly":
+        """self + sign * other on the integer forms, over the lcm of the two
+        denominators; the terms keep self's order, then other's new ones."""
+        if not isinstance(other, SparsePoly):
+            other = SparsePoly.const(self.ring, other)
+        self._check(other)
+        pn, pd = _int_form(self)
+        qn, qd = _int_form(other)
+        den = pd * qd // math.gcd(pd, qd)
+        fp, fq = den // pd, sign * den // qd
+        nums = dict(pn) if fp == 1 else {e: c * fp for e, c in pn.items()}
+        get = nums.get
+        for e, c in qn.items():
+            s = get(e, 0) + c * fq
+            if s:
+                nums[e] = s
+            else:
+                del nums[e]
+        return SparsePoly._from_ints(self.ring, nums, den)
 
     def scale(self, c: Scalar) -> "SparsePoly":
         c = Fraction(c)
         if c == 0:
             return SparsePoly.zero(self.ring)
-        return SparsePoly(self.ring, {e: k * c for e, k in self.terms.items()})
+        nums, den = _int_form(self)
+        k = c.numerator
+        return SparsePoly._from_ints(
+            self.ring, {e: a * k for e, a in nums.items()}, den * c.denominator
+        )
 
     def __mul__(self, other: Union["SparsePoly", Scalar]) -> "SparsePoly":
         if not isinstance(other, SparsePoly):
             return self.scale(other)
         self._check(other)
-        if not self.terms or not other.terms:
-            return SparsePoly.zero(self.ring)
         pn, pd = _int_form(self)
         qn, qd = (pn, pd) if other is self else _int_form(other)
+        if not pn or not qn:
+            return SparsePoly.zero(self.ring)
         if len(pn) > len(qn):
             pn, qn = qn, pn
         # in radix deg_i(p) + deg_i(q) + 1 no sum of two exponents carries,
@@ -222,8 +288,7 @@ class SparsePoly:
             and KRONECKER_PAIRS_PER_SLOT * math.prod(bases) <= pairs
         )
         product = (_mul_kronecker if dense else _mul_loop)(pn, qn, bases)
-        den = pd * qd
-        return SparsePoly(self.ring, {e: Fraction(c, den) for e, c in product})
+        return SparsePoly._from_ints(self.ring, dict(product), pd * qd)
 
     __rmul__ = __mul__
 
@@ -246,36 +311,58 @@ class SparsePoly:
 
     def partial_derivative(self, name: str) -> "SparsePoly":
         i = _var_index(self.ring, name)
-        terms: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        nums, den = _int_form(self)
+        out: dict[Exponent, int] = {}
+        for e, c in nums.items():
             if e[i] == 0:
                 continue
             e2 = list(e)
             e2[i] -= 1
-            terms[tuple(e2)] = c * e[i]
-        return SparsePoly(self.ring, terms)
+            out[tuple(e2)] = c * e[i]
+        return SparsePoly._from_ints(self.ring, out, den)
 
     def evaluate(self, point: Mapping[str, object]):
         """Evaluate at a full assignment of the ring variables.
 
         Exact (``Fraction``) when every value is rational; falls through to
-        the machine float/complex path otherwise, which is approximate.
+        the machine float/complex path otherwise, which is approximate.  At
+        an exact point x_i = r_i/s_i the value is one integer sum over the
+        numerators c_e, each times prod_i r_i^(e_i) s_i^(deg_i - e_i) from a
+        per-variable table, over den * prod_i s_i^(deg_i).
         """
         vals = []
         for v in self.ring:
             if v not in point:
                 raise UnknownVariableError(f"no value bound for {v!r}")
             vals.append(point[v])
-        exact = all(isinstance(x, (int, Fraction)) for x in vals)
-        zero = Fraction(0) if exact else 0.0
-        acc = zero
-        for e, c in self.terms.items():
-            term = Fraction(c) if exact else float(c)
-            for x, k in zip(vals, e):
-                if k:
-                    term = term * x**k
-            acc = acc + term
-        return acc
+        if not all(isinstance(x, (int, Fraction)) for x in vals):
+            acc = 0.0
+            for e, c in self.terms.items():
+                term = float(c)
+                for x, k in zip(vals, e):
+                    if k:
+                        term = term * x**k
+                acc = acc + term
+            return acc
+        nums, den = _int_form(self)
+        if not nums:
+            return Fraction(0)
+        tables = []
+        for i, k in enumerate(_degrees(nums)):
+            if k:
+                r, s = vals[i].numerator, vals[i].denominator
+                rp, sp = [1], [1]
+                for _ in range(k):
+                    rp.append(rp[-1] * r)
+                    sp.append(sp[-1] * s)
+                tables.append((i, [a * b for a, b in zip(rp, reversed(sp))]))
+                den *= sp[-1]
+        total = 0
+        for e, c in nums.items():
+            for i, table in tables:
+                c *= table[e[i]]
+            total += c
+        return Fraction(total, den)
 
     def evaluate_partial(self, point: Mapping[str, Scalar]) -> "SparsePoly":
         """Substitute exact values for a subset of the variables."""
@@ -298,20 +385,29 @@ class SparsePoly:
         """Positional rename of the ring variables (same arity)."""
         if len(target_ring) != len(self.ring):
             raise ValueError("rename requires equal arity")
-        return SparsePoly(target_ring, dict(self.terms))
+        return self._rekeyed(target_ring, lambda e: e)
 
     def map_variables(self, target_ring: tuple[str, ...]) -> "SparsePoly":
         """Re-express in a superset ring (variables matched by name)."""
         pos = [target_ring.index(v) for v in self.ring]
         n = len(target_ring)
-        terms = {}
-        for e, c in self.terms.items():
+
+        def key(e: Exponent) -> Exponent:
             e2 = [0] * n
             for i, k in enumerate(e):
                 if k:
                     e2[pos[i]] = k
-            terms[tuple(e2)] = c
-        return SparsePoly(target_ring, terms)
+            return tuple(e2)
+
+        return self._rekeyed(target_ring, key)
+
+    def _rekeyed(self, ring: tuple[str, ...], key: Callable[[Exponent], Exponent]) -> "SparsePoly":
+        """The same coefficients on the exponents ``key`` maps one-to-one, in
+        the integer form when it exists."""
+        if self._ints is None:
+            return SparsePoly(ring, {key(e): c for e, c in self._terms.items()})
+        nums, den = self._ints
+        return SparsePoly._from_ints(ring, {key(e): c for e, c in nums.items()}, den)
 
     def compose_linear(self, images: Sequence["SparsePoly"]) -> "SparsePoly":
         """Substitute a polynomial image for every ring variable at once."""
@@ -339,13 +435,11 @@ class SparsePoly:
         least the total degree.
         """
         d = self.total_degree()
-        if self.terms and degree < d:
+        if degree < d:
             raise ValueError(f"homogenization degree {degree} < total degree {d}")
         if new_var in self.ring:
             raise ValueError(f"{new_var!r} already in ring")
-        ring = (new_var,) + self.ring
-        terms = {(degree - sum(e),) + e: c for e, c in self.terms.items()}
-        return SparsePoly(ring, terms)
+        return self._rekeyed((new_var,) + self.ring, lambda e: (degree - sum(e),) + e)
 
     def dehomogenize(self, name: str, value: Scalar = 1) -> "SparsePoly":
         """Substitute ``name = value`` and drop the variable from the ring."""
@@ -370,24 +464,21 @@ class SparsePoly:
     def content(self) -> Fraction:
         """Rational content: returned so that ``self/content`` is primitive
         with integer coefficients and positive grlex leading coefficient."""
-        if not self.terms:
+        nums, den = _int_form(self)
+        if not nums:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        cont = Fraction(num_gcd, den_lcm)
-        _, lc = self.leading(grlex_key)
-        return -cont if lc < 0 else cont
+        # den is coprime to the numerators, so gcd/den is already reduced
+        cont = Fraction(math.gcd(*nums.values()), den)
+        return -cont if nums[max(nums, key=grlex_key)] < 0 else cont
 
     def primitive(self) -> tuple[Fraction, "SparsePoly"]:
         """Split into (content, primitive part); ``p == content * part``."""
-        if not self.terms:
+        nums, _den = _int_form(self)
+        if not nums:
             return Fraction(0), self
         cont = self.content()
-        inv = 1 / cont
-        return cont, SparsePoly(self.ring, {e: c * inv for e, c in self.terms.items()})
+        g = cont.numerator
+        return cont, SparsePoly._from_ints(self.ring, {e: c // g for e, c in nums.items()}, 1)
 
     def primitive_part(self) -> "SparsePoly":
         return self.primitive()[1]
@@ -448,11 +539,20 @@ def _var_index(ring: tuple[str, ...], name: str) -> int:
 
 
 def _int_form(p: SparsePoly) -> tuple[dict[Exponent, int], int]:
-    """Rewrite as (integer coefficient dict, common denominator)."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+    """p as (integer coefficient dict, common denominator), built from the
+    ``Fraction`` terms on first use and cached; the dict is p's own."""
+    ints = p._ints
+    if ints is None:
+        terms = p._terms
+        den = 1
+        for c in terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        if den == 1:
+            ints = {e: c.numerator for e, c in terms.items()}, 1
+        else:
+            ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+        p._ints = ints
+    return ints
 
 
 def _degrees(terms: Iterable[Exponent]) -> list[int]:
@@ -671,9 +771,7 @@ def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
                 heapq.heappush(heap, -k2)
             else:
                 rem[k2] = old - coeff * cq
-    scale = Fraction(qd, rd * cont)
-    num, den = scale.numerator, scale.denominator
-    return SparsePoly(p.ring, {e: Fraction(c * num, den) for e, c in out.items()})
+    return SparsePoly._from_ints(p.ring, {e: c * qd for e, c in out.items()}, rd * cont)
 
 
 def divides(q: SparsePoly, p: SparsePoly) -> bool:
@@ -930,21 +1028,33 @@ def _subresultant_prs_resultant(p, q, i: int, name: str, odd: bool) -> SparsePol
 # exact linear algebra
 
 
-def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination;
-    ZeroDivisionError when it is singular."""
+def mat_inverse(m: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix; ZeroDivisionError when it is
+    singular.
+
+    Row i times the lcm d_i of its denominators makes an integer row, so
+    m = D^-1 N and m^-1 = N^-1 D.  N is inverted by fraction-free
+    Gauss-Jordan elimination on [N | I] (Bareiss, Math. Comp. 1968): after
+    the step on column k every entry is a minor of order k + 1, so the
+    division by the previous pivot is exact, and at the end each row reads
+    det(N) on the diagonal and det(N) times that row of N^-1 on the right."""
     n = len(m)
-    zero, one = Fraction(0), Fraction(1)
-    aug = [[Fraction(x) for x in m[i]] + [one if i == j else zero for j in range(n)] for i in range(n)]
+    aug, dens = [], []
+    for i, row in enumerate(m):
+        d = math.lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (d // x.denominator) for x in row] + [int(i == j) for j in range(n)])
+        dens.append(d)
+    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ZeroDivisionError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = row = [a / pv if a else a for a in aug[col]]
+        row = aug[col]
+        pv = row[col]
         for r in range(n):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [a - f * b if b else a for a, b in zip(aug[r], row)]
-    return [row[n:] for row in aug]
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(pv * a - f * b) // prev for a, b in zip(aug[r], row)]
+        prev = pv
+    return [[Fraction(a * d, row[i]) for a, d in zip(row[n:], dens)] for i, row in enumerate(aug)]

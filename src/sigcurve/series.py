@@ -147,12 +147,14 @@ class SeriesRing:
         while len(cols) < self.deg:
             cols.append(cols[-1] * w)
         try:
-            inv = mat_inverse(list(zip(*(c.coeff_fractions(0) for c in cols))))
+            inv = mat_inverse(list(zip(*(c.coeff_vec(0) for c in cols))))
         except ZeroDivisionError:
             err = ZeroDivisionError("zero divisor modulo q")
             err.gcd = intpoly_gcd(self.q, vec)  # type: ignore[attr-defined]
             raise err from None
-        return [row[0] for row in inv]
+        # the matrix is N diag(1/den_k) for the numerators N, so its inverse
+        # is diag(den_k) N^-1
+        return [c.den * row[0] for c, row in zip(cols, inv)]
 
 
 class TruncatedSeries:

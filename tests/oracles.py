@@ -18,6 +18,12 @@ slower or narrower, and the tests compare them against the package:
 * ``mul_tuple_keys`` and ``exact_div_grevlex``: polynomial product and exact
   quotient on exponent tuples and ``Fraction`` remainders, without the
   packed integer keys of ``SparsePoly.__mul__`` and ``poly.exact_div``.
+* ``add_fraction_terms`` and ``evaluate_fraction_terms``: the sum of two
+  polynomials and the value at an exact point on their ``Fraction`` terms,
+  term by term, against which the integer forms of ``SparsePoly.__add__``
+  and ``SparsePoly.evaluate`` are checked (values and term order).
+* ``mat_inverse_gauss_jordan``: Gauss-Jordan elimination on ``Fraction``
+  rows, against which the fraction-free ``poly.mat_inverse`` is checked.
 * ``sylvester_resultant``: the resultant of two univariate coefficient lists
   as the determinant of their Sylvester matrix, against which the sign and
   value of ``poly.resultant`` (subresultant PRS) are checked.
@@ -643,6 +649,51 @@ def exact_div_grevlex(p: SparsePoly, q: SparsePoly) -> SparsePoly:
             else:
                 rem[e2] = acc
     return SparsePoly(p.ring, out)
+
+
+def add_fraction_terms(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """p + q on the ``Fraction`` terms: p's terms in order, then q's new ones."""
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        acc = terms.get(e)
+        s = c if acc is None else acc + c
+        if s == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return SparsePoly(p.ring, terms)
+
+
+def evaluate_fraction_terms(p: SparsePoly, point: dict) -> Fraction:
+    """p at an exact point, term by term with ``Fraction`` powers."""
+    acc = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for v, k in zip(p.ring, e):
+            if k:
+                term = term * Fraction(point[v]) ** k
+        acc = acc + term
+    return acc
+
+
+def mat_inverse_gauss_jordan(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix by Gauss-Jordan elimination on
+    ``Fraction`` rows; ZeroDivisionError when it is singular."""
+    n = len(m)
+    zero, one = Fraction(0), Fraction(1)
+    aug = [[Fraction(x) for x in m[i]] + [one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = row = [a / pv if a else a for a in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [a - f * b if b else a for a, b in zip(aug[r], row)]
+    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,39 @@ def test_report_does_not_depend_on_the_doublings(monkeypatch):
     assert len(calls) == 2
 
 
+# the degree-generic benchmark's seed-1 round-0 quartic and trial seed
+BENCH_QUARTIC = {
+    (0, 0): 6, (0, 1): -1, (0, 2): -5, (0, 3): -4, (0, 4): 3, (1, 0): -2, (1, 1): 4,
+    (1, 2): 5, (1, 3): -1, (2, 0): 8, (2, 1): -8, (2, 2): 4, (3, 0): 3, (3, 1): 1, (4, 0): -2,
+}
+
+
+def test_an_empty_component_doubles_before_its_exact_check(monkeypatch):
+    # at cap 12 the quartic's third PGL(3) component, Theta_8 * Theta_5^4, is
+    # empty on the first attempt; the doubling finds it nonzero, so the exact
+    # T_8 (far the most costly T_i) is never built, and the report is the
+    # default cap's
+    import sigcurve.jets as jets_mod
+
+    cv = CurveInput.from_poly(SparsePoly.from_terms(R, list(BENCH_QUARTIC.items())))
+    want = predict_degree(cv, GroupId.PGL3, n=1, seed=341)
+    jets_mod.theta.cache_clear()
+    built = []
+    theta = jets_mod.theta
+
+    def recorded(curve, index):
+        built.append(index)
+        return theta(curve, index)
+
+    monkeypatch.setattr(jets_mod, "theta", recorded)
+    monkeypatch.setattr(degree_mod, "theta", recorded)
+    monkeypatch.setattr(degree_mod, "CANONICAL_REL_CAP", 12)
+    calls = _count_pieces(monkeypatch)
+    assert predict_degree(cv, GroupId.PGL3, n=1, seed=341) == want
+    assert len(calls) == 2
+    assert built and 8 not in built
+
+
 def test_cusp_degree_under_pgl3_is_zero():
     # the cusp's PGL(3) signature is a point: T_8 vanishes on the curve, its
     # component is an exact zero at infinity and has infinite order at the

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_div_grevlex, mul_tuple_keys, sylvester_resultant
+from oracles import (
+    add_fraction_terms,
+    evaluate_fraction_terms,
+    exact_div_grevlex,
+    mat_inverse_gauss_jordan,
+    mul_tuple_keys,
+    sylvester_resultant,
+)
 from sigcurve.errors import PoleError, RingMismatchError
 from sigcurve.parser import parse, serialize
 from sigcurve.modp import (
@@ -29,6 +36,7 @@ from sigcurve.poly import (
     divides,
     exact_div,
     gcd,
+    mat_inverse,
     pseudo_remainder,
     resultant,
     square_free_part,
@@ -597,6 +605,169 @@ class TestEvaluate:
         f = RatFunc.build(SparsePoly.const(R, 1), X)
         with pytest.raises(PoleError):
             f.evaluate({"x": 0, "y": 0})
+
+
+# -- the two forms of a polynomial --------------------------------------------
+
+FORM_RINGS = (("x",), ("x", "y"), ("x", "y", "z"))
+SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+POINT_VALUES = st.one_of(
+    st.just(0),
+    st.integers(-4, -1),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda f: f.denominator > 1),
+)
+
+
+@st.composite
+def ring_polys(draw, ring):
+    """A constant, a monomial or a polynomial of up to 5 terms, with rational
+    and zero coefficients, in one of its two forms or in both."""
+    exps = st.tuples(*[st.integers(0, 3) for _ in ring])
+    shape = draw(st.sampled_from(("constant", "monomial", "general")))
+    if shape == "constant":
+        items = [((0,) * len(ring), draw(SMALL_FRACTIONS))]
+    elif shape == "monomial":
+        items = [(draw(exps), draw(SMALL_FRACTIONS))]
+    else:
+        items = draw(st.lists(st.tuples(exps, SMALL_FRACTIONS), max_size=5))
+    p = SparsePoly.from_terms(ring, items)
+    form = draw(st.sampled_from(("terms", "ints", "both")))
+    if form == "ints":
+        nums, den = _int_form(SparsePoly(ring, dict(p.terms)))
+        return SparsePoly._from_ints(ring, dict(nums), den)
+    if form == "both":
+        _int_form(p)
+    return p
+
+
+def forms(p: SparsePoly) -> tuple:
+    """The cached forms that exist, items in order."""
+    ints = None if p._ints is None else (list(p._ints[0].items()), p._ints[1])
+    terms = None if p._terms is None else list(p._terms.items())
+    return ints, terms
+
+
+def assert_forms_agree(p: SparsePoly) -> None:
+    """Fraction terms, and the reduced integer form of the same terms in the
+    same order."""
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    nums, den = _int_form(p)
+    assert (nums, den) == _int_form(SparsePoly(p.ring, dict(p.terms)))
+    assert list(nums) == list(p.terms)
+
+
+def assert_same(got: SparsePoly, want: SparsePoly) -> None:
+    assert got.ring == want.ring
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert_forms_agree(got)
+
+
+def fraction_terms(p: SparsePoly, f) -> SparsePoly:
+    return SparsePoly(p.ring, {e: f(c) for e, c in p.terms.items()})
+
+
+def derivative_terms(p: SparsePoly, v: str) -> SparsePoly:
+    i = p.ring.index(v)
+    terms = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            terms[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+    return SparsePoly(p.ring, terms)
+
+
+def power_by_squaring(p: SparsePoly, n: int) -> SparsePoly:
+    if n == 0:
+        return SparsePoly.const(p.ring, 1)
+    result, base = None, p
+    while True:
+        if n & 1:
+            result = base if result is None else mul_tuple_keys(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul_tuple_keys(base, base)
+
+
+class TestIntegerForm:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_the_fraction_terms(self, data):
+        # the integer form gives the same terms in the same order as the
+        # Fraction loops, and leaves its operands' cached forms as they were
+        ring = data.draw(st.sampled_from(FORM_RINGS))
+        p, q = data.draw(ring_polys(ring)), data.draw(ring_polys(ring))
+        before = forms(p), forms(q)
+        c = data.draw(SMALL_FRACTIONS)
+        n = data.draw(st.integers(0, 3))
+        v = data.draw(st.sampled_from(ring))
+        neg_q = fraction_terms(q, lambda a: -a)
+
+        assert_same(p + q, add_fraction_terms(p, q))
+        assert_same(p - q, add_fraction_terms(p, neg_q))
+        assert_same(-q, neg_q)
+        assert_same(p + c, add_fraction_terms(p, SparsePoly.const(ring, c)))
+        want = SparsePoly.zero(ring) if c == 0 else fraction_terms(p, lambda a: a * c)
+        assert_same(p.scale(c), want)
+        assert_same(p * q, mul_tuple_keys(p, q))
+        assert_same(p**n, power_by_squaring(p, n))
+        assert_same(p.partial_derivative(v), derivative_terms(p, v))
+        if q:
+            quotient = exact_div(p * q, q)
+            assert quotient == exact_div_grevlex(p * q, q) == p
+            if q.is_constant():
+                assert list(quotient.terms.items()) == list(p.terms.items())
+            else:  # the quotient comes off the heap in descending lex order
+                assert list(quotient.terms) == sorted(p.terms, reverse=True)
+            assert_forms_agree(quotient)
+        for _ in range(3):
+            point = {w: data.draw(POINT_VALUES) for w in ring}
+            value = p.evaluate(point)
+            assert type(value) is Fraction
+            assert value == evaluate_fraction_terms(p, point)
+
+        for operand, (ints, terms) in zip((p, q), before):
+            now_ints, now_terms = forms(operand)
+            assert ints is None or now_ints == ints
+            assert terms is None or now_terms == terms
+            assert_forms_agree(operand)
+
+    def test_products_and_sums_keep_only_the_integer_form(self):
+        p = parse("x^2/2 + y/3 - 1")
+        q = (p * p - p).partial_derivative("x").scale(6) + 1
+        assert q._terms is None and q.total_degree() == 3 and q.degree_in("y") == 1
+        assert q.variables_used() == ("x", "y") and q and not q.is_constant()
+        assert q._terms is None  # exponent questions leave the Fraction dict unbuilt
+        assert q.evaluate({"x": Fraction(-1, 2), "y": 3}) == Fraction(13, 4)
+        assert serialize(q) == "6*x^3 + 4*x*y - 18*x + 1"
+        assert q.terms is q.terms  # built once, then cached
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-5, 5), SMALL_FRACTIONS)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):  # a singular one: a row repeats another, scaled
+        rows[-1] = [x * draw(st.integers(-2, 2)) for x in rows[0]]
+    return rows
+
+
+class TestMatInverse:
+    @given(rational_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gauss_jordan_on_fractions(self, m):
+        try:
+            want = mat_inverse_gauss_jordan(m)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                mat_inverse(m)
+            return
+        got = mat_inverse(m)
+        assert got == want
+        assert all(type(x) is Fraction for row in got for x in row)
+
+    def test_pivot_swap(self):
+        assert mat_inverse([[0, 2], [3, 0]]) == [[0, Fraction(1, 3)], [Fraction(1, 2), 0]]
 
 
 class TestPseudoRemainder:

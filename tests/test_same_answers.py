@@ -1,0 +1,71 @@
+"""``scripts/same_answers.py`` comparison on synthetic answers."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_answers.py"
+
+
+def load_same_answers():
+    spec = importlib.util.spec_from_file_location("same_answers", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ANSWERS = [
+    ("signature --curve x^2+y^2-1 --group SE2", '[0, "{\\"S\\": \\"k1\\"}\\n"]'),
+    ("degree-generic seed 1 round 0 predict_degree d=4 SE2", "DegreeReport(d=4, ...)"),
+    ("sigma-extension seed 1 round 0 projective_extension d=3 SE2", "(12, ['x0^12', '0', '1'])"),
+]
+
+
+def test_equal_answers_have_no_difference():
+    first_difference = load_same_answers().first_difference
+    assert first_difference(ANSWERS, list(ANSWERS)) is None
+    assert first_difference([], []) is None
+
+
+def test_the_first_differing_answer_is_named():
+    first_difference = load_same_answers().first_difference
+    change = list(ANSWERS)
+    change[1] = (ANSWERS[1][0], "DegreeReport(d=4, changed)")
+    change[2] = (ANSWERS[2][0], "(12, ['x0^12', '0', '2'])")
+    diff = first_difference(ANSWERS, change)
+    assert diff.startswith(ANSWERS[1][0])
+    assert "DegreeReport(d=4, ...)" in diff and "DegreeReport(d=4, changed)" in diff
+
+
+def test_an_exit_code_alone_is_a_difference():
+    first_difference = load_same_answers().first_difference
+    change = [(ANSWERS[0][0], '[1, "{\\"S\\": \\"k1\\"}\\n"]'), *ANSWERS[1:]]
+    assert first_difference(ANSWERS, change).startswith(ANSWERS[0][0])
+
+
+def test_different_questions_or_counts_are_differences():
+    first_difference = load_same_answers().first_difference
+    swapped = [ANSWERS[1], ANSWERS[0], ANSWERS[2]]
+    assert "questions differ" in first_difference(ANSWERS, swapped)
+    assert first_difference(ANSWERS, ANSWERS[:2]) == "3 answers at the parent, 2 at the change"
+
+
+def test_main_exits_1_on_the_first_difference(monkeypatch, capsys):
+    module = load_same_answers()
+    asked = []
+
+    def collect(root, workload, seed, rounds):
+        asked.append((root, workload, seed))
+        if root == "change" and workload == "degree-generic" and seed == 2:
+            return [("q", "b")]
+        return [("q", "a")]
+
+    monkeypatch.setattr(module, "collect", collect)
+    monkeypatch.setattr(sys, "argv", ["same_answers.py", "--parent", "parent", "--change", "change"])
+    assert module.main() == 1
+    assert asked[-1] == ("change", "degree-generic", 2)
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "degree-generic seed 2: q:", "  parent: a", "  change: b"]
+    monkeypatch.setattr(module, "collect", lambda root, *_: [("q", "a")])
+    assert module.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "same answers: 8"
