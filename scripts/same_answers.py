@@ -11,7 +11,10 @@ of its own ``perfbench/workloads.py`` (imported, not edited):
 * degree-generic, seeds 1-3, rounds 0-1: the ``repr`` of every
   ``DegreeReport``;
 * sigma-extension, seeds 1-3, rounds 0-2: the degree and the serialized
-  components of every projective extension.
+  components of every projective extension;
+* theta, seeds 1-3, rounds 0-2: the serialized T_1..T_8 of the curves of
+  the same sigma-extension rounds (T_7 and T_8 on the cubics only) and, with
+  seed 1, of ``PGL3_IMAGE``.
 
 An operation that raises answers with its exception.  The first answer that
 differs is printed and the script exits 1; it exits 0 when all agree.
@@ -31,7 +34,10 @@ PLAN = (
     ("desk-session", (1, 2), (0,)),
     ("degree-generic", (1, 2, 3), (0, 1)),
     ("sigma-extension", (1, 2, 3), (0, 1, 2)),
+    ("theta", (1, 2, 3), (0, 1, 2)),
 )
+# x^3 + y^3 + 1 moved by a PGL3 matrix: a dense cubic whose T_8 has 1539 terms
+PGL3_IMAGE = ("x^3+y^3+1", ((1, 1, 0), (0, 1, 1), (2, 0, 1)))
 
 Answers = list[tuple[str, str]]  # (what was asked, the answer as text)
 
@@ -64,7 +70,8 @@ def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
     from sigcurve import jets
-    from sigcurve.parser import serialize
+    from sigcurve.parser import parse, serialize
+    from sigcurve.poly import SparsePoly
 
     answers: Answers = []
 
@@ -79,7 +86,29 @@ def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
             return repr((out.deg, [serialize(s) for s in out.sigma]))
         return repr(out)
 
+    def thetas(label: str, cv, indices) -> None:
+        jets.theta.cache_clear()
+        jets.implicit_jet.cache_clear()
+        for i in indices:
+            try:
+                answer = serialize(jets.theta(cv, i).T)
+            except Exception as e:  # a raised error is an answer to compare
+                answer = f"raised {type(e).__name__}: {e}"
+            answers.append((f"{label} T_{i}", answer))
+
+    if workload == "theta" and seed == 1:
+        text, matrix = PGL3_IMAGE
+        image = jets.apply_group_element(jets.CurveInput.from_poly(parse(text)), matrix,
+                                         jets.GroupId.PGL3)
+        thetas(f"theta PGL3 image of {text}", image, range(1, 9))
     for r in rounds:
+        if workload == "theta":  # the curves of the sigma-extension round
+            rng = workloads.round_rng("sigma-extension", seed, r)
+            for d, groups in workloads.SIGMA_PLAN:
+                F, _points = workloads.curve_through_points(rng, d, groups)
+                cv = jets.CurveInput.from_poly(SparsePoly.from_terms(jets.CURVE_RING, F.items()))
+                thetas(f"theta seed {seed} round {r} d={d}", cv, range(1, 9 if d == 3 else 7))
+            continue
         rng = workloads.round_rng(workload, seed, r)
         if workload == "desk-session":
             for op in workloads.desk_session(rng, cli):

@@ -7,15 +7,31 @@ the partials of F:
     P_{n+1}  = F_y*(dP_n/dx * F_y - (2n-1) P_n F_xy)
              - F_x*(dP_n/dy * F_y - (2n-1) P_n F_yy).
 
-Eight differential functions Theta_1..Theta_8 in the jet coordinates u_k
-restrict to a curve as T_i / (F_y)^(d_i); the four classifying invariant
-pairs and the projective extensions of the signature maps are fixed integer
-monomial combinations of the T_i recorded in the recipe tables below.
+These hold on every level curve F = c, so in Q(x, y).  Eight differential
+functions Theta_1..Theta_8 in the jet coordinates u_k restrict to a curve as
+T_i / (F_y)^(d_i); the four classifying invariant pairs and the projective
+extensions of the signature maps are fixed integer monomial combinations of
+the T_i recorded in the recipe tables below.  Theta_5..Theta_8 come from the
+lower ones by invariant differentiation (Fels & Olver, Moving coframes II,
+1999), with D = sum_k u_(k+1) d/du_k the total derivative:
+
+    Theta_5 = 3 u2 D(Theta_4) - 8 u3 Theta_4,   Theta_6 = u2 D(Theta_5) - 4 u3 Theta_5,
+    Theta_7 = 9 u2 Theta_5 D(Theta_6) - 48 u3 Theta_5 Theta_6 - (21/2) Theta_6^2
+              - (3/2) Theta_4 Theta_5^2,
+    Theta_8 = u2 (3 Theta_5 D(Theta_7) - 8 D(Theta_5) Theta_7).
+
+On the curve D = delta / F_y with delta = F_y d/dx - F_x d/dy, so D(Theta_k)
+restricts to D_k(T_k) / F_y^(d_k + 2) with D_k(T) = F_y delta(T) - d_k
+delta(F_y) T, and u2, u3 to P_2 / F_y^3, P_3 / F_y^5.  Every product above
+lies over F_y^(d + 1), d = d_(k+1) (Theta_6^2 and Theta_4 Theta_5^2 over
+F_y^d), so T_(k+1) is their numerator over one F_y; the division is exact
+because T_(k+1) = Theta_(k+1) F_y^d is a polynomial.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -94,77 +110,45 @@ DENOMINATOR_THETA = {
 }
 
 
+# the coefficients (a, b), for Theta_7 (a, b, c, e), of the module docstring's chain
+THETA_CHAIN = {5: (3, -8), 6: (1, -4), 7: (9, -48, Fraction(-21, 2), Fraction(-3, 2)), 8: (3, -8)}
+
+
+def _chain(index, th, deriv, u2, u3, over_fy):
+    """Theta_index from ``th(k)`` = Theta_k and ``deriv(k)`` = D(Theta_k),
+    k < index, with ``over_fy`` the identity; or T_index from T_k, D_k(T_k),
+    P_2 and P_3, with ``over_fy`` the exact division by F_y."""
+    a, b, *ce = THETA_CHAIN[index]
+    if index in (5, 6):
+        return over_fy(a * u2 * deriv(index - 1) + b * u3 * th(index - 1))
+    if index == 7:
+        c, e = ce
+        return (over_fy(th(5) * (a * u2 * deriv(6) + b * u3 * th(6)))
+                + (th(6) ** 2).scale(c) + (th(4) * th(5) ** 2).scale(e))
+    return over_fy(u2 * (a * th(5) * deriv(7) + b * deriv(5) * th(7)))
+
+
 @functools.lru_cache(maxsize=1)
 def theta_table() -> dict[int, SparsePoly]:
-    """The eight differential functions as polynomials in u1..u8."""
+    """The eight differential functions as polynomials in u1..u8: Theta_1..
+    Theta_4 as written, Theta_5..Theta_8 by ``_chain`` with the total
+    derivative D = sum_k u_(k+1) d/du_k."""
     R = JET_RING
-    u1, u2, u3, u4, u5, u6, u7, u8 = (SparsePoly.var(R, v) for v in R)
-    th1 = u1**2 + 1
-    th2 = u2
-    th3 = u3 * th1 - 3 * u1 * th2**2
-    th4 = 3 * u4 * u2 - 5 * u3**2
-    th5 = 9 * u5 * u2**2 - 45 * u4 * u3 * u2 + 40 * u3**3
-    th6 = (
-        9 * u6 * u2**3
-        - 63 * u5 * u3 * u2**2
-        - 45 * u4**2 * u2**2
-        + 255 * u4 * u3**2 * u2
-        - 160 * u3**4
-    )
-    th7 = (
-        18 * u7 * u2**4 * th5
-        - 189 * u6**2 * u2**6
-        + 126 * u6 * u2**4 * (9 * u5 * u3 * u2 + 15 * u4**2 * u2 - 25 * u4 * u3**2)
-        - 189 * u5**2 * u2**4 * (4 * u3**2 + 15 * u2 * u4)
-        + 210
-        * u5
-        * u3
-        * u2**2
-        * (63 * u4**2 * u2**2 - 60 * u4 * u3**2 * u2 + 32 * u3**4)
-        - 525
-        * u4
-        * u2
-        * (9 * u4**3 * u2**3 + 15 * u4**2 * u3**2 * u2**2 - 60 * u4 * u3**4 * u2 + 64 * u3**6)
-        + 11200 * u3**8
-    ).scale(Fraction(9, 2))
-    th8 = (
-        u2**4
-        * (
-            2 * u8 * u2 * th5**2
-            - 8
-            * u7
-            * th5
-            * (
-                9 * u6 * u2**3
-                - 36 * u5 * u3 * u2**2
-                - 45 * u4**2 * u2**2
-                + 120 * u4 * u3**2 * u2
-                - 40 * u3**4
-            )
-            + 504 * u6**3 * u2**5
-            - 504 * u6**2 * u2**3 * (9 * u5 * u3 * u2 + 15 * u4**2 * u2 - 25 * u4 * u3**2)
-            + 28
-            * u6
-            * (
-                432 * u5**2 * u3**2 * u2**3
-                + 243 * u5**2 * u4 * u2**4
-                - 1800 * u5 * u4 * u3**3 * u2**2
-                - 240 * u5 * u3**5 * u2
-                + 540 * u5 * u4**2 * u3 * u2**3
-                + 6600 * u4**2 * u3**4 * u2
-                - 2000 * u4 * u3**6
-                - 5175 * u4**3 * u3**2 * u2**2
-                + 1350 * u4**4 * u2**3
-            )
-            - 2835 * u5**4 * u2**4
-            + 252 * u5**3 * u3 * u2**2 * (9 * u4 * u2 - 136 * u3**2)
-            - 35840 * u5**2 * u3**6
-            - 630 * u5**2 * u4 * u2 * (69 * u4**2 * u2**2 - 160 * u3**4 - 153 * u4 * u3**2 * u2)
-            + 2100 * u5 * u4**2 * u3 * (72 * u3**4 + 63 * u4**2 * u2**2 - 193 * u4 * u3**2 * u2)
-            - 7875 * u4**4 * (8 * u4**2 * u2**2 - 22 * u4 * u3**2 * u2 + 9 * u3**4)
-        )
-    ).scale(Fraction(243, 2))
-    return {1: th1, 2: th2, 3: th3, 4: th4, 5: th5, 6: th6, 7: th7, 8: th8}
+    u = [SparsePoly.var(R, v) for v in R]
+    u1, u2, u3, u4 = u[:4]
+    th = {1: u1**2 + 1, 2: u2}
+    th[3] = u3 * th[1] - 3 * u1 * th[2] ** 2
+    th[4] = 3 * u4 * u2 - 5 * u3**2
+
+    @functools.cache
+    def deriv(k: int) -> SparsePoly:
+        p = th[k]
+        return sum((u[n + 1] * p.partial_derivative(v) for n, v in enumerate(R[:-1])),
+                   SparsePoly.zero(R))
+
+    for i in (5, 6, 7, 8):
+        th[i] = _chain(i, th.__getitem__, deriv, u2, u3, lambda p: p)
+    return th
 
 
 def jet_order(indices: Iterable[int]) -> int:
@@ -266,15 +250,48 @@ class ThetaRestriction:
 def theta(curve: CurveInput, index: int) -> ThetaRestriction:
     """Restrict Theta_index to the curve and cancel the F_y powers.
 
-    Theta_index is evaluated by Horner (``poly.horner_evaluate``) on pairs
-    (N, w) that stand for N / F_y^w: u_n is (P_n, 2n - 1), and a sum brings
-    both operands to the larger weight by one F_y power.  The result has
-    the largest jet weight D of the table's monomials, and N is divisible
-    by F_y^(D - d_i) exactly."""
+    T_1..T_4 come from ``_theta_horner`` on the table's polynomials, T_5..T_8
+    from the module docstring's chain (``_chain`` on the lower T_k, read
+    through this cache, their derivatives D_k(T_k), P_2 and P_3, with one
+    exact division by F_y).  Every T_i passes ``_spot_check_theta``."""
     if index < 1 or index > 8:
         raise ValueError("theta index must be 1..8")
     d_i = FY_EXPONENT[index]
     jets = implicit_jet(curve, jet_order([index]))
+    if index <= 4:
+        T = _theta_horner(curve, theta_table()[index], d_i, jets)
+    else:
+        T = _theta_chain(curve, index, jets)
+    a, b = TAU_COEFFS[index]
+    tau = a * curve.d + b
+    _spot_check_theta(curve, index, T, d_i, jets)
+    content, primitive = T.primitive()
+    return ThetaRestriction(index, T, d_i, tau, content, primitive)
+
+
+def _theta_chain(curve: CurveInput, index: int, jets: JetRestriction) -> SparsePoly:
+    """T_index by ``_chain``, with D_k(T) = F_y delta(T) - d_k delta(F_y) T
+    for the derivation delta = F_y d/dx - F_x d/dy."""
+    fy, fx = curve.fy(), curve.fx()
+    delta_fy = fy * fy.partial_derivative("x") - fx * fy.partial_derivative("y")
+
+    def T(k: int) -> SparsePoly:
+        return theta(curve, k).T
+
+    def deriv(k: int) -> SparsePoly:
+        t = T(k)
+        delta_t = fy * t.partial_derivative("x") - fx * t.partial_derivative("y")
+        return fy * delta_t - FY_EXPONENT[k] * delta_fy * t
+
+    return _chain(index, T, deriv, jets.p(2), jets.p(3), lambda n: exact_div(n, fy))
+
+
+def _theta_horner(curve: CurveInput, th: SparsePoly, d_i: int, jets: JetRestriction) -> SparsePoly:
+    """T = th(u) F_y^(d_i) for a jet polynomial th, by Horner
+    (``poly.horner_evaluate``) on pairs (N, w) that stand for N / F_y^w: u_n
+    is (P_n, 2n - 1), and a sum brings both operands to the larger weight by
+    one F_y power.  The result has the largest jet weight D of th's
+    monomials, and N is divisible by F_y^(D - d_i) exactly."""
     fy = curve.fy()
     one = SparsePoly.const(CURVE_RING, 1)
     pows_fy = [one, fy]
@@ -306,13 +323,8 @@ def theta(curve: CurveInput, index: int) -> ThetaRestriction:
     def const(c: Fraction) -> tuple[SparsePoly, int]:
         return SparsePoly.const(CURVE_RING, c), 0
 
-    num, D = horner_evaluate(theta_table()[index], power, mul, add, const)
-    T = exact_div(num, fy_pow(D - d_i)) if D > d_i else num
-    a, b = TAU_COEFFS[index]
-    tau = a * curve.d + b
-    _spot_check_theta(curve, index, T, d_i, jets)
-    content, primitive = T.primitive()
-    return ThetaRestriction(index, T, d_i, tau, content, primitive)
+    num, D = horner_evaluate(th, power, mul, add, const)
+    return exact_div(num, fy_pow(D - d_i)) if D > d_i else num
 
 
 def _spot_check_theta(curve, index, T, d_i, jets: JetRestriction) -> None:
@@ -378,16 +390,11 @@ def exceptional_check(curve: CurveInput, group: GroupId) -> ExceptionalVerdict:
         return ExceptionalVerdict(True, "line")
     if curve.fy().is_zero():
         return ExceptionalVerdict(True, "vertical-line curve (F_y = 0)")
-    if group is GroupId.SE2:
-        for i in (1, 2):
-            if _vanishes_on_curve(theta(curve, i).T, curve):
-                return ExceptionalVerdict(True, f"Theta_{i} vanishes on the curve")
-        return ExceptionalVerdict(False)
-    if curve.d == 2:
+    if group is not GroupId.SE2 and curve.d == 2:
         return ExceptionalVerdict(True, "conic")
-    i = DENOMINATOR_THETA[group]
-    if _vanishes_on_curve(theta(curve, i).T, curve):
-        return ExceptionalVerdict(True, f"Theta_{i} vanishes on the curve")
+    for i in (1, 2) if group is GroupId.SE2 else (DENOMINATOR_THETA[group],):
+        if _vanishes_on_curve(theta(curve, i).T, curve):
+            return ExceptionalVerdict(True, f"Theta_{i} vanishes on the curve")
     return ExceptionalVerdict(False)
 
 
@@ -526,13 +533,8 @@ def apply_group_element(
     minv = mat_inverse(m)
     Fh = curve.homogenized()
     xs = [SparsePoly.var(HOMOG_RING, v) for v in HOMOG_RING]
-    images = []
-    for j in range(3):
-        img = SparsePoly.zero(HOMOG_RING)
-        for k in range(3):
-            if minv[j][k]:
-                img = img + xs[k].scale(minv[j][k])
-        images.append(img)
+    zero = SparsePoly.zero(HOMOG_RING)
+    images = [sum((x.scale(c) for x, c in zip(xs, row) if c), zero) for row in minv]
     G = Fh.compose_linear(images)
     affine = G.dehomogenize("x0").rename_ring(CURVE_RING)
     return CurveInput.from_poly(affine)
@@ -550,12 +552,8 @@ def fiber_jets(
     are simple roots of F(x0, .)), as elements of Q[W]/(q): one Newton branch
     expansion covers every point of the fiber."""
     branch = newton_branch(_shifted_curve(curve.F, x0), "h", "u", ring, ring.generator(), n_max + 1)
-    fact = 1
-    out = []
-    for k in range(1, n_max + 1):
-        fact *= k
-        out.append(ring.element([c * fact for c in branch.coeff_fractions(k)]))
-    return out
+    return [ring.element([c * math.factorial(k) for c in branch.coeff_fractions(k)])
+            for k in range(1, n_max + 1)]
 
 
 def _shifted_curve(F: SparsePoly, x0: Fraction) -> SparsePoly:

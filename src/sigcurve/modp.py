@@ -218,20 +218,20 @@ def _modp_ylists(p: SparsePoly, name: str, prime: int) -> Optional[list[list[int
     """p, in a ring of two variables, mod prime: by powers of ``name`` up to
     its degree over Q, the dense ascending list in the other variable
     (trailing zeros trimmed); None when prime divides a denominator."""
+    from .poly import _int_form  # poly imports this module
+
     if len(p.ring) != 2:
         raise ValueError(f"a ring of two variables is required, not {p.ring}")
     i = p.ring.index(name)
-    out: list[list[int]] = [[] for _ in range(int(p.degree_in(name)) + 1)] if p.terms else []
-    inverses = {1: 1}
-    for e, c in p.terms.items():
-        inv = inverses.get(c.denominator)
-        if inv is None:
-            if c.denominator % prime == 0:
-                return None
-            inv = inverses[c.denominator] = pow(c.denominator, -1, prime)
+    nums, den = _int_form(p)
+    if den % prime == 0:
+        return None
+    inv = pow(den, -1, prime)
+    out: list[list[int]] = [[] for _ in range(int(p.degree_in(name)) + 1)] if nums else []
+    for e, c in nums.items():
         v, k = out[e[i]], e[1 - i]
         v.extend([0] * (k + 1 - len(v)))
-        v[k] = c.numerator * inv % prime
+        v[k] = c * inv % prime
     for v in out:
         while v and not v[-1]:
             v.pop()

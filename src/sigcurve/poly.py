@@ -205,10 +205,12 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and _int_form(self) == _int_form(other)
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # on the reduced integer form, which is canonical, as __eq__
+        nums, den = _int_form(self)
+        return hash((self.ring, den, frozenset(nums.items())))
 
     def __bool__(self) -> bool:
         return bool(self._keys())

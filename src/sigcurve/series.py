@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import TruncationError
 from .modp import IMAGE_PRIME, _modp_gcd
-from .poly import SparsePoly, gcd, horner_evaluate, mat_inverse
+from .poly import SparsePoly, _int_form, gcd, horner_evaluate, mat_inverse
 
 INF = 10**9
 
@@ -49,11 +49,11 @@ def intpoly_normalize(c: Sequence[int]) -> IntPoly:
 def intpoly_from_poly(p: SparsePoly, var: str) -> IntPoly:
     """Primitive integer coefficients of a polynomial in the one variable ``var``."""
     i = p.ring.index(var)
-    coeffs = [Fraction(0)] * (int(p.degree_in(var)) + 1 if p.terms else 1)
-    for e, c in p.terms.items():
+    nums, _den = _int_form(p)
+    coeffs = [0] * (int(p.degree_in(var)) + 1 if nums else 1)
+    for e, c in nums.items():
         coeffs[e[i]] += c
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return intpoly_normalize([int(c * den) for c in coeffs])
+    return intpoly_normalize(coeffs)
 
 
 def intpoly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:

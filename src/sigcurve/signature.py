@@ -76,7 +76,7 @@ from .jets import (
     require_non_exceptional,
 )
 from .modp import _primes_31bit
-from .poly import SparsePoly, gcd
+from .poly import SparsePoly, _int_form, gcd
 from .series import INF, SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")
@@ -283,12 +283,12 @@ def fiber_evaluator(P: SparsePoly) -> Callable[[Fraction, SeriesRing], Truncated
     deg q multiplies the accumulator by lc(q), and each later value by the
     running power of lc(q), which the result carries in its denominator."""
     ix, iy = P.ring.index("x"), P.ring.index("y")
-    den = math.lcm(1, *(c.denominator for c in P.terms.values()))
-    dx = max((e[ix] for e in P.terms), default=0)
-    dy = max((e[iy] for e in P.terms), default=-1)
+    nums, den = _int_form(P)
+    dx = max((e[ix] for e in nums), default=0)
+    dy = max((e[iy] for e in nums), default=-1)
     columns = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for e, c in P.terms.items():
-        columns[dy - e[iy]][e[ix]] = int(c * den)
+    for e, c in nums.items():
+        columns[dy - e[iy]][e[ix]] = c
 
     def evaluate(x0: Fraction, ring: SeriesRing) -> TruncatedSeries:
         r, s = x0.numerator, x0.denominator

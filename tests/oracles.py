@@ -33,6 +33,10 @@ slower or narrower, and the tests compare them against the package:
 * ``theta_numerator_reference``: the numerator of Theta_i on a curve, summed
   monomial by monomial with each term brought to the largest jet weight,
   against which ``jets.theta`` (Horner on weighted pairs) is checked.
+* ``theta_literals`` and ``theta_horner``: Theta_1..Theta_8 hand-expanded in
+  u1..u8, and T_i by Horner over them, against which ``jets.theta_table``
+  and ``jets.theta`` (Theta_5..Theta_8 and T_5..T_8 by the derivative
+  chain) are checked.
 * ``newton_branch_reference``: the branch of H(t, u) = 0 by Newton steps
   that evaluate H and dH/du with the monomial reference above and invert
   dH/du afresh at every step, against which ``series.newton_branch``
@@ -59,6 +63,7 @@ cross-scale by leading-coefficient gcds and strip content at the end.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -72,12 +77,15 @@ from sigcurve.jets import (
     FY_EXPONENT,
     GROUP_THETAS,
     HOMOG_RING,
+    JET_RING,
     SIGMA_DEGREE,
     SIGMA_RECIPES,
     TAU_COEFFS,
     CurveInput,
     GroupId,
     HomogeneousTriple,
+    ThetaRestriction,
+    _theta_horner,
     classifying_pair,
     homogeneous_gcd,
     implicit_jet,
@@ -803,6 +811,94 @@ def theta_numerator_reference(curve: CurveInput, index: int) -> tuple[SparsePoly
                 term = term * jets.p(n + 1) ** k
         num = num + term
     return num, D
+
+
+@functools.lru_cache(maxsize=1)
+def theta_literals() -> dict[int, SparsePoly]:
+    """Theta_1..Theta_8 as hand-expanded polynomials in u1..u8, against which
+    ``jets.theta_table`` (Theta_5..Theta_8 by the derivative chain) is
+    checked."""
+    R = JET_RING
+    u1, u2, u3, u4, u5, u6, u7, u8 = (SparsePoly.var(R, v) for v in R)
+    th1 = u1**2 + 1
+    th2 = u2
+    th3 = u3 * th1 - 3 * u1 * th2**2
+    th4 = 3 * u4 * u2 - 5 * u3**2
+    th5 = 9 * u5 * u2**2 - 45 * u4 * u3 * u2 + 40 * u3**3
+    th6 = (
+        9 * u6 * u2**3
+        - 63 * u5 * u3 * u2**2
+        - 45 * u4**2 * u2**2
+        + 255 * u4 * u3**2 * u2
+        - 160 * u3**4
+    )
+    th7 = (
+        18 * u7 * u2**4 * th5
+        - 189 * u6**2 * u2**6
+        + 126 * u6 * u2**4 * (9 * u5 * u3 * u2 + 15 * u4**2 * u2 - 25 * u4 * u3**2)
+        - 189 * u5**2 * u2**4 * (4 * u3**2 + 15 * u2 * u4)
+        + 210
+        * u5
+        * u3
+        * u2**2
+        * (63 * u4**2 * u2**2 - 60 * u4 * u3**2 * u2 + 32 * u3**4)
+        - 525
+        * u4
+        * u2
+        * (9 * u4**3 * u2**3 + 15 * u4**2 * u3**2 * u2**2 - 60 * u4 * u3**4 * u2 + 64 * u3**6)
+        + 11200 * u3**8
+    ).scale(Fraction(9, 2))
+    th8 = (
+        u2**4
+        * (
+            2 * u8 * u2 * th5**2
+            - 8
+            * u7
+            * th5
+            * (
+                9 * u6 * u2**3
+                - 36 * u5 * u3 * u2**2
+                - 45 * u4**2 * u2**2
+                + 120 * u4 * u3**2 * u2
+                - 40 * u3**4
+            )
+            + 504 * u6**3 * u2**5
+            - 504 * u6**2 * u2**3 * (9 * u5 * u3 * u2 + 15 * u4**2 * u2 - 25 * u4 * u3**2)
+            + 28
+            * u6
+            * (
+                432 * u5**2 * u3**2 * u2**3
+                + 243 * u5**2 * u4 * u2**4
+                - 1800 * u5 * u4 * u3**3 * u2**2
+                - 240 * u5 * u3**5 * u2
+                + 540 * u5 * u4**2 * u3 * u2**3
+                + 6600 * u4**2 * u3**4 * u2
+                - 2000 * u4 * u3**6
+                - 5175 * u4**3 * u3**2 * u2**2
+                + 1350 * u4**4 * u2**3
+            )
+            - 2835 * u5**4 * u2**4
+            + 252 * u5**3 * u3 * u2**2 * (9 * u4 * u2 - 136 * u3**2)
+            - 35840 * u5**2 * u3**6
+            - 630 * u5**2 * u4 * u2 * (69 * u4**2 * u2**2 - 160 * u3**4 - 153 * u4 * u3**2 * u2)
+            + 2100 * u5 * u4**2 * u3 * (72 * u3**4 + 63 * u4**2 * u2**2 - 193 * u4 * u3**2 * u2)
+            - 7875 * u4**4 * (8 * u4**2 * u2**2 - 22 * u4 * u3**2 * u2 + 9 * u3**4)
+        )
+    ).scale(Fraction(243, 2))
+    return {1: th1, 2: th2, 3: th3, 4: th4, 5: th5, 6: th6, 7: th7, 8: th8}
+
+
+@functools.lru_cache(maxsize=64)
+def theta_horner(curve: CurveInput, index: int) -> ThetaRestriction:
+    """Theta_index restricted to the curve by Horner over its expanded
+    polynomial (``jets._theta_horner`` on ``theta_literals``), against which
+    the chain route of ``jets.theta`` for T_5..T_8 is checked."""
+    d_i = FY_EXPONENT[index]
+    jets = implicit_jet(curve, jet_order([index]))
+    T = _theta_horner(curve, theta_literals()[index], d_i, jets)
+    a, b = TAU_COEFFS[index]
+    content, primitive = T.primitive()
+    return ThetaRestriction(index, T, d_i, a * curve.d + b, content, primitive)
 
 
 # ---------------------------------------------------------------------------

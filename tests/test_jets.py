@@ -2,10 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import projective_extension_reference, theta_numerator_reference, transform_point
+from oracles import (
+    projective_extension_reference,
+    theta_horner,
+    theta_literals,
+    theta_numerator_reference,
+    transform_point,
+)
 from sigcurve import jets
-from sigcurve.errors import ExceptionalCurveError
+from sigcurve.errors import ExceptionalCurveError, InvalidCurveError, VerticalLineError
 from sigcurve.jets import (
     CurveInput,
     GroupId,
@@ -158,6 +166,84 @@ class TestTheta:
                 _spot_check_theta(cv, i, t.T + SparsePoly.const(R, 1), t.d_i, jets)
 
 
+def pgl3_image_cubic():
+    F = CurveInput.from_poly(parse("x^3 + y^3 + 1"))
+    return apply_group_element(F, [[1, 1, 0], [0, 1, 1], [2, 0, 1]], GroupId.PGL3)
+
+
+def chain_case(text, indices=range(5, 9)):
+    return pytest.param(lambda: CurveInput.from_poly(parse(text)), indices, id=text)
+
+
+# T_8 of a dense quartic is left to the cubics
+CHAIN_CASES = [
+    pytest.param(lambda: rand_curve(random.Random(31), 3), range(5, 9), id="dense-cubic"),
+    pytest.param(lambda: rand_curve(random.Random(32), 4), range(5, 8), id="dense-quartic"),
+    chain_case("x^3 + y^3 + 1"),
+    chain_case("x^4 + y^4 + 1"),
+    chain_case("y^2 - x^3"),
+    chain_case("x^2*y + y^2 + y + 64/121"),
+    chain_case("x^2 + y^2 - 1"),  # Theta_5 = 0 on conics: T_5..T_8 are 0
+    chain_case("x^2 + x*y + y^2 - 1"),
+    chain_case("y - x"),  # F_y constant
+    chain_case("y - x^3"),
+    chain_case("x^3/2 + 3*y^2/4 + x*y + 5/6"),  # F_y = 12x + 18y, content 6
+    pytest.param(pgl3_image_cubic, range(5, 9), id="pgl3-image-cubic"),
+]
+
+
+class TestThetaChain:
+    """T_5..T_8 by the derivative chain against Horner over the expanded
+    polynomials (the oracle ``theta_horner``)."""
+
+    def test_table_derives_the_literals(self):
+        table, literals = jets.theta_table(), theta_literals()
+        assert all(table[i] == literals[i] for i in range(1, 9))
+
+    @pytest.mark.parametrize("make, indices", CHAIN_CASES)
+    def test_chain_matches_horner(self, make, indices):
+        cv = make()
+        for i in indices:
+            got, want = theta(cv, i), theta_horner(cv, i)
+            assert (got.T, got.content, got.primitive) == (want.T, want.content, want.primitive)
+            assert (got.d_i, got.tau_i) == (want.d_i, want.tau_i)
+        if cv.d == 2:
+            assert all(theta(cv, i).T.is_zero() for i in range(5, 9))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)),
+                    min_size=2, max_size=6))
+    def test_chain_matches_horner_on_random_curves(self, items):
+        items = [((i, j), c) for i, j, c in items if i + j <= 3]
+        try:
+            cv = CurveInput.from_poly(SparsePoly.from_terms(R, items))
+        except InvalidCurveError:
+            assume(False)
+        assume(not cv.fy().is_zero())
+        for i in range(5, 9):
+            got, want = theta(cv, i), theta_horner(cv, i)
+            assert (got.T, got.content, got.primitive) == (want.T, want.content, want.primitive)
+
+    def test_vertical_line_is_refused(self):
+        cv = CurveInput.from_poly(parse("x"))
+        for i in (1, 5, 8):
+            with pytest.raises(VerticalLineError):
+                theta(cv, i)
+
+    @pytest.mark.parametrize("text, index, coeffs", [
+        ("x^3 + y^3 + 1", 7, (9, -48, -10, Fraction(-3, 2))),  # -21/2 -> -10
+        ("x^3 + y^3 + 1", 7, (9, -48, Fraction(-21, 2), -1)),  # -3/2 -> -1
+        ("y - x^3", 5, (3, -7)),  # F_y = -1: the division cannot refuse it
+        ("y - x^3", 6, (1, -3)),
+    ])
+    def test_spot_check_guards_the_chain(self, monkeypatch, text, index, coeffs):
+        cv = CurveInput.from_poly(parse(text))
+        jets.theta_table()  # built and cached with the true coefficients
+        monkeypatch.setitem(jets.THETA_CHAIN, index, coeffs)
+        with pytest.raises(AssertionError, match=f"Theta_{index} "):
+            theta.__wrapped__(cv, index)
+
+
 class TestClassifyingPair:
     def test_ellipse_reference_values(self, ellipse):
         pair = classifying_pair(ellipse, GroupId.SE2)
@@ -265,6 +351,14 @@ class TestRemainderImage:
             for g in GroupId:
                 assert not exceptional_check(cv, g).exceptional
         assert calls == []
+
+    def test_the_image_reads_the_integer_form(self):
+        # T_2 (Horner) and T_5 (chain) are built as integer forms only, and
+        # the remainder images of the SA2 and PGL3 checks leave them so
+        cv = rand_curve(random.Random(97), 4)
+        for g in (GroupId.SA2, GroupId.PGL3):
+            assert not exceptional_check(cv, g).exceptional
+        assert theta(cv, 2).T._terms is None and theta(cv, 5).T._terms is None
 
     @pytest.mark.parametrize(
         "text, group, reason",

@@ -741,6 +741,23 @@ class TestIntegerForm:
         assert serialize(q) == "6*x^3 + 4*x*y - 18*x + 1"
         assert q.terms is q.terms  # built once, then cached
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_polynomials_hash_equal_in_either_form(self, data):
+        # equality and the hash read the reduced integer form, so a
+        # polynomial built from Fraction terms and one built from integers
+        # hash alike, and the integer-only one never builds its Fraction dict
+        ring = data.draw(st.sampled_from(FORM_RINGS))
+        p = data.draw(ring_polys(ring))
+        from_terms = SparsePoly(ring, dict(p.terms))
+        nums, den = _int_form(SparsePoly(ring, dict(p.terms)))
+        k = data.draw(st.integers(1, 6))  # an unreduced form reduces on construction
+        from_ints = SparsePoly._from_ints(ring, {e: c * k for e, c in nums.items()}, den * k)
+        assert from_terms == from_ints
+        assert hash(from_terms) == hash(from_ints) == hash(p)
+        assert from_ints._terms is None
+        assert len({from_terms, from_ints, p}) == 1
+
 
 @st.composite
 def rational_matrices(draw):

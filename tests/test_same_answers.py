@@ -68,4 +68,24 @@ def test_main_exits_1_on_the_first_difference(monkeypatch, capsys):
         "degree-generic seed 2: q:", "  parent: a", "  change: b"]
     monkeypatch.setattr(module, "collect", lambda root, *_: [("q", "a")])
     assert module.main() == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "same answers: 8"
+    assert capsys.readouterr().out.splitlines()[-1] == "same answers: 11"
+
+
+def test_theta_answers_cover_each_curve_and_index(monkeypatch):
+    # seed 1 round 0: the PGL3 image, then the round's cubic, quartic and
+    # quintic; T_8 of the image is the Horner oracle's
+    from oracles import theta_horner
+    from sigcurve.jets import CurveInput, GroupId, apply_group_element
+    from sigcurve.parser import parse, serialize
+
+    module = load_same_answers()
+    monkeypatch.chdir(SCRIPT.parent.parent)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    answers = module.answer_rounds("theta", 1, [0])
+    text, matrix = module.PGL3_IMAGE
+    image = f"theta PGL3 image of {text}"
+    curves = [(image, 8), *((f"theta seed 1 round 0 d={d}", n) for d, n in ((3, 8), (4, 6), (5, 6)))]
+    assert [q for q, _ in answers] == [f"{c} T_{i}" for c, n in curves for i in range(1, n + 1)]
+    assert not any(a.startswith("raised") for _, a in answers)
+    G = apply_group_element(CurveInput.from_poly(parse(text)), matrix, GroupId.PGL3)
+    assert answers[7] == (f"{image} T_8", serialize(theta_horner(G, 8).T))
