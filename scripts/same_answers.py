@@ -14,7 +14,11 @@ of its own ``perfbench/workloads.py`` (imported, not edited):
   components of every projective extension;
 * theta, seeds 1-3, rounds 0-2: the serialized T_1..T_8 of the curves of
   the same sigma-extension rounds (T_7 and T_8 on the cubics only) and, with
-  seed 1, of ``PGL3_IMAGE``.
+  seed 1, of ``PGL3_IMAGE``;
+* degree-special, once: the ``repr`` of ``predict_degree`` of every curve of
+  ``DEGREE_SPECIAL`` under each of the four groups: Fermat curves, the
+  cusp (an exact-zero PGL3 component), the worked cubic, the elliptic
+  curve, and the refusals of conics past SE2 and of the cubic graph.
 
 An operation that raises answers with its exception.  The first answer that
 differs is printed and the script exits 1; it exits 0 when all agree.
@@ -35,9 +39,14 @@ PLAN = (
     ("degree-generic", (1, 2, 3), (0, 1)),
     ("sigma-extension", (1, 2, 3), (0, 1, 2)),
     ("theta", (1, 2, 3), (0, 1, 2)),
+    ("degree-special", (1,), (0,)),
 )
 # x^3 + y^3 + 1 moved by a PGL3 matrix: a dense cubic whose T_8 has 1539 terms
 PGL3_IMAGE = ("x^3+y^3+1", ((1, 1, 0), (0, 1, 1), (2, 0, 1)))
+DEGREE_SPECIAL = (
+    "x^3+y^3+1", "x^4+y^4+1", "x^5+y^5+1", "y^2-x^3", "x^2*y+y^2+y+64/121",
+    "x^2+y^2-1", "x^2+x*y+2*y^2-3", "y^2-x^3-x-1", "y-x^3", "x*y-1",
+)
 
 Answers = list[tuple[str, str]]  # (what was asked, the answer as text)
 
@@ -69,11 +78,17 @@ def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from sigcurve import jets
+    from sigcurve import degree, jets
     from sigcurve.parser import parse, serialize
     from sigcurve.poly import SparsePoly
 
     answers: Answers = []
+
+    def answer_of(call) -> str:
+        try:
+            return call()
+        except Exception as e:  # a raised error is an answer to compare
+            return f"raised {type(e).__name__}: {e}"
 
     def cli(args: list) -> str:
         argv = [sys.executable, "-m", "sigcurve.cli", "--format", "json", *args]
@@ -90,12 +105,15 @@ def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
         jets.theta.cache_clear()
         jets.implicit_jet.cache_clear()
         for i in indices:
-            try:
-                answer = serialize(jets.theta(cv, i).T)
-            except Exception as e:  # a raised error is an answer to compare
-                answer = f"raised {type(e).__name__}: {e}"
-            answers.append((f"{label} T_{i}", answer))
+            answers.append((f"{label} T_{i}", answer_of(lambda: serialize(jets.theta(cv, i).T))))
 
+    if workload == "degree-special":
+        for curve_text in DEGREE_SPECIAL:
+            cv = jets.CurveInput.from_poly(parse(curve_text))
+            for group in jets.GroupId:
+                report = answer_of(lambda: repr(degree.predict_degree(cv, group)))
+                answers.append((f"degree-special {curve_text} {group.value}", report))
+        return answers
     if workload == "theta" and seed == 1:
         text, matrix = PGL3_IMAGE
         image = jets.apply_group_element(jets.CurveInput.from_poly(parse(text)), matrix,
@@ -120,11 +138,8 @@ def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
         jets.theta.cache_clear()
         jets.implicit_jet.cache_clear()
         for op in workloads.IN_PROCESS[workload](rng):
-            try:
-                answer = text(op.call())
-            except Exception as e:  # a raised error is an answer to compare
-                answer = f"raised {type(e).__name__}: {e}"
-            answers.append((f"{workload} seed {seed} round {r} {op.label}", answer))
+            answers.append((f"{workload} seed {seed} round {r} {op.label}",
+                            answer_of(lambda: text(op.call()))))
     return answers
 
 

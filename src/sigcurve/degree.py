@@ -21,10 +21,16 @@ mod a 31-bit prime prove the resultant gcd constant, and further exact
 resultants and gcds run only where the images cannot decide.  The canonical
 components share a factor x0^deg(sigma) * F_y^k, counted once by its
 valuation.
+
+Along a branch Theta_5..Theta_8 come from Theta_4 by ``jets._chain``.  Every
+series carries its own trusted order (``derivative`` lowers it by one,
+products and sums take the minimum), so precision the chain loses surfaces
+as TruncationError and a doubling, never as a different answer.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +55,7 @@ from .jets import (
     CurveInput,
     GroupId,
     HomogeneousTriple,
+    _chain,
     apply_group_element,
     jet_order,
     require_non_exceptional,
@@ -78,8 +85,8 @@ SHEAR_RETRIES = 5  # group elements tried before the chart at infinity is refuse
 
 # relative cap of the canonical route: every series is known this many
 # orders past its first term.  The deepest cancellation is in Theta_8 on the
-# fiber piece, which loses 14 orders on every dense and sparse quartic and
-# quintic scanned, leaving 2 known orders (Theta_7 keeps 6, the rest 11-16);
+# fiber piece, which keeps 8 known orders on the dense quartics and quintics
+# scanned (Theta_7 keeps 9, Theta_5 and Theta_6 11, the rest 14-16);
 # TruncationError doubles cap and truncation together for special curves
 CANONICAL_REL_CAP = 16
 
@@ -249,9 +256,10 @@ def _triple_components_on_piece(
 
 def _branch_jets(
     piece: BranchPiece, trunc: int, rel: int, n_max: int
-) -> tuple[TruncatedSeries, TruncatedSeries, dict[str, TruncatedSeries]]:
-    """x, y and the jets u_k = d^k y / dx^k (k <= n_max; zero past it) of a
-    branch piece, each capped ``rel`` orders past its first known term."""
+) -> tuple[TruncatedSeries, TruncatedSeries, dict[str, TruncatedSeries], TruncatedSeries]:
+    """x, y, the jets u_k = d^k y / dx^k (k <= n_max) and dv/dx of a branch
+    piece, each capped ``rel`` orders past its first known term; every
+    ``derivative`` lowers the trusted order by one."""
     x0_inv = piece.x0.invert(trunc + 8)
     x_series = (piece.x1 * x0_inv).rel_capped(rel)
     y_series = (piece.x2 * x0_inv).rel_capped(rel)
@@ -261,25 +269,34 @@ def _branch_jets(
     for k in range(1, n_max + 1):
         cur = (cur.derivative() * dx_inv).rel_capped(rel)
         u[f"u{k}"] = cur
-    for k in range(n_max + 1, 9):
-        u[f"u{k}"] = TruncatedSeries.zero(piece.ring, trunc)
-    return x_series, y_series, u
+    return x_series, y_series, u, dx_inv
 
 
 def _jet_series(
     curve: CurveInput, piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
 ) -> tuple[TruncatedSeries, list[TruncatedSeries]]:
-    """F_y and the Theta_i for i in ``needed`` along a branch piece, from the
-    jets of the branch; every series is capped ``rel`` orders past its first
-    known term."""
-    x_series, y_series, u = _branch_jets(piece, trunc, rel, jet_order(needed))
+    """F_y and the Theta_i for i in ``needed`` along a branch piece:
+    Theta_1..Theta_4 by Horner at the branch jets, Theta_5..Theta_8 by
+    ``jets._chain`` with D(Theta_k) = Theta_k' * dv/dx.  The inputs are known
+    ``rel`` orders past their first term and products keep that, so the
+    chain needs no cap; what it loses shows in the trusted orders."""
+    top = max(needed)
+    horner = sorted({i for i in needed if i <= 4} | ({4} if top > 4 else set()))
+    x_series, y_series, u, dx_inv = _branch_jets(piece, trunc, rel, jet_order(horner))
     fy = evaluate_polys_at_series(
         [curve.fy()], {"x": x_series, "y": y_series}, piece.ring, rel_cap=rel
     )[0]
-    thetas = evaluate_polys_at_series(
-        [theta_table()[i] for i in needed], u, piece.ring, rel_cap=rel
-    )
-    return fy, thetas
+    th = dict(zip(horner, evaluate_polys_at_series(
+        [theta_table()[i] for i in horner], u, piece.ring, rel_cap=rel
+    )))
+
+    @functools.cache
+    def deriv(k: int) -> TruncatedSeries:
+        return (th[k].derivative() * dx_inv).rel_capped(rel)
+
+    for i in range(5, top + 1):
+        th[i] = _chain(i, th.__getitem__, deriv, u["u2"], u["u3"], lambda s: s)
+    return fy, [th[i] for i in needed]
 
 
 def canonical_components_on_piece(
@@ -295,8 +312,9 @@ def canonical_components_on_piece(
     fiber sum on the quotient-ring piece.
 
     ``rel`` caps every series ``rel`` orders past its first known term;
-    relative precision survives multiplication, and insufficient caps
-    surface as TruncationError in the downstream valuation queries."""
+    relative precision survives multiplication, and insufficient caps or
+    precision lost in ``_jet_series``'s derivative chain surface as
+    TruncationError in the downstream valuation queries."""
     needed = GROUP_THETAS[group]
     fy, theta_series = _jet_series(curve, piece, trunc, rel, needed)
     # products of series known at most ``rel`` orders past their first term

@@ -26,6 +26,11 @@ delta(F_y) T, and u2, u3 to P_2 / F_y^3, P_3 / F_y^5.  Every product above
 lies over F_y^(d + 1), d = d_(k+1) (Theta_6^2 and Theta_4 Theta_5^2 over
 F_y^d), so T_(k+1) is their numerator over one F_y; the division is exact
 because T_(k+1) = Theta_(k+1) F_y^d is a polynomial.
+
+One function, ``_chain``, serves three routes: the jet-space table
+``theta_table``, the T_i on the curve (``theta``), and the Theta_i along the
+branches at infinity (``degree._jet_series``, with D = d/dx along the
+branch and the jets u2, u3 of the branch).
 """
 
 from __future__ import annotations
@@ -116,8 +121,9 @@ THETA_CHAIN = {5: (3, -8), 6: (1, -4), 7: (9, -48, Fraction(-21, 2), Fraction(-3
 
 def _chain(index, th, deriv, u2, u3, over_fy):
     """Theta_index from ``th(k)`` = Theta_k and ``deriv(k)`` = D(Theta_k),
-    k < index, with ``over_fy`` the identity; or T_index from T_k, D_k(T_k),
-    P_2 and P_3, with ``over_fy`` the exact division by F_y."""
+    k < index, with ``over_fy`` the identity (polynomials in jet space or
+    series along a branch); or T_index from T_k, D_k(T_k), P_2 and P_3, with
+    ``over_fy`` the exact division by F_y."""
     a, b, *ce = THETA_CHAIN[index]
     if index in (5, 6):
         return over_fy(a * u2 * deriv(index - 1) + b * u3 * th(index - 1))

@@ -253,6 +253,9 @@ class TruncatedSeries:
         terms = {jk: x * c.numerator for jk, x in self.terms.items()}
         return TruncatedSeries(self.ring, terms, self.den * c.denominator, self.trunc).normalized()
 
+    def __rmul__(self, c: int) -> "TruncatedSeries":
+        return self.scale(c)
+
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by v^k."""
         terms = {(j + k, w): c for (j, w), c in self.terms.items()}

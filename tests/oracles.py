@@ -37,6 +37,10 @@ slower or narrower, and the tests compare them against the package:
   u1..u8, and T_i by Horner over them, against which ``jets.theta_table``
   and ``jets.theta`` (Theta_5..Theta_8 and T_5..T_8 by the derivative
   chain) are checked.
+* ``jet_series_horner``: Theta_1..Theta_8 along a branch piece by Horner
+  over ``theta_table()`` at the jets u1..u8 of the branch, against which
+  ``degree._jet_series`` (Theta_5..Theta_8 by the derivative chain along
+  the branch) is checked.
 * ``newton_branch_reference``: the branch of H(t, u) = 0 by Newton steps
   that evaluate H and dH/du with the monomial reference above and invert
   dH/du afresh at every step, against which ``series.newton_branch``
@@ -70,7 +74,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from sigcurve.degree import CHART_RING, BranchPiece, _chart_polys, _combine, _jet_series
+from sigcurve.degree import (
+    CHART_RING, BranchPiece, _branch_jets, _chart_polys, _combine, _jet_series,
+)
 from sigcurve.errors import ShearRequiredError, SigcurveError
 from sigcurve.jets import (
     CURVE_RING,
@@ -95,7 +101,7 @@ from sigcurve.jets import (
     thetas_for_group,
 )
 from sigcurve.poly import SparsePoly, _int_form, exact_div, gcd, resultant, square_free_part
-from sigcurve.series import SeriesRing, TruncatedSeries
+from sigcurve.series import SeriesRing, TruncatedSeries, evaluate_polys_at_series
 from sigcurve.signature import (
     SIG_RING,
     SignaturePolynomial,
@@ -899,6 +905,23 @@ def theta_horner(curve: CurveInput, index: int) -> ThetaRestriction:
     a, b = TAU_COEFFS[index]
     content, primitive = T.primitive()
     return ThetaRestriction(index, T, d_i, a * curve.d + b, content, primitive)
+
+
+def jet_series_horner(
+    curve: CurveInput, piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
+) -> tuple[TruncatedSeries, list[TruncatedSeries]]:
+    """F_y and the Theta_i for i in ``needed`` along a branch piece, every
+    Theta_i by Horner over ``theta_table()[i]`` at the jets of the branch
+    up to the highest one used, every product capped ``rel`` orders past
+    its first known term."""
+    x_series, y_series, u, _dx_inv = _branch_jets(piece, trunc, rel, jet_order(needed))
+    fy = evaluate_polys_at_series(
+        [curve.fy()], {"x": x_series, "y": y_series}, piece.ring, rel_cap=rel
+    )[0]
+    thetas = evaluate_polys_at_series(
+        [theta_table()[i] for i in needed], u, piece.ring, rel_cap=rel
+    )
+    return fy, thetas
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 import sigcurve.degree as degree_mod
-from oracles import canonical_components_reference, mult_sum_line_resultant
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import canonical_components_reference, jet_series_horner, mult_sum_line_resultant
 from sigcurve.degree import (
     CANONICAL_REL_CAP,
     GROUP_START_TRUNC,
@@ -26,7 +29,9 @@ from sigcurve.degree import (
     predict_degree,
     series_valuations,
 )
-from sigcurve.errors import NonIntegralSymmetryError
+from sigcurve.errors import (
+    InvalidCurveError, NonIntegralSymmetryError, ShearRequiredError, SigcurveError,
+)
 from sigcurve.jets import (
     GROUP_THETAS,
     CurveInput,
@@ -299,7 +304,7 @@ BENCH_QUARTIC = {
 
 
 def test_an_empty_component_doubles_before_its_exact_check(monkeypatch):
-    # at cap 12 the quartic's third PGL(3) component, Theta_8 * Theta_5^4, is
+    # at cap 8 the quartic's third PGL(3) component, Theta_8 * Theta_5^4, is
     # empty on the first attempt; the doubling finds it nonzero, so the exact
     # T_8 (far the most costly T_i) is never built, and the report is the
     # default cap's
@@ -317,7 +322,7 @@ def test_an_empty_component_doubles_before_its_exact_check(monkeypatch):
 
     monkeypatch.setattr(jets_mod, "theta", recorded)
     monkeypatch.setattr(degree_mod, "theta", recorded)
-    monkeypatch.setattr(degree_mod, "CANONICAL_REL_CAP", 12)
+    monkeypatch.setattr(degree_mod, "CANONICAL_REL_CAP", 8)
     calls = _count_pieces(monkeypatch)
     assert predict_degree(cv, GroupId.PGL3, n=1, seed=341) == want
     assert len(calls) == 2
@@ -344,16 +349,9 @@ def test_branch_at_a_zero_root_is_sized_past_its_valuation():
     assert fiber.x2.trunc == 3 + CANONICAL_REL_CAP
 
 
-def test_theta_series_take_horner_products(monkeypatch):
-    # Theta_5, Theta_7, Theta_8 at the PGL(3) jet series of a dense quartic
-    # take 181 products of two series monomial by monomial and 107 by
-    # Horner.  Not counted: the 70 and 63 products with an exact constant,
-    # each a scaling (one pass over the other operand).
-    group = GroupId.PGL3
-    work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
-    t = GROUP_START_TRUNC[group]
-    piece = infinity_pieces(work, t, 32)[0]
-    _x, _y, u = _branch_jets(piece, t, 32, jet_order(GROUP_THETAS[group]))
+def _count_products(monkeypatch) -> list:
+    # products of two series; a product with an exact constant is a scaling
+    # (one pass over the other operand) and is not counted
     products = []
     mul = TruncatedSeries.__mul__
 
@@ -363,9 +361,103 @@ def test_theta_series_take_horner_products(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    return products
+
+
+def test_theta_series_take_horner_products(monkeypatch):
+    # Theta_5, Theta_7, Theta_8 at the PGL(3) jet series of a dense quartic
+    # take 181 products of two series monomial by monomial and 107 by
+    # Horner.  Not counted: the 70 and 63 products with an exact constant,
+    # each a scaling (one pass over the other operand).
+    group = GroupId.PGL3
+    work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
+    t = GROUP_START_TRUNC[group]
+    piece = infinity_pieces(work, t, 32)[0]
+    _x, _y, u, _dx_inv = _branch_jets(piece, t, 32, jet_order(GROUP_THETAS[group]))
+    products = _count_products(monkeypatch)
     polys = [theta_table()[i] for i in GROUP_THETAS[group]]
     evaluate_polys_at_series(polys, u, piece.ring, rel_cap=32)
     assert len(products) <= 130
+
+
+def test_theta_chain_along_a_branch_takes_few_products(monkeypatch):
+    # F_y, Theta_4 by Horner and Theta_5..Theta_8 by the derivative chain
+    # along the PGL(3) fiber piece of a dense quartic take 55 products;
+    # Horner over the expanded Theta_5, Theta_7, Theta_8 takes 147
+    group = GroupId.PGL3
+    work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
+    t = GROUP_START_TRUNC[group]
+    [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
+    products = _count_products(monkeypatch)
+    _jet_series(work, piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
+    assert len(products) <= 60
+
+
+def _fractions_below(s: TruncatedSeries, order: int) -> dict:
+    return {jk: Fraction(c, s.den) for jk, c in s.terms.items() if c and jk[0] < order}
+
+
+def _chain_agrees_with_horner(cv: CurveInput, group: GroupId) -> int:
+    """Theta_1..Theta_8 of ``_jet_series`` equal the Horner oracle's below
+    their common trusted order on every branch piece at the group's
+    starting truncation, or both routes raise the same error (from the
+    branch jets they share); the number of pieces."""
+    work = infinity_chart(cv, group).curve
+    t = GROUP_START_TRUNC[group]
+    pieces = infinity_pieces(work, t, CANONICAL_REL_CAP)
+    for piece in pieces:
+        try:
+            _fy, horner = jet_series_horner(work, piece, t, CANONICAL_REL_CAP, range(1, 9))
+        except (SigcurveError, ZeroDivisionError) as err:
+            with pytest.raises(type(err)):
+                _jet_series(work, piece, t, CANONICAL_REL_CAP, range(1, 9))
+            continue
+        _fy, chain = _jet_series(work, piece, t, CANONICAL_REL_CAP, range(1, 9))
+        for i, (c, h) in enumerate(zip(chain, horner), 1):
+            common = min(c.trunc, h.trunc)
+            assert _fractions_below(c, common) == _fractions_below(h, common), (i, piece.q)
+            if i <= 4:
+                assert c.trunc == h.trunc
+    return len(pieces)
+
+
+CHAIN_CURVES = [
+    *((f"dense-quartic-{seed}", lambda seed=seed: rand_curve(random.Random(seed), 4), GroupId.PGL3)
+      for seed in (3, 4, 11)),
+    *((f"fermat-{d}", lambda d=d: CurveInput.from_poly(parse(f"x^{d} + y^{d} + 1")), GroupId.PGL3)
+      for d in (3, 4, 5)),
+    *((name, lambda text=text: CurveInput.from_poly(parse(text)), group)
+      for name, text in (("worked-cubic", "x^2*y + y^2 + y + 64/121"),
+                         ("elliptic", "y^2 - x^3 - x - 1"))
+      for group in (GroupId.A2, GroupId.PGL3)),
+]
+
+
+@pytest.mark.parametrize("name, curve, group", CHAIN_CURVES, ids=[c[0] for c in CHAIN_CURVES])
+def test_theta_chain_along_branches_matches_horner(name, curve, group):
+    assert _chain_agrees_with_horner(curve(), group) >= 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-5, 5)),
+                min_size=2, max_size=10),
+       st.sampled_from(ALL_GROUPS))
+def test_theta_chain_along_branches_matches_horner_on_random_curves(terms, group):
+    F = SparsePoly.from_terms(R, [((i, j), c) for i, j, c in terms if i + j <= 4])
+    try:
+        cv = CurveInput.from_poly(F)
+        infinity_chart(cv, group)
+    except (InvalidCurveError, ShearRequiredError):
+        assume(False)
+    assume(cv.d >= 2 and not cv.fy().is_zero())
+    _chain_agrees_with_horner(cv, group)
+
+
+def test_series_valuations_by_the_chain_match_horner(monkeypatch):
+    cv = CurveInput.from_poly(parse("x^3 + y^3 + 1"))
+    chain = series_valuations(cv, Fraction(-1))
+    monkeypatch.setattr(degree_mod, "_jet_series", jet_series_horner)
+    assert series_valuations(cv, Fraction(-1)) == chain
 
 
 def test_affine_term_per_line_when_no_view_separates_points():

@@ -68,7 +68,7 @@ def test_main_exits_1_on_the_first_difference(monkeypatch, capsys):
         "degree-generic seed 2: q:", "  parent: a", "  change: b"]
     monkeypatch.setattr(module, "collect", lambda root, *_: [("q", "a")])
     assert module.main() == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "same answers: 11"
+    assert capsys.readouterr().out.splitlines()[-1] == "same answers: 12"
 
 
 def test_theta_answers_cover_each_curve_and_index(monkeypatch):
@@ -89,3 +89,15 @@ def test_theta_answers_cover_each_curve_and_index(monkeypatch):
     assert not any(a.startswith("raised") for _, a in answers)
     G = apply_group_element(CurveInput.from_poly(parse(text)), matrix, GroupId.PGL3)
     assert answers[7] == (f"{image} T_8", serialize(theta_horner(G, 8).T))
+
+
+def test_degree_special_answers_cover_each_curve_and_group(monkeypatch):
+    # the cusp's PGL3 signature is a point; conics are refused past SE2
+    module = load_same_answers()
+    monkeypatch.chdir(SCRIPT.parent.parent)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    answers = dict(module.answer_rounds("degree-special", 1, [0]))
+    groups = ("SE2", "SA2", "A2", "PGL3")
+    assert list(answers) == [f"degree-special {c} {g}" for c in module.DEGREE_SPECIAL for g in groups]
+    assert "n_times_deg_S=0," in answers["degree-special y^2-x^3 PGL3"]
+    assert answers["degree-special x*y-1 A2"].startswith("raised ExceptionalCurveError")
