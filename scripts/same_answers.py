@@ -18,7 +18,10 @@ of its own ``perfbench/workloads.py`` (imported, not edited):
 * degree-special, once: the ``repr`` of ``predict_degree`` of every curve of
   ``DEGREE_SPECIAL`` under each of the four groups: Fermat curves, the
   cusp (an exact-zero PGL3 component), the worked cubic, the elliptic
-  curve, and the refusals of conics past SE2 and of the cubic graph.
+  curve, the refusals of conics past SE2 and of the cubic graph, a quartic
+  whose Theta_1 vanishes at the circular points on its fiber at infinity
+  (so the Theta products keep their full cap under SE2), and the singular
+  quartic that ``degree-generic`` draws at seed 10, round 85.
 
 An operation that raises answers with its exception.  The first answer that
 differs is printed and the script exits 1; it exits 0 when all agree.
@@ -46,6 +49,8 @@ PGL3_IMAGE = ("x^3+y^3+1", ((1, 1, 0), (0, 1, 1), (2, 0, 1)))
 DEGREE_SPECIAL = (
     "x^3+y^3+1", "x^4+y^4+1", "x^5+y^5+1", "y^2-x^3", "x^2*y+y^2+y+64/121",
     "x^2+y^2-1", "x^2+x*y+2*y^2-3", "y^2-x^3-x-1", "y-x^3", "x*y-1",
+    "x^4-y^4+x^2+1",
+    "-y^4+x*y^3+8*x^2*y^2-8*x^3*y+8*x^4-y^3+8*x*y^2+3*x^2*y-x^3+9*y^2-6*x*y-2*x^2+3*y+4*x+7",
 )
 
 Answers = list[tuple[str, str]]  # (what was asked, the answer as text)

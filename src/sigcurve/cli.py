@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Machine output goes to stdout (or ``--out``), diagnostics to stderr.  Exit
-codes: 0 success, 1 any other ``SigcurveError``, 2 exceptional input, a
-constant curve polynomial (``InvalidCurveError``) or an invalid argument,
-4 parse error.
+codes: 0 success, 1 any other ``SigcurveError`` or an output pipe closed
+early (``| head``, quietly), 2 exceptional input, a constant curve polynomial
+(``InvalidCurveError``) or an invalid argument, 4 parse error.  A curve text
+may begin with '-' (``--curve -x^2+y^3+1``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional
 
@@ -65,6 +67,18 @@ _nonnegative = _int_at_least(0)
 
 def _curve(text: str) -> CurveInput:
     return CurveInput.from_poly(parse(text))
+
+
+def _attach_curve_texts(argv: list[str]) -> list[str]:
+    """--curve TEXT as --curve=TEXT when TEXT begins with one '-', which
+    argparse would read as an option (-h stays the help flag)."""
+    out: list[str] = []
+    for arg in argv:
+        if out[-1:] in (["--curve"], ["--curve2"]) and arg[:1] == "-" and arg[:2] not in ("--", "-h"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_curve_texts(sys.argv[1:] if argv is None else argv))
     out_stream = open(args.out, "w") if args.out else sys.stdout
     fmt = args.format or "text"
 
@@ -138,6 +152,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         code = _dispatch(args, emit)
+        out_stream.flush()
+    except BrokenPipeError:  # stdout to devnull: the flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         code = EXIT_PARSE
@@ -155,8 +173,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _dispatch(args, emit) -> int:
     cmd = args.command
+    cv = _curve(args.curve) if cmd != "fermat" else None
     if cmd == "theta":
-        cv = _curve(args.curve)
         t = theta(cv, args.index)
         deg_t = None if t.T.is_zero() else t.T.total_degree()
         emit(
@@ -176,7 +194,6 @@ def _dispatch(args, emit) -> int:
         )
         return EXIT_OK
     if cmd == "invariants":
-        cv = _curve(args.curve)
         pair = classifying_pair(cv, args.group)
         emit(
             {
@@ -192,7 +209,6 @@ def _dispatch(args, emit) -> int:
         )
         return EXIT_OK
     if cmd == "signature":
-        cv = _curve(args.curve)
         sig = signature_polynomial(cv, args.group)
         if isinstance(sig, PointSignature):
             emit(
@@ -216,7 +232,6 @@ def _dispatch(args, emit) -> int:
             )
         return EXIT_OK
     if cmd == "degree":
-        cv = _curve(args.curve)
         rep = predict_degree(
             cv, args.group, n=args.n, trials=args.trials, seed=args.seed
         )
@@ -244,7 +259,6 @@ def _dispatch(args, emit) -> int:
         )
         return EXIT_OK
     if cmd == "symmetry":
-        cv = _curve(args.curve)
         res = symmetry_order(cv, args.group, seed=args.seed)
         payload = {
             "command": "symmetry",
@@ -260,9 +274,7 @@ def _dispatch(args, emit) -> int:
         )
         return EXIT_OK
     if cmd == "equiv":
-        F = _curve(args.curve)
-        G = _curve(args.curve2)
-        v = equivalent(F, G, args.group)
+        v = equivalent(cv, _curve(args.curve2), args.group)
         payload = {
             "command": "equiv",
             "group": args.group.value,
@@ -279,7 +291,6 @@ def _dispatch(args, emit) -> int:
             return EXIT_EXCEPTIONAL
         return EXIT_OK
     if cmd == "samples":
-        cv = _curve(args.curve)
         samples = signature_samples(
             cv, args.group, args.count, seed=args.seed, real_only=True
         )

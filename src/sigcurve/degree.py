@@ -20,7 +20,12 @@ curves.  On a generic curve that routine takes one exact resultant: images
 mod a 31-bit prime prove the resultant gcd constant, and further exact
 resultants and gcds run only where the images cannot decide.  The canonical
 components share a factor x0^deg(sigma) * F_y^k, counted once by its
-valuation.
+valuation.  Two lemmas spare series built for one valuation: (a) F_y(1/v,
+w/v) = v^-(d-1) H_w(v, w(v)) with H = Fh(v, 1, w), and H_w(0, W) = c q'(W)
+is a unit mod the squarefree q, so F_y has order -(d-1) on each fiber
+branch; (b) when each Theta_i's first coefficient is a unit mod q, every
+component has one valuation on each branch, read from its first term (a
+trial line whose first terms cancel raises TruncationError and doubles).
 
 Along a branch Theta_5..Theta_8 come from Theta_4 by ``jets._chain``.  Every
 series carries its own trusted order (``derivative`` lowers it by one,
@@ -71,6 +76,7 @@ from .series import (
     evaluate_polys_at_series,
     fiber_min_valuation_sum,
     fiber_valuation_sum,
+    intpoly_coprime,
     intpoly_from_poly,
     intpoly_gcd,
     intpoly_squarefree,
@@ -256,8 +262,8 @@ def _triple_components_on_piece(
 
 def _branch_jets(
     piece: BranchPiece, trunc: int, rel: int, n_max: int
-) -> tuple[TruncatedSeries, TruncatedSeries, dict[str, TruncatedSeries], TruncatedSeries]:
-    """x, y, the jets u_k = d^k y / dx^k (k <= n_max) and dv/dx of a branch
+) -> tuple[dict[str, TruncatedSeries], TruncatedSeries]:
+    """The jets u_k = d^k y / dx^k (k <= n_max) and dv/dx of a branch
     piece, each capped ``rel`` orders past its first known term; every
     ``derivative`` lowers the trusted order by one."""
     x0_inv = piece.x0.invert(trunc + 8)
@@ -269,23 +275,21 @@ def _branch_jets(
     for k in range(1, n_max + 1):
         cur = (cur.derivative() * dx_inv).rel_capped(rel)
         u[f"u{k}"] = cur
-    return x_series, y_series, u, dx_inv
+    return u, dx_inv
 
 
 def _jet_series(
-    curve: CurveInput, piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
-) -> tuple[TruncatedSeries, list[TruncatedSeries]]:
-    """F_y and the Theta_i for i in ``needed`` along a branch piece:
+    piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
+) -> list[TruncatedSeries]:
+    """The Theta_i for i in ``needed`` along a branch piece:
     Theta_1..Theta_4 by Horner at the branch jets, Theta_5..Theta_8 by
     ``jets._chain`` with D(Theta_k) = Theta_k' * dv/dx.  The inputs are known
     ``rel`` orders past their first term and products keep that, so the
-    chain needs no cap; what it loses shows in the trusted orders."""
+    chain needs no cap; what it loses shows in the trusted orders.  F_y's
+    order needs no series (lemma (a), ``_fy_valuation``)."""
     top = max(needed)
     horner = sorted({i for i in needed if i <= 4} | ({4} if top > 4 else set()))
-    x_series, y_series, u, dx_inv = _branch_jets(piece, trunc, rel, jet_order(horner))
-    fy = evaluate_polys_at_series(
-        [curve.fy()], {"x": x_series, "y": y_series}, piece.ring, rel_cap=rel
-    )[0]
+    u, dx_inv = _branch_jets(piece, trunc, rel, jet_order(horner))
     th = dict(zip(horner, evaluate_polys_at_series(
         [theta_table()[i] for i in horner], u, piece.ring, rel_cap=rel
     )))
@@ -296,7 +300,18 @@ def _jet_series(
 
     for i in range(5, top + 1):
         th[i] = _chain(i, th.__getitem__, deriv, u["u2"], u["u3"], lambda s: s)
-    return fy, [th[i] for i in needed]
+    return [th[i] for i in needed]
+
+
+def _fy_valuation(curve: CurveInput, piece: BranchPiece) -> int:
+    """F_y's order on a piece (a fiber sum), by lemma (a).  At the corner
+    (x0, x1, 1), x0^(d-1) F_y = Fh_2 = -(x0 Fh_0 + x1 Fh_1) (Euler), and
+    Fh_0 x0' + Fh_1 x1' = 0 on the branch gives Fh_2 = unit * (x0 x1' - x1 x0')."""
+    if piece.q is not None:
+        return -(curve.d - 1) * (len(piece.q) - 1)
+    x0, x1 = piece.x0, piece.x1
+    wronskian = x0 * x1.derivative() - x1 * x0.derivative()
+    return -(curve.d - 1) * x0.valuation() + wronskian.valuation()
 
 
 def canonical_components_on_piece(
@@ -309,21 +324,24 @@ def canonical_components_on_piece(
     x0^e * prod T_i^p is x0^deg(sigma) * F_y^k (k = 6, 24, 24, 96) times the
     Theta product prod Theta_i^p.  Valuations add at each point of the
     fiber, so the factor counts once: deg(sigma) * val x0 + k * val F_y, a
-    fiber sum on the quotient-ring piece.
+    fiber sum on the quotient-ring piece (val F_y by lemma (a)).
 
-    ``rel`` caps every series ``rel`` orders past its first known term;
-    relative precision survives multiplication, and insufficient caps or
-    precision lost in ``_jet_series``'s derivative chain surface as
-    TruncationError in the downstream valuation queries."""
+    ``rel`` caps every series ``rel`` orders past its first known term; too
+    small a cap, or precision lost in ``_jet_series``'s chain, surfaces as
+    TruncationError downstream.  By lemma (b) the Theta_i are capped at
+    max(1, rel // CANONICAL_REL_CAP) when their first coefficients are units."""
     needed = GROUP_THETAS[group]
-    fy, theta_series = _jet_series(curve, piece, trunc, rel, needed)
+    theta_series = _jet_series(piece, trunc, rel, needed)
+    if all(th.terms and intpoly_coprime(piece.ring.q, th.coeff_vec(th.min_exp()))
+           for th in theta_series):
+        rel = max(1, rel // CANONICAL_REL_CAP)
     # products of series known at most ``rel`` orders past their first term
     # are again so: the Theta products need no further cap
     thetas = {i: th.rel_capped(rel) for i, th in zip(needed, theta_series)}
     comps = [reduce(mul, (thetas[i] ** p for i, p in fs)) for _x0p, fs in SIGMA_RECIPES[group]]
     a, b = SIGMA_DEGREE[group]
     k = sum(FY_EXPONENT[i] * p for i, p in SIGMA_RECIPES[group][0][1])
-    return comps, (a * curve.d + b) * _piece_val(piece.x0, piece) + k * _piece_val(fy, piece)
+    return comps, (a * curve.d + b) * _piece_val(piece.x0, piece) + k * _fy_valuation(curve, piece)
 
 
 def _certify_zero_components(
@@ -547,7 +565,8 @@ class MultiplicityReport:
 
 def _combine(a: Sequence, items: Sequence, acc):
     for coeff, item in zip(a, items):
-        acc = acc + item.scale(Fraction(coeff))
+        if coeff:  # 0 * item is exact, whatever item's trusted order
+            acc = acc + item.scale(Fraction(coeff))
     return acc
 
 
@@ -777,7 +796,8 @@ class ValuationTable:
 
 def series_valuations(curve: CurveInput, root_w: Fraction) -> ValuationTable:
     """Valuations of Theta_1..8 and of the homogenized T_i along the branch
-    at [0:1:root_w]; the root must be simple and rational."""
+    at [0:1:root_w]; the root must be simple and rational, so val F_y is
+    -(d-1) by lemma (a)."""
     H, q, _ = _chart_polys(curve)
     root_w = Fraction(root_w)
     qv = sum(Fraction(c) * root_w**k for k, c in enumerate(q))
@@ -793,8 +813,8 @@ def series_valuations(curve: CurveInput, root_w: Fraction) -> ValuationTable:
         w = newton_branch(H, "v", "w", ring, ring.generator(), t)
         one = TruncatedSeries.constant(ring, Fraction(1))
         piece = BranchPiece(ring, ring.q, TruncatedSeries.variable(ring), one, w)
-        fy, thetas = _jet_series(curve, piece, t, t, range(1, 9))
-        val_fy = fy.valuation()
+        thetas = _jet_series(piece, t, t, range(1, 9))
+        val_fy = _fy_valuation(curve, piece)
         vth = tuple(th.valuation() for th in thetas)
         vi = tuple(
             TAU_COEFFS[i][0] * curve.d + TAU_COEFFS[i][1] + vt + FY_EXPONENT[i] * val_fy
@@ -836,19 +856,14 @@ def base_locus_on_curve(curve: CurveInput, sigma: HomogeneousTriple) -> BaseLocu
 
 
 def _inf_points(curve: CurveInput, sigma: HomogeneousTriple) -> str:
-    Fh = curve.homogenized()
-    zero = Fraction(0)
-    one = Fraction(1)
-    corner = Fh.evaluate({"x0": zero, "x1": zero, "x2": one}) == 0
-    corner_base = corner and all(
-        s.evaluate({"x0": zero, "x1": zero, "x2": one}) == 0 for s in sigma.sigma
-    )
+    _, q, top = _chart_polys(curve)
+    corner = top == 0
+    corner_base = corner and all(s.evaluate({"x0": 0, "x1": 0, "x2": 1}) == 0 for s in sigma.sigma)
     parts = []
-    _, q, _ = _chart_polys(curve)
     if len(q) >= 2:
         g = q
         for s in sigma.sigma:
-            su = s.evaluate_partial({"x0": zero, "x1": one})
+            su = s.evaluate_partial({"x0": Fraction(0), "x1": Fraction(1)})
             g = intpoly_gcd(g, intpoly_from_poly(su, "x2"))
             if len(g) == 1:
                 break

@@ -66,19 +66,19 @@ def intpoly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return intpoly_from_poly(gcd(as_poly(a), as_poly(b)), "w")
 
 
-def intpoly_squarefree(q: Sequence[int]) -> bool:
-    """Whether q has no repeated root (constants count as squarefree).
+def intpoly_coprime(q: Sequence[int], c: Sequence[int]) -> bool:
+    """Whether gcd(q, c) is constant (q nonconstant).  A coprime image mod
+    p = ``IMAGE_PRIME`` answers yes when p does not divide lc(q): a common
+    factor h over Z keeps its degree mod p and divides both images.  The
+    exact gcd runs only when that image cannot decide."""
+    if q[-1] % IMAGE_PRIME and len(_modp_gcd(q, c, IMAGE_PRIME)) == 1:
+        return True
+    return len(intpoly_gcd(q, c)) == 1
 
-    A coprime image of q and q' modulo p = ``IMAGE_PRIME`` answers yes when
-    p does not divide lc(q): a repeated factor h^2 of q over Z would leave
-    h mod p, of the same degree as h, dividing both images.  The exact gcd
-    runs only when that image cannot decide."""
-    if len(q) < 2:
-        return True
-    dq = [i * q[i] for i in range(1, len(q))]
-    if q[-1] % IMAGE_PRIME and len(_modp_gcd(q, dq, IMAGE_PRIME)) == 1:
-        return True
-    return len(intpoly_gcd(q, dq)) == 1
+
+def intpoly_squarefree(q: Sequence[int]) -> bool:
+    """Whether q has no repeated root (constants count): q, q' coprime."""
+    return len(q) < 2 or intpoly_coprime(q, [i * q[i] for i in range(1, len(q))])
 
 
 class SeriesRing:

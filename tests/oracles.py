@@ -41,14 +41,19 @@ slower or narrower, and the tests compare them against the package:
   over ``theta_table()`` at the jets u1..u8 of the branch, against which
   ``degree._jet_series`` (Theta_5..Theta_8 by the derivative chain along
   the branch) is checked.
+* ``fy_series_horner``: F_y along a branch piece by Horner at the branch's
+  (x, y), whose valuation checks ``degree._fy_valuation`` (an order read
+  from q's squarefreeness on the fiber, from the branch at the corner).
 * ``newton_branch_reference``: the branch of H(t, u) = 0 by Newton steps
   that evaluate H and dH/du with the monomial reference above and invert
   dH/du afresh at every step, against which ``series.newton_branch``
   (Horner, carried inverse) is checked.
 * ``canonical_components_reference``: the canonical sigma components along
   a branch piece with the common factor x0^deg(sigma) * F_y^k multiplied
-  in, against which ``degree.canonical_components_on_piece`` (the Theta
-  products, the factor counted once by its valuation) is checked.
+  in, every series capped ``rel`` orders past its first term, against which
+  ``degree.canonical_components_on_piece`` (the Theta products, to their
+  first terms when those are units, the factor counted once by its
+  valuation) is checked.
 * ``projective_extension_reference``: the homogeneous triple as products of
   the homogenized T_i over (x0, x1, x2), against which
   ``jets.projective_extension`` (products in the affine chart, homogenized
@@ -908,20 +913,24 @@ def theta_horner(curve: CurveInput, index: int) -> ThetaRestriction:
 
 
 def jet_series_horner(
-    curve: CurveInput, piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
-) -> tuple[TruncatedSeries, list[TruncatedSeries]]:
-    """F_y and the Theta_i for i in ``needed`` along a branch piece, every
-    Theta_i by Horner over ``theta_table()[i]`` at the jets of the branch
-    up to the highest one used, every product capped ``rel`` orders past
-    its first known term."""
-    x_series, y_series, u, _dx_inv = _branch_jets(piece, trunc, rel, jet_order(needed))
-    fy = evaluate_polys_at_series(
-        [curve.fy()], {"x": x_series, "y": y_series}, piece.ring, rel_cap=rel
-    )[0]
-    thetas = evaluate_polys_at_series(
-        [theta_table()[i] for i in needed], u, piece.ring, rel_cap=rel
-    )
-    return fy, thetas
+    piece: BranchPiece, trunc: int, rel: int, needed: Sequence[int]
+) -> list[TruncatedSeries]:
+    """The Theta_i for i in ``needed`` along a branch piece, every Theta_i
+    by Horner over ``theta_table()[i]`` at the jets of the branch up to the
+    highest one used, every product capped ``rel`` orders past its first
+    known term."""
+    u, _dx_inv = _branch_jets(piece, trunc, rel, jet_order(needed))
+    return evaluate_polys_at_series([theta_table()[i] for i in needed], u, piece.ring, rel_cap=rel)
+
+
+def fy_series_horner(
+    curve: CurveInput, piece: BranchPiece, trunc: int, rel: int
+) -> TruncatedSeries:
+    """F_y along a branch piece by Horner at the branch's (x, y), every
+    product capped ``rel`` orders past its first known term."""
+    x0_inv = piece.x0.invert(trunc + 8)
+    at = {"x": (piece.x1 * x0_inv).rel_capped(rel), "y": (piece.x2 * x0_inv).rel_capped(rel)}
+    return evaluate_polys_at_series([curve.fy()], at, piece.ring, rel_cap=rel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +971,8 @@ def canonical_components_reference(
     """The three canonical sigma components along a branch piece: T_i as
     x0^tau_i * Theta_i(jets) * F_y^d_i, and each component as x0^e * prod
     T_i^p, every product capped ``rel`` orders past its first term."""
-    fy, thetas = _jet_series(curve, piece, trunc, rel, GROUP_THETAS[group])
+    fy = fy_series_horner(curve, piece, trunc, rel)
+    thetas = _jet_series(piece, trunc, rel, GROUP_THETAS[group])
     one = TruncatedSeries.constant(piece.ring, Fraction(1))
 
     def power(s: TruncatedSeries, k: int) -> TruncatedSeries:

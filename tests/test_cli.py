@@ -269,3 +269,44 @@ def test_invalid_run_parameters_rejected(args, env):
     assert r.returncode != 0
     assert "Traceback" not in r.stderr
     assert r.stderr.strip()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--format", "json", "degree", "--curve", "-x^3-y^3+1", "--group", "A2"],
+        ["equiv", "--curve", "-x^2-y^2+1", "--curve2", "-2*x^2-2*y^2+2", "--group", "SE2"],
+    ],
+)
+def test_curve_texts_may_begin_with_a_minus(args):
+    # argparse would read -x^3... as an option; the answer is that of the
+    # --curve=TEXT spelling
+    r, joined = run_cli(*args), []
+    for arg in args:
+        if joined and joined[-1] in ("--curve", "--curve2"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    j = run_cli(*joined)
+    assert r.returncode == j.returncode == 0, r.stderr
+    assert (r.stdout, r.stderr) == (j.stdout, j.stderr)
+
+
+def test_missing_curve_text_is_still_an_argument_error():
+    r = run_cli("degree", "--curve", "--group", "SE2")
+    assert r.returncode == 2
+    assert "argument --curve: expected one argument" in r.stderr
+
+
+def test_closed_output_pipe_exits_quietly():
+    # the reader closes the pipe before the command writes (as `| head`
+    # may): exit 1 with nothing on stderr, no BrokenPipeError traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sigcurve.cli", "theta", "--curve", "x^2+y^2-1", "--index", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""

@@ -9,14 +9,18 @@ import sigcurve.degree as degree_mod
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_components_reference, jet_series_horner, mult_sum_line_resultant
+from oracles import (
+    canonical_components_reference, fy_series_horner, jet_series_horner, mult_sum_line_resultant,
+)
 from sigcurve.degree import (
     CANONICAL_REL_CAP,
     GROUP_START_TRUNC,
     _branch_jets,
     _certify_zero_components,
+    _fy_valuation,
     _jet_series,
     _mult_report,
+    _piece_val,
     _random_lines,
     base_locus_on_curve,
     canonical_components_on_piece,
@@ -220,6 +224,8 @@ CANONICAL_CURVES = {
     "fermat-quartic": lambda: CurveInput.from_poly(parse("x^4 + y^4 + 1")),
     "dense-quartic": lambda: rand_curve(random.Random(15), 4, height=1),
     "dense-quintic": lambda: rand_curve(random.Random(8), 5, height=2),
+    # Theta_1 = 1 + u1^2 vanishes at the circular points w = +-i of its fiber
+    "circular-quartic": lambda: CurveInput.from_poly(parse("x^4 - y^4 + x^2 + 1")),
 }
 ALL_GROUPS = (GroupId.SE2, GroupId.SA2, GroupId.A2, GroupId.PGL3)
 
@@ -232,8 +238,22 @@ def test_common_factor_counted_once_matches_reference(name, group):
     # factor's valuation (the worked cubic meets infinity at w = 0 under
     # PGL(3); the cusp's branch at infinity is the corner piece, where its
     # PGL(3) component T_8 * T_5^4 is an exact zero)
-    work = infinity_chart(CANONICAL_CURVES[name](), group).curve
+    _reports_agree_with_reference(infinity_chart(CANONICAL_CURVES[name](), group).curve, group)
 
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(ALL_GROUPS))
+def test_leading_order_components_match_reference_on_random_quartics(seed, group):
+    # the Theta products read to their first terms give the reference's
+    # trial-line sums and lower bound
+    try:
+        work = infinity_chart(rand_curve(random.Random(seed), 4), group).curve
+    except ShearRequiredError:
+        assume(False)
+    _reports_agree_with_reference(work, group)
+
+
+def _reports_agree_with_reference(work: CurveInput, group: GroupId, lines=None) -> None:
     def reference(piece, t, rel):
         comps = canonical_components_reference(work, group, piece, t, rel)
         return _certify_zero_components(work, group, comps), 0
@@ -245,13 +265,95 @@ def test_common_factor_counted_once_matches_reference(name, group):
     def report(components):
         no_affine = lambda lines: ([0] * len(lines), 0, "none")
         return _mult_report(
-            work, components, no_affine, _random_lines(3, 4), GROUP_START_TRUNC[group],
+            work, components, no_affine, lines or _random_lines(3, 4), GROUP_START_TRUNC[group],
             CANONICAL_REL_CAP,
         )[0]
 
     want, got = report(reference), report(counted_once)
     assert got.trials == want.trials
     assert got.lower_bound == want.lower_bound
+
+
+FY_CURVES = {
+    **CANONICAL_CURVES,
+    **{f"dense-quartic-{seed}": lambda seed=seed: rand_curve(random.Random(seed), 4)
+       for seed in (1, 2, 3)},
+    **{f"dense-quintic-{seed}": lambda seed=seed: rand_curve(random.Random(seed), 5)
+       for seed in (1, 6)},
+    # [0:0:1] on the curve with dFh/dx1 != 0 there, and with dFh/dx0 != 0 only
+    "corner-du": lambda: CurveInput.from_poly(parse("x*y^2 + x^3 + y + 1")),
+    "corner-ds": lambda: CurveInput.from_poly(parse("y^2 - x^3 + x^2*y + x + 1")),
+}
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS)
+@pytest.mark.parametrize("name", FY_CURVES)
+def test_fy_order_is_the_horner_series_valuation(name, group):
+    # -(d-1) * deg q on the fiber piece (q squarefree), the branch's
+    # Wronskian order on the corner piece: both equal the valuation of F_y
+    # evaluated by Horner along the piece
+    work = infinity_chart(FY_CURVES[name](), group).curve
+    t = GROUP_START_TRUNC[group]
+    for piece in infinity_pieces(work, t, CANONICAL_REL_CAP):
+        fy = fy_series_horner(work, piece, t, CANONICAL_REL_CAP)
+        assert _fy_valuation(work, piece) == _piece_val(fy, piece), piece.q
+
+
+def test_fiber_piece_evaluates_no_fy_series(monkeypatch):
+    cv = rand_curve(random.Random(4), 4)
+    evaluated = []
+    evaluate = degree_mod.evaluate_polys_at_series
+
+    def recorded(polys, *args, **kwargs):
+        evaluated.extend(polys)
+        return evaluate(polys, *args, **kwargs)
+
+    monkeypatch.setattr(degree_mod, "evaluate_polys_at_series", recorded)
+    for group in ALL_GROUPS:
+        work = infinity_chart(cv, group).curve
+        t = GROUP_START_TRUNC[group]
+        [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
+        canonical_components_on_piece(work, group, piece, t, CANONICAL_REL_CAP)
+        assert evaluated and work.fy() not in evaluated, group
+        evaluated.clear()
+
+
+@pytest.mark.parametrize("doublings", [0, 1])
+def test_components_are_read_to_their_first_term_on_a_dense_quartic(doublings):
+    # every Theta_i has a unit first coefficient on the fiber, so each
+    # component is known max(1, rel // CANONICAL_REL_CAP) orders past it
+    cv = rand_curve(random.Random(4), 4)
+    for group in ALL_GROUPS:
+        work = infinity_chart(cv, group).curve
+        t = GROUP_START_TRUNC[group] << doublings
+        rel = CANONICAL_REL_CAP << doublings
+        [piece] = infinity_pieces(work, t, rel)
+        comps, _common = canonical_components_on_piece(work, group, piece, t, rel)
+        assert [c.trunc - c.valuation() for c in comps] == [1 << doublings] * 3, group
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS)
+def test_a_zero_line_coefficient_adds_an_exact_zero(monkeypatch, group):
+    # a line that leaves out the component of least valuation (Theta_1^3
+    # under SE(2)) reads the others at their first terms; the component it
+    # leaves out, known one order, must not bound the sum's trusted order
+    work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
+    lines = [tuple(map(Fraction, a)) for a in ((0, 3, 5), (2, 0, 7), (4, 1, 0), (0, 0, 1))]
+    calls = _count_pieces(monkeypatch)
+    _reports_agree_with_reference(work, group, lines)
+    assert len(calls) == 2  # one attempt for each route
+
+
+def test_a_non_unit_first_coefficient_keeps_the_full_cap():
+    # Theta_1 = 1 + u1^2 vanishes where w = +-i on the fiber of
+    # x^4 - y^4 + x^2 + 1 (q = 1 - w^4), so under SE(2) the Theta_i keep
+    # the relative cap (the jets behind Theta_2, Theta_3 lose two orders); the
+    # report equals the reference's (CANONICAL_CURVES)
+    work = infinity_chart(CANONICAL_CURVES["circular-quartic"](), GroupId.SE2).curve
+    t = GROUP_START_TRUNC[GroupId.SE2]
+    [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
+    comps, _common = canonical_components_on_piece(work, GroupId.SE2, piece, t, CANONICAL_REL_CAP)
+    assert [c.trunc - c.min_exp() for c in comps] == [16, 14, 14]
 
 
 def _count_pieces(monkeypatch) -> list:
@@ -277,7 +379,7 @@ def test_relative_cap_leaves_a_margin_on_generic_curves(monkeypatch, d, seed):
         work = infinity_chart(cv, group).curve
         t = GROUP_START_TRUNC[group]
         for piece in infinity_pieces(work, t, CANONICAL_REL_CAP):
-            _fy, thetas = _jet_series(work, piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
+            thetas = _jet_series(piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
             assert all(th.trunc - th.valuation() >= 2 for th in thetas), (group, piece.q)
         calls.clear()
         rep = predict_degree(cv, group, n=1, seed=seed)
@@ -373,7 +475,7 @@ def test_theta_series_take_horner_products(monkeypatch):
     work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
     t = GROUP_START_TRUNC[group]
     piece = infinity_pieces(work, t, 32)[0]
-    _x, _y, u, _dx_inv = _branch_jets(piece, t, 32, jet_order(GROUP_THETAS[group]))
+    u, _dx_inv = _branch_jets(piece, t, 32, jet_order(GROUP_THETAS[group]))
     products = _count_products(monkeypatch)
     polys = [theta_table()[i] for i in GROUP_THETAS[group]]
     evaluate_polys_at_series(polys, u, piece.ring, rel_cap=32)
@@ -381,16 +483,16 @@ def test_theta_series_take_horner_products(monkeypatch):
 
 
 def test_theta_chain_along_a_branch_takes_few_products(monkeypatch):
-    # F_y, Theta_4 by Horner and Theta_5..Theta_8 by the derivative chain
-    # along the PGL(3) fiber piece of a dense quartic take 55 products;
-    # Horner over the expanded Theta_5, Theta_7, Theta_8 takes 147
+    # Theta_4 by Horner and Theta_5..Theta_8 by the derivative chain along
+    # the PGL(3) fiber piece of a dense quartic take 50 products; Horner
+    # over the expanded Theta_5, Theta_7, Theta_8 takes 147
     group = GroupId.PGL3
     work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
     t = GROUP_START_TRUNC[group]
     [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
     products = _count_products(monkeypatch)
-    _jet_series(work, piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
-    assert len(products) <= 60
+    _jet_series(piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
+    assert len(products) <= 55
 
 
 def _fractions_below(s: TruncatedSeries, order: int) -> dict:
@@ -407,12 +509,12 @@ def _chain_agrees_with_horner(cv: CurveInput, group: GroupId) -> int:
     pieces = infinity_pieces(work, t, CANONICAL_REL_CAP)
     for piece in pieces:
         try:
-            _fy, horner = jet_series_horner(work, piece, t, CANONICAL_REL_CAP, range(1, 9))
+            horner = jet_series_horner(piece, t, CANONICAL_REL_CAP, range(1, 9))
         except (SigcurveError, ZeroDivisionError) as err:
             with pytest.raises(type(err)):
-                _jet_series(work, piece, t, CANONICAL_REL_CAP, range(1, 9))
+                _jet_series(piece, t, CANONICAL_REL_CAP, range(1, 9))
             continue
-        _fy, chain = _jet_series(work, piece, t, CANONICAL_REL_CAP, range(1, 9))
+        chain = _jet_series(piece, t, CANONICAL_REL_CAP, range(1, 9))
         for i, (c, h) in enumerate(zip(chain, horner), 1):
             common = min(c.trunc, h.trunc)
             assert _fractions_below(c, common) == _fractions_below(h, common), (i, piece.q)
