@@ -21,7 +21,12 @@ of its own ``perfbench/workloads.py`` (imported, not edited):
   curve, the refusals of conics past SE2 and of the cubic graph, a quartic
   whose Theta_1 vanishes at the circular points on its fiber at infinity
   (so the Theta products keep their full cap under SE2), and the singular
-  quartic that ``degree-generic`` draws at seed 10, round 85.
+  quartic that ``degree-generic`` draws at seed 10, round 85;
+* signature-special, once: the ``repr`` of ``signature_polynomial`` of
+  every curve and group of ``SIGNATURE_SPECIAL`` (the ellipse, the circle's
+  point signature, the cusp, the Fermat cubic and quartic), of
+  ``equivalent`` on the Fermat cubic and ``PGL3_IMAGE`` under PGL3, and of
+  ``signature_samples`` of the worked cubic under each of the four groups.
 
 An operation that raises answers with its exception.  The first answer that
 differs is printed and the script exits 1; it exits 0 when all agree.
@@ -43,6 +48,7 @@ PLAN = (
     ("sigma-extension", (1, 2, 3), (0, 1, 2)),
     ("theta", (1, 2, 3), (0, 1, 2)),
     ("degree-special", (1,), (0,)),
+    ("signature-special", (1,), (0,)),
 )
 # x^3 + y^3 + 1 moved by a PGL3 matrix: a dense cubic whose T_8 has 1539 terms
 PGL3_IMAGE = ("x^3+y^3+1", ((1, 1, 0), (0, 1, 1), (2, 0, 1)))
@@ -52,6 +58,12 @@ DEGREE_SPECIAL = (
     "x^4-y^4+x^2+1",
     "-y^4+x*y^3+8*x^2*y^2-8*x^3*y+8*x^4-y^3+8*x*y^2+3*x^2*y-x^3+9*y^2-6*x*y-2*x^2+3*y+4*x+7",
 )
+
+SIGNATURE_SPECIAL = (
+    ("x^2+x*y+y^2-1", "SE2"), ("x^2+y^2-1", "SE2"), ("y^2-x^3", "SE2"),
+    ("x^3+y^3+1", "A2"), ("x^3+y^3+1", "PGL3"), ("x^4+y^4+1", "A2"),
+)
+WORKED_CUBIC = "x^2*y+y^2+y+64/121"
 
 Answers = list[tuple[str, str]]  # (what was asked, the answer as text)
 
@@ -83,7 +95,7 @@ def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from sigcurve import degree, jets
+    from sigcurve import degree, equivalence, jets, signature
     from sigcurve.parser import parse, serialize
     from sigcurve.poly import SparsePoly
 
@@ -118,6 +130,21 @@ def answer_rounds(workload: str, seed: int, rounds: list[int]) -> Answers:
             for group in jets.GroupId:
                 report = answer_of(lambda: repr(degree.predict_degree(cv, group)))
                 answers.append((f"degree-special {curve_text} {group.value}", report))
+        return answers
+    if workload == "signature-special":
+        for curve_text, group in SIGNATURE_SPECIAL:
+            cv = jets.CurveInput.from_poly(parse(curve_text))
+            sig = answer_of(lambda: repr(signature.signature_polynomial(cv, jets.GroupId(group))))
+            answers.append((f"signature-special {curve_text} {group}", sig))
+        source, matrix = PGL3_IMAGE
+        F = jets.CurveInput.from_poly(parse(source))
+        G = jets.apply_group_element(F, matrix, jets.GroupId.PGL3)
+        verdict = answer_of(lambda: repr(equivalence.equivalent(F, G, jets.GroupId.PGL3)))
+        answers.append((f"signature-special equivalent {source} PGL3 image", verdict))
+        cubic = jets.CurveInput.from_poly(parse(WORKED_CUBIC))
+        for group in jets.GroupId:
+            samples = answer_of(lambda: repr(signature.signature_samples(cubic, group, 6)))
+            answers.append((f"signature-special samples {WORKED_CUBIC} {group.value}", samples))
         return answers
     if workload == "theta" and seed == 1:
         text, matrix = PGL3_IMAGE

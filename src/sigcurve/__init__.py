@@ -48,7 +48,6 @@ from .jets import (
     exceptional_check,
     implicit_jet,
     invariants_at_point,
-    jets_at_point,
     projective_extension,
     theta,
 )

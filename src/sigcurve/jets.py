@@ -36,19 +36,19 @@ branch and the jets u2, u3 of the branch).
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ExceptionalCurveError, InvalidCurveError, VerticalLineError
 from .modp import pseudo_remainder_image
 from .poly import (
-    RatFunc, SparsePoly, exact_div, gcd, horner_evaluate, mat_inverse, pseudo_remainder,
+    RatFunc, SparsePoly, _int_form, exact_div, gcd, horner_evaluate, mat_inverse,
+    pseudo_remainder,
 )
-from .series import SeriesRing, TruncatedSeries, evaluate_polys_at_series, newton_branch
+from .series import INF, SeriesRing, TruncatedSeries
 
 CURVE_RING = ("x", "y")
 JET_RING = ("u1", "u2", "u3", "u4", "u5", "u6", "u7", "u8")
@@ -75,8 +75,9 @@ TAU_COEFFS = {
 }
 FY_EXPONENT = {1: 2, 2: 3, 3: 6, 4: 8, 5: 12, 6: 16, 7: 32, 8: 48}
 
-# K1 = Theta_a^p / Theta_b^q, K2 = Theta_c^r / Theta_e^s per group, as
-# ((num_index, num_power), (den_index, den_power)) pairs.
+# K1 = Theta_a^p / Theta_b^q, K2 = Theta_c^r / Theta_b^s per group, as
+# ((num_index, num_power), (den_index, den_power)) pairs; both denominators are
+# powers of the one Theta_b, which ``fiber_invariants`` inverts once.
 CLASSIFYING_RECIPES = {
     GroupId.SE2: (((2, 2), (1, 3)), ((3, 1), (1, 3))),
     GroupId.SA2: (((4, 3), (2, 8)), ((5, 1), (2, 4))),
@@ -547,61 +548,69 @@ def apply_group_element(
 
 
 # ---------------------------------------------------------------------------
-# jets and invariants on a fiber
+# invariants on a fiber
 
 
-def fiber_jets(
-    curve: CurveInput, x0: Fraction, ring: SeriesRing, n_max: int
-) -> list[TruncatedSeries]:
-    """u_1..u_{n_max} at the points (x0, w) of the curve, w running over the
-    roots of the ring modulus q (a squarefree factor of F(x0, W) whose roots
-    are simple roots of F(x0, .)), as elements of Q[W]/(q): one Newton branch
-    expansion covers every point of the fiber."""
-    branch = newton_branch(_shifted_curve(curve.F, x0), "h", "u", ring, ring.generator(), n_max + 1)
-    return [ring.element([c * math.factorial(k) for c in branch.coeff_fractions(k)])
-            for k in range(1, n_max + 1)]
+def fiber_evaluator(P: SparsePoly) -> Callable[[Fraction, SeriesRing], TruncatedSeries]:
+    """The map (x0, ring) -> P(x0, W) in Q[W]/(q) of a polynomial P over
+    (x, y).
+
+    P's coefficients are fixed once as integers over one denominator, one
+    list per power of y.  At x0 = r/s each power of y takes its value in x
+    as a dot product with the integers r^i s^(dx - i); the values are then
+    reduced modulo q by Horner's rule in W on integer vectors.  A step past
+    deg q multiplies the accumulator by lc(q), and each later value by the
+    running power of lc(q), which the result carries in its denominator."""
+    ix, iy = P.ring.index("x"), P.ring.index("y")
+    nums, den = _int_form(P)
+    dx = max((e[ix] for e in nums), default=0)
+    dy = max((e[iy] for e in nums), default=-1)
+    columns = [[0] * (dx + 1) for _ in range(dy + 1)]
+    for e, c in nums.items():
+        columns[dy - e[iy]][e[ix]] = c
+
+    def evaluate(x0: Fraction, ring: SeriesRing) -> TruncatedSeries:
+        r, s = x0.numerator, x0.denominator
+        rs = [r**i * s ** (dx - i) for i in range(dx + 1)]
+        q, lc = ring.q, ring.q[-1]
+        acc, scale = [0] * ring.deg, 1
+        for column in columns:
+            top = acc.pop()
+            acc.insert(0, 0)
+            if top:
+                if lc != 1:
+                    acc = [a * lc for a in acc]
+                    scale *= lc
+                acc = [a - top * c for a, c in zip(acc, q)]
+            acc[0] += scale * sum(map(operator.mul, column, rs))
+        terms = {(0, k): a for k, a in enumerate(acc) if a}
+        return TruncatedSeries(ring, terms, den * s**dx * scale, INF).normalized()
+
+    return evaluate
 
 
-def _shifted_curve(F: SparsePoly, x0: Fraction) -> SparsePoly:
-    """H(h, u) = F(x0 + h, u): a Taylor shift by x0 of the coefficient list
-    in x of each power of y (repeated synthetic division by x - x0)."""
-    cols: dict[int, list[Fraction]] = {}
-    for (i, j), c in F.terms.items():
-        col = cols.setdefault(j, [])
-        col.extend([Fraction(0)] * (i + 1 - len(col)))
-        col[i] = c
-    terms = {}
-    for j, col in cols.items():
-        n = len(col) - 1
-        for i in range(n):
-            for k in range(n - 1, i - 1, -1):
-                col[k] += x0 * col[k + 1]
-        terms.update({(i, j): c for i, c in enumerate(col) if c})
-    return SparsePoly(("h", "u"), terms)
+@functools.lru_cache(maxsize=64)
+def _theta_evaluator(
+    curve: CurveInput, index: int
+) -> Callable[[Fraction, SeriesRing], TruncatedSeries]:
+    """``fiber_evaluator`` of T_index, built once per curve."""
+    return fiber_evaluator(theta(curve, index).T)
 
 
 def fiber_invariants(
     curve: CurveInput, group: GroupId, x0: Fraction, ring: SeriesRing
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(K1, K2) at the points of the fiber x = x0 that ``ring`` describes (see
-    ``fiber_jets``), as elements of Q[W]/(q).  Raises ZeroDivisionError when a
-    denominator Theta vanishes at some point of the fiber.
-
-    This route needs no classifying pair: ``FiberTable.constant``,
-    ``signature_samples`` and ``invariants_at_point`` use it.  The table's
-    own fibers read (K1, K2) from the reduced pair instead."""
-    ((na, npow), (da, dpow)), ((nc, cpow), (de, epow)) = CLASSIFYING_RECIPES[group]
-    needed = sorted({na, da, nc, de})
-    u = fiber_jets(curve, x0, ring, jet_order(needed))
-    table = theta_table()
-    values = evaluate_polys_at_series(
-        [table[i] for i in needed], {f"u{k}": v for k, v in enumerate(u, 1)}, ring
-    )
-    th = dict(zip(needed, values))
-    if th[da].is_known_zero() or th[de].is_known_zero():
-        raise ZeroDivisionError("denominator Theta vanishes on the fiber")
-    inv = {i: th[i].invert(1) for i in {da, de}}
-    return th[na] ** npow * inv[da] ** dpow, th[nc] ** cpow * inv[de] ** epow
+    """(K1, K2) = (T_a^p T_b^-q, T_c^r T_b^-s) (``CLASSIFYING_RECIPES``) at
+    the points of the fiber x = x0 that ``ring`` describes, as elements of
+    Q[W]/(q), q a squarefree factor of F(x0, W) whose roots are simple roots
+    of F(x0, .): T_a, T_b and T_c evaluated there (``fiber_evaluator``), T_b inverted once and the powers
+    taken by squaring.  The F_y powers of the Theta_i cancel identically.
+    Raises ZeroDivisionError when T_b is a zero divisor, i.e. the
+    denominator Theta vanishes at some point of the fiber."""
+    ((na, npow), (nb, bpow)), ((nc, cpow), (_, epow)) = CLASSIFYING_RECIPES[group]
+    ta, tb, tc = (_theta_evaluator(curve, i)(x0, ring) for i in (na, nb, nc))
+    inv = ring.element(ring.invert_vec(tb.coeff_fractions(0)))
+    return ta**npow * inv**bpow, tc**cpow * inv**epow
 
 
 def _point_ring(curve: CurveInput, p: tuple[Fraction, Fraction]) -> tuple[Fraction, SeriesRing]:
@@ -614,20 +623,12 @@ def _point_ring(curve: CurveInput, p: tuple[Fraction, Fraction]) -> tuple[Fracti
     return x0, SeriesRing([-y0.numerator, y0.denominator])
 
 
-def jets_at_point(
-    curve: CurveInput, p: tuple[Fraction, Fraction], n_max: int = 8
-) -> list[Fraction]:
-    """u_1..u_{n_max} at a rational regular point of the curve, computed by
-    a local Taylor expansion of the branch through p (never builds T_i)."""
-    x0, ring = _point_ring(curve, p)
-    return [u.coeff_fractions(0)[0] for u in fiber_jets(curve, x0, ring, n_max)]
-
-
 def invariants_at_point(
     curve: CurveInput, group: GroupId, p: tuple[Fraction, Fraction]
 ) -> tuple[Fraction, Fraction]:
-    """Exact (K1, K2) at a rational regular point; raises ZeroDivisionError
-    at zeros of the denominator Thetas."""
+    """Exact (K1, K2) at a rational regular point (``fiber_invariants`` on
+    the ring Q[W]/(W - y0)); raises ZeroDivisionError at zeros of the
+    denominator Theta."""
     x0, ring = _point_ring(curve, p)
     k1, k2 = fiber_invariants(curve, group, x0, ring)
     return k1.coeff_fractions(0)[0], k2.coeff_fractions(0)[0]

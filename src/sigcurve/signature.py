@@ -8,24 +8,23 @@ k1 > k2, enabling byte-exact comparisons.
 
 Fibers.  A fiber x = x0 on which q = F(x0, W) is squarefree of full y-degree
 is one point of the curve with coordinates in Q[W]/(q).  ``FiberTable``
-keeps such fibers, x0 running through the rationals by height, with (K1, K2)
-read exactly from the reduced classifying pair K1 = A/B, K2 = C/E: A, B, C,
-E evaluated at x = x0 in Q[W]/(q), and B and E inverted there (a fiber on
-which B or E is a zero divisor is skipped).  It keeps the exact powers of
-K1; ``signature_polynomial`` reads one table for every fit and its
-certificate.  ``fiber_invariants`` (a Newton branch, jets and Theta series)
-gives (K1, K2) on a fiber without the pair; ``FiberTable.constant`` and
-``signature_samples`` use it.
+keeps such fibers, x0 running through the rationals by height, with
+(K1, K2) = (T_a^p T_b^-q, T_c^r T_b^-s) read exactly from the group's T_i
+(``jets.fiber_invariants``): T_a, T_b and T_c evaluated at x = x0 in
+Q[W]/(q), and T_b inverted there (a fiber on which T_b is a zero divisor is
+skipped).  It keeps the exact powers of K1; ``signature_polynomial`` reads
+one table for every fit and its certificate.  ``signature_samples`` reads
+(K1, K2) from the same function.
 
 Constant signatures.  ``FiberTable.constant`` decides first whether K1 is
 constant.  q is squarefree, so K1 on a fiber is one rational number exactly
 when it takes that value at every point of the fiber: a fiber where K1 is
 not rational, or two fibers with different values (needed when deg_y F = 1),
-prove "not constant".  These two fibers come from ``fiber_invariants``, so
-a "not constant" answer never builds the classifying pair.  A common value
-c is proved by F | A - c B, K1 = A/B (``jets._vanishes_on_curve``); the
-Theta powers of K1 differ from A and B by a factor that F does not divide
-on a curve that is not exceptional.
+prove "not constant".  These are the table's first two fibers, so a "not
+constant" answer never builds the classifying pair.  A common value c is
+proved by F | A - c B, K1 = A/B the reduced classifying pair
+(``jets._vanishes_on_curve``); the Theta powers of K1 differ from A and B by
+a factor that F does not divide on a curve that is not exceptional.
 
 Fit.  S(K1, K2) = 0 on a fiber is deg q linear conditions on the
 coefficients of S.  ``exact_signature_fit`` solves them modulo a 31-bit
@@ -35,20 +34,26 @@ kernel is lifted by Chinese remaindering and rational reconstruction.  The
 fit only proposes S; the certificate decides.
 
 Certificate.  Write K1 = A/B and K2 = C/E in lowest terms, L = lcm(B, E)
-and deg_line = max(deg A + deg L - deg B, deg L, deg C + deg L - deg E).
-A line a k1 + b k2 + c of the (k1, k2) plane pulls back to the curve
-a A (L/B) + b C (L/E) + c L of degree at most deg_line, so deg S <=
-d deg_line.  For S of degree D, N = L^D S(A/B, C/E) = sum c_ij A^i C^j
-(L/B)^i (L/E)^j L^(D-i-j) is a polynomial of degree at most deg_N =
+and deg_line = max(deg A + deg L - deg B, deg L, deg C + deg L - deg E)
+(``line_degree``).  A line a k1 + b k2 + c of the (k1, k2) plane pulls back
+to the curve a A (L/B) + b C (L/E) + c L of degree at most deg_line, so
+deg S <= d deg_line.  For S of degree D, N = L^D S(A/B, C/E) = sum c_ij A^i
+C^j (L/B)^i (L/E)^j L^(D-i-j) is a polynomial of degree at most deg_N =
 D deg_line, and it vanishes at every point of a table fiber on which
-S(K1, K2) = 0 (each factor of L divides B or E, which are nonzero there:
-B and E are inverted on the fiber).  ``certify_signature`` checks
+S(K1, K2) = 0 (each factor of L divides B or E, which divide powers of T_b
+and so are units where T_b is inverted).  ``certify_signature`` checks
 S(K1, K2) = 0 exactly on more than d deg_N / deg_y F fibers: then F
 meets N in more than d deg_N points, so F divides N by Bezout and S vanishes
 on the signature curve.  It also checks that no nonzero polynomial of degree
 D - 1 meets the table's conditions modulo a prime, so S is the signature
 polynomial.  Bezout needs F irreducible, which is the caller's assertion
 (``CurveInput``); the certificate records it as "irreducible-asserted".
+``FiberTable.deg_line`` needs no pair when T_b is prime to T_a and to T_c
+(every generic curve; ``poly.gcd`` answers from one modular image): then
+A = T_a^p, B = T_b^q, C = T_c^r and E = T_b^s up to constants, and
+L = T_b^max(q, s), so the T_i's degrees give the same bound.  Where T_b
+shares a factor with T_a or T_c (the Fermat curves, the worked cubic under
+SA2) the table builds and reduces the pair, whose bound is smaller.
 
 Samples.  ``signature_samples`` evaluates the exact fiber values at the
 float roots of q; they are the only floats.
@@ -58,15 +63,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import SigcurveError
 from .jets import (
+    CLASSIFYING_RECIPES,
     ClassifyingPair,
     CurveInput,
     GroupId,
@@ -74,15 +79,13 @@ from .jets import (
     classifying_pair,
     fiber_invariants,
     require_non_exceptional,
+    theta,
 )
 from .modp import _primes_31bit
-from .poly import SparsePoly, _int_form, gcd
-from .series import INF, SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
+from .poly import SparsePoly, gcd
+from .series import SeriesRing, TruncatedSeries, intpoly_from_poly, intpoly_squarefree
 
 SIG_RING = ("k1", "k2")
-
-# (x0, ring) -> (K1, K2) on the fiber, or ZeroDivisionError
-Invariants = Callable[[Fraction, SeriesRing], tuple[TruncatedSeries, TruncatedSeries]]
 
 # Fibers a one-dimensional kernel must survive before it is lifted.
 STABLE_BATCH = 2
@@ -272,49 +275,11 @@ def _mulmod(a: list[int], b: list[int], monic: list[int], prime: int) -> list[in
     return [c % prime for c in acc[:n]]
 
 
-def fiber_evaluator(P: SparsePoly) -> Callable[[Fraction, SeriesRing], TruncatedSeries]:
-    """The map (x0, ring) -> P(x0, W) in Q[W]/(q) of a polynomial P over
-    (x, y).
-
-    P's coefficients are fixed once as integers over one denominator, one
-    list per power of y.  At x0 = r/s each power of y takes its value in x
-    as a dot product with the integers r^i s^(dx - i); the values are then
-    reduced modulo q by Horner's rule in W on integer vectors.  A step past
-    deg q multiplies the accumulator by lc(q), and each later value by the
-    running power of lc(q), which the result carries in its denominator."""
-    ix, iy = P.ring.index("x"), P.ring.index("y")
-    nums, den = _int_form(P)
-    dx = max((e[ix] for e in nums), default=0)
-    dy = max((e[iy] for e in nums), default=-1)
-    columns = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for e, c in nums.items():
-        columns[dy - e[iy]][e[ix]] = c
-
-    def evaluate(x0: Fraction, ring: SeriesRing) -> TruncatedSeries:
-        r, s = x0.numerator, x0.denominator
-        rs = [r**i * s ** (dx - i) for i in range(dx + 1)]
-        q, lc = ring.q, ring.q[-1]
-        acc, scale = [0] * ring.deg, 1
-        for column in columns:
-            top = acc.pop()
-            acc.insert(0, 0)
-            if top:
-                if lc != 1:
-                    acc = [a * lc for a in acc]
-                    scale *= lc
-                acc = [a - top * c for a, c in zip(acc, q)]
-            acc[0] += scale * sum(map(operator.mul, column, rs))
-        terms = {(0, k): a for k, a in enumerate(acc) if a}
-        return TruncatedSeries(ring, terms, den * s**dx * scale, INF).normalized()
-
-    return evaluate
-
-
-def _usable_fibers(curve: CurveInput, invariants: Invariants) -> Iterator[_Fiber]:
+def _usable_fibers(curve: CurveInput, group: GroupId) -> Iterator[_Fiber]:
     """The fibers x = x0, in abscissa order, on which q = F(x0, W) is
-    squarefree of full y-degree and ``invariants(x0, ring)`` gives (K1, K2)
-    without a ZeroDivisionError; SigcurveError after ``MAX_SKIPPED``
-    unusable abscissas in a row."""
+    squarefree of full y-degree and ``fiber_invariants`` gives (K1, K2)
+    without a ZeroDivisionError (T_b is a unit); SigcurveError after
+    ``MAX_SKIPPED`` unusable abscissas in a row."""
     dy = int(curve.F.degree_in("y"))
     skipped = 0
     for x0 in _abscissas():
@@ -322,9 +287,9 @@ def _usable_fibers(curve: CurveInput, invariants: Invariants) -> Iterator[_Fiber
         if len(q) - 1 == dy and intpoly_squarefree(q):
             ring = SeriesRing(q)
             try:
-                fiber = _Fiber(ring, *invariants(x0, ring))
+                fiber = _Fiber(ring, *fiber_invariants(curve, group, x0, ring))
             except ZeroDivisionError:
-                pass  # a denominator vanishes somewhere on the fiber
+                pass  # the denominator Theta vanishes somewhere on the fiber
             else:
                 skipped = 0
                 yield fiber
@@ -336,55 +301,53 @@ def _usable_fibers(curve: CurveInput, invariants: Invariants) -> Iterator[_Fiber
             )
 
 
+def line_degree(a: int, b: int, c: int, e: int, lcm: int) -> int:
+    """deg_line (module docstring) from deg A, deg B, deg C, deg E and
+    deg L, L = lcm(B, E)."""
+    return max(a + lcm - b, lcm, c + lcm - e)
+
+
 class FiberTable:
     """The usable fibers of a curve under a group, in abscissa order, grown
-    on demand.  Table fibers take (K1, K2) from ``invariants``: the reduced
-    classifying pair A/B, C/E evaluated at x = x0 (``fiber_evaluator``); a
-    fiber on which B or E is a zero divisor is skipped.  ``constant`` reads
-    its two fibers from the jets route (``fiber_invariants``), so that it
-    and ``deg_line`` (module docstring) build the pair only when they need
-    it.  Not safe to share between threads."""
+    on demand: (K1, K2) on each from the group's T_i (``fiber_invariants``),
+    skipping a fiber on which T_b is a zero divisor.  ``constant`` reads the
+    table's first two fibers.  ``deg_line`` (module docstring) reads the
+    degrees of the T_i when T_b is prime to T_a and to T_c, and the reduced
+    classifying pair otherwise; the pair is also built for the proof of a
+    constant c.  Not safe to share between threads."""
 
     def __init__(self, curve: CurveInput, group: GroupId):
         require_non_exceptional(curve, group)
         self.curve, self.group = curve, group
         self.dy = int(curve.F.degree_in("y"))
         self.fibers: list[_Fiber] = []
-        self._usable = _usable_fibers(curve, self.invariants)  # lazy: no pair yet
+        self._usable = _usable_fibers(curve, group)
 
     @cached_property
     def pair(self) -> ClassifyingPair:
         return classifying_pair(self.curve, self.group)
 
     @cached_property
-    def _evaluators(self) -> list[Callable[[Fraction, SeriesRing], TruncatedSeries]]:
-        K1, K2 = self.pair.K1, self.pair.K2
-        return [fiber_evaluator(p) for p in (K1.num, K1.den, K2.num, K2.den)]
-
-    def invariants(self, x0: Fraction, ring: SeriesRing) -> tuple[TruncatedSeries, TruncatedSeries]:
-        """(K1, K2) = (A B^-1, C E^-1) on the fiber x = x0 that ``ring``
-        describes; ZeroDivisionError when B or E is a zero divisor there."""
-        A, B, C, E = self._evaluators
-        inv_b, inv_e = (
-            ring.element(ring.invert_vec(den(x0, ring).coeff_fractions(0))) for den in (B, E)
-        )
-        return A(x0, ring) * inv_b, C(x0, ring) * inv_e
-
-    @cached_property
     def deg_line(self) -> int:
+        ((na, p), (nb, q)), ((nc, r), (_, s)) = CLASSIFYING_RECIPES[self.group]
+        ta, tb, tc = (theta(self.curve, i).T for i in (na, nb, nc))
+        for name, t in (("K1", ta), ("K2", tc)):
+            if t.is_zero():
+                raise SigcurveError(
+                    f"{name} is 0 on the curve: the signature is a point, not a curve"
+                )
+        if gcd(ta, tb).is_constant() and gcd(tc, tb).is_constant():
+            # A = T_a^p, B = T_b^q, C = T_c^r, E = T_b^s up to constants
+            a, b, c = (int(t.total_degree()) for t in (ta, tb, tc))
+            return line_degree(p * a, q * b, r * c, s * b, max(q, s) * b)
         K1, K2 = self.pair.K1, self.pair.K2
-        for name, K in (("K1", K1), ("K2", K2)):
-            if K.num.is_zero():
-                raise SigcurveError(f"{name} is 0 on the curve: the signature is a point, not a curve")
-        a, b, c, e = (int(p.total_degree()) for p in (K1.num, K1.den, K2.num, K2.den))
-        lcm = b + e - int(gcd(K1.den, K2.den).total_degree())
-        return max(a + lcm - b, lcm, c + lcm - e)
+        a, b, c, e = (int(t.total_degree()) for t in (K1.num, K1.den, K2.num, K2.den))
+        return line_degree(a, b, c, e, b + e - int(gcd(K1.den, K2.den).total_degree()))
 
     def constant(self) -> Optional[Fraction]:
-        """The constant value of K1 on the curve, or None: two fibers answer
-        "not constant", one exact identity "constant c"."""
-        jets = _usable_fibers(self.curve, partial(fiber_invariants, self.curve, self.group))
-        values = {fiber.k1_value() for fiber in itertools.islice(jets, 2)}
+        """The constant value of K1 on the curve, or None: the first two
+        fibers answer "not constant", one exact identity "constant c"."""
+        values = {self.fiber(i).k1_value() for i in range(2)}
         if len(values) > 1 or None in values:
             return None
         [c] = values
@@ -555,8 +518,8 @@ def signature_samples(
 ) -> list[SignatureSample]:
     """Deterministic numeric signature samples over sampled rational x values.
 
-    (K1, K2) is computed once per fiber, exactly over Q[W]/(F(x0, W)), and
-    evaluated at the fiber's float roots (companion-matrix roots in y); a
+    (K1, K2) is computed once per fiber, exactly over Q[W]/(F(x0, W)) by
+    ``fiber_invariants``, and evaluated at the fiber's float roots (companion-matrix roots in y); a
     fiber with a repeated root is skipped, so only regular points are kept.
     Returns fewer than ``count`` with a warning when the curve runs out of
     usable points."""
@@ -589,7 +552,7 @@ def signature_samples(
         try:
             k1, k2 = fiber_invariants(curve, group, x0, SeriesRing(q))
         except ZeroDivisionError:
-            continue  # a denominator Theta vanishes somewhere on the fiber
+            continue  # the denominator Theta vanishes somewhere on the fiber
         c1, c2 = k1.coeff_fractions(0), k2.coeff_fractions(0)
         for y0 in roots:
             if len(out) >= count:

@@ -48,6 +48,9 @@ slower or narrower, and the tests compare them against the package:
   that evaluate H and dH/du with the monomial reference above and invert
   dH/du afresh at every step, against which ``series.newton_branch``
   (Horner, carried inverse) is checked.
+* ``jets_at_point`` (and ``fiber_jets`` on a whole fiber): u_1..u_n by a
+  Newton branch through a rational point, against which the recurrence of
+  ``jets.implicit_jet`` is checked.
 * ``canonical_components_reference``: the canonical sigma components along
   a branch piece with the common factor x0^deg(sigma) * F_y^k multiplied
   in, every series capped ``rel`` orders past its first term, against which
@@ -96,6 +99,7 @@ from sigcurve.jets import (
     GroupId,
     HomogeneousTriple,
     ThetaRestriction,
+    _point_ring,
     _theta_horner,
     classifying_pair,
     homogeneous_gcd,
@@ -106,7 +110,9 @@ from sigcurve.jets import (
     thetas_for_group,
 )
 from sigcurve.poly import SparsePoly, _int_form, exact_div, gcd, resultant, square_free_part
-from sigcurve.series import SeriesRing, TruncatedSeries, evaluate_polys_at_series
+from sigcurve.series import (
+    SeriesRing, TruncatedSeries, evaluate_polys_at_series, newton_branch,
+)
 from sigcurve.signature import (
     SIG_RING,
     SignaturePolynomial,
@@ -959,6 +965,45 @@ def newton_branch_reference(
         hv, dv = evaluate_polys_at_series_reference([H, dH], assignment, ring)
         w = (w_ext - hv * dv.invert(p)).with_trunc(p).normalized()
     return w
+
+
+def fiber_jets(
+    curve: CurveInput, x0: Fraction, ring: SeriesRing, n_max: int
+) -> list[TruncatedSeries]:
+    """u_1..u_{n_max} at the points (x0, w) of the curve, w running over the
+    roots of the ring modulus q (a squarefree factor of F(x0, W) whose roots
+    are simple roots of F(x0, .)), as elements of Q[W]/(q): one Newton branch
+    expansion covers every point of the fiber."""
+    branch = newton_branch(_shifted_curve(curve.F, x0), "h", "u", ring, ring.generator(), n_max + 1)
+    return [ring.element([c * math.factorial(k) for c in branch.coeff_fractions(k)])
+            for k in range(1, n_max + 1)]
+
+
+def _shifted_curve(F: SparsePoly, x0: Fraction) -> SparsePoly:
+    """H(h, u) = F(x0 + h, u): a Taylor shift by x0 of the coefficient list
+    in x of each power of y (repeated synthetic division by x - x0)."""
+    cols: dict[int, list[Fraction]] = {}
+    for (i, j), c in F.terms.items():
+        col = cols.setdefault(j, [])
+        col.extend([Fraction(0)] * (i + 1 - len(col)))
+        col[i] = c
+    terms = {}
+    for j, col in cols.items():
+        n = len(col) - 1
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                col[k] += x0 * col[k + 1]
+        terms.update({(i, j): c for i, c in enumerate(col) if c})
+    return SparsePoly(("h", "u"), terms)
+
+
+def jets_at_point(
+    curve: CurveInput, p: tuple[Fraction, Fraction], n_max: int = 8
+) -> list[Fraction]:
+    """u_1..u_{n_max} at a rational regular point of the curve, computed by
+    a local Taylor expansion of the branch through p (never builds P_n)."""
+    x0, ring = _point_ring(curve, p)
+    return [u.coeff_fractions(0)[0] for u in fiber_jets(curve, x0, ring, n_max)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from sigcurve.jets import (
     GroupId,
     apply_group_element,
     invariants_at_point,
-    jets_at_point,
     projective_extension,
 )
 from sigcurve.parser import parse, serialize

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    jets_at_point,
     projective_extension_reference,
     theta_horner,
     theta_literals,
@@ -23,7 +24,6 @@ from sigcurve.jets import (
     fiber_invariants,
     implicit_jet,
     invariants_at_point,
-    jets_at_point,
     projective_extension,
     theta,
 )

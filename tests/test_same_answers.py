@@ -68,7 +68,7 @@ def test_main_exits_1_on_the_first_difference(monkeypatch, capsys):
         "degree-generic seed 2: q:", "  parent: a", "  change: b"]
     monkeypatch.setattr(module, "collect", lambda root, *_: [("q", "a")])
     assert module.main() == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "same answers: 12"
+    assert capsys.readouterr().out.splitlines()[-1] == "same answers: 13"
 
 
 def test_theta_answers_cover_each_curve_and_index(monkeypatch):
@@ -107,3 +107,25 @@ def test_degree_special_answers_cover_each_curve_and_group(monkeypatch):
     assert "n_times_deg_S=60," in answers[f"degree-special {singular} SE2"]
     assert not any(answers[f"degree-special x^4-y^4+x^2+1 {g}"].startswith("raised")
                    for g in groups)
+
+
+def test_signature_special_answers_cover_each_question(monkeypatch):
+    # the circle's signature is a point; the PGL3 image is equivalent to the
+    # Fermat cubic; the worked cubic gives samples under every group
+    module = load_same_answers()
+    assert ("signature-special", (1,), (0,)) in module.PLAN
+    monkeypatch.chdir(SCRIPT.parent.parent)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    answers = dict(module.answer_rounds("signature-special", 1, [0]))
+    cubic, source = module.WORKED_CUBIC, module.PGL3_IMAGE[0]
+    assert list(answers) == [
+        *(f"signature-special {c} {g}" for c, g in module.SIGNATURE_SPECIAL),
+        f"signature-special equivalent {source} PGL3 image",
+        *(f"signature-special samples {cubic} {g}" for g in ("SE2", "SA2", "A2", "PGL3")),
+    ]
+    assert not any(a.startswith("raised") for a in answers.values())
+    assert answers["signature-special x^2+y^2-1 SE2"].startswith("PointSignature(")
+    assert answers[f"signature-special equivalent {source} PGL3 image"].startswith(
+        "EquivalenceVerdict(equivalent=True,")
+    assert all(answers[f"signature-special samples {cubic} {g}"].count("SignatureSample(") == 6
+               for g in ("SE2", "SA2", "A2", "PGL3"))

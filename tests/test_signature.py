@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 import oracles
 import sigcurve.signature as signature_module
 from oracles import SampleCheckError, relative_residual, verify_signature_samples
+from sigcurve.equivalence import equivalent
 from sigcurve.errors import SigcurveError
 from sigcurve.fermat import fermat_curve, fermat_signature
 from sigcurve.jets import (
-    ClassifyingPair,
+    CLASSIFYING_RECIPES,
     CurveInput,
     GroupId,
     apply_group_element,
     classifying_pair,
+    fiber_evaluator,
     fiber_invariants,
+    theta,
 )
 from sigcurve.parser import parse, serialize
 from sigcurve.poly import RatFunc, SparsePoly, divides, exact_div, gcd, resultant
@@ -26,8 +29,8 @@ from sigcurve.signature import (
     FiberTable,
     PointSignature,
     certify_signature,
-    fiber_evaluator,
     is_constant_signature,
+    line_degree,
     signature_polynomial,
     signature_samples,
 )
@@ -111,8 +114,8 @@ class TestConstantSignature:
         assert is_constant_signature(G, GroupId.PGL3) is None
 
     def test_pgl3_image_not_constant_without_the_pair(self):
-        """The two fibers of "not constant" come from the jets route, so the
-        table never builds the image's classifying pair (seconds of work)."""
+        """The two fibers of "not constant" are the table's own, read from
+        the T_i, so the table never builds the image's classifying pair."""
         G = apply_group_element(fermat_curve(3), [[1, 1, 0], [0, 1, 1], [2, 0, 1]], GroupId.PGL3)
         table = FiberTable(G, GroupId.PGL3)
         assert table.constant() is None
@@ -181,8 +184,9 @@ def _usable_abscissas(curve, count):
 
 
 class TestPairRoute:
-    """Table fibers read (K1, K2) from the reduced classifying pair; the
-    jets route (``fiber_invariants``) is the reference."""
+    """(K1, K2) on a fiber comes from the T_i (``jets.fiber_invariants``);
+    the reduced classifying pair A/B, C/E evaluated on the fiber is the
+    reference."""
 
     @pytest.mark.parametrize(
         "spec, group",
@@ -201,42 +205,45 @@ class TestPairRoute:
         ],
     )
     def test_equals_the_jets_route(self, spec, group):
-        """The same normalized numerators and denominator on every fiber
-        where the jets route succeeds, and the table's fibers are the pair
-        route's in abscissa order.  ``spec`` is a curve or the (degree,
-        seed, height) of a dense one; a dense quartic under PGL3 is left
-        out, its classifying pair alone takes 20-50 s."""
+        """``jets.fiber_invariants`` gives A B^-1 and C E^-1 on every fiber
+        where T_b is a unit (B and E, which divide powers of T_b, are units
+        there too), and the table's fibers are those fibers in abscissa
+        order.  ``spec`` is a curve or the (degree, seed, height) of a dense
+        one; a dense quartic under PGL3 is left out, its classifying pair
+        alone takes 20-50 s."""
         if isinstance(spec, str):
             cv = CurveInput.from_poly(parse(spec))
         else:
             d, seed, height = spec
             cv = rand_curve(random.Random(seed), d, height)
-        table = FiberTable(cv, group)
-        pair_values, compared = [], 0
+        pair = classifying_pair(cv, group)
+        A, B, C, E = (fiber_evaluator(p) for p in (pair.K1.num, pair.K1.den, pair.K2.num, pair.K2.den))
+        values = []
         for x0, ring in _usable_abscissas(cv, 12):
             try:
-                got = table.invariants(x0, ring)
+                got = fiber_invariants(cv, group, x0, ring)
             except ZeroDivisionError:
                 continue
-            pair_values.append(got)
-            try:
-                want = fiber_invariants(cv, group, x0, ring)
-            except ZeroDivisionError:
-                continue
-            compared += 1
+            inv_b, inv_e = (
+                ring.element(ring.invert_vec(den(x0, ring).coeff_fractions(0))) for den in (B, E)
+            )
+            want = A(x0, ring) * inv_b, C(x0, ring) * inv_e
             for a, b in zip(got, want):
-                assert (a.terms, a.den) == (b.terms, b.den)
-        assert compared >= 8
-        for i, (k1, k2) in enumerate(pair_values):
+                assert a.coeff_fractions(0) == b.coeff_fractions(0)
+            values.append(got)
+        assert len(values) >= 8
+        table = FiberTable(cv, group)
+        for i, (k1, k2) in enumerate(values):
             fiber = table.fiber(i)
-            assert (fiber.k1.terms, fiber.k1.den, fiber.k2.terms, fiber.k2.den) == (
-                k1.terms, k1.den, k2.terms, k2.den
+            assert (fiber.k1.coeff_fractions(0), fiber.k2.coeff_fractions(0)) == (
+                k1.coeff_fractions(0), k2.coeff_fractions(0)
             )
 
-    def test_keeps_a_fiber_the_jets_route_skips(self):
-        """On x^4 + y^4 + 1 under A2 a denominator Theta vanishes on the
-        fiber x = 0, the only one of the first 49 that the jets route skips;
-        B and E are units there, so the table keeps it as its first fiber."""
+    def test_skips_a_fiber_where_t_b_is_a_zero_divisor(self):
+        """On x^4 + y^4 + 1 under A2, T_4 is a zero divisor on the fiber
+        x = 0, the only one of the first 49 that the table skips, though the
+        reduced B and E are units there.  The signature and its certificate
+        do not depend on which fibers the table holds."""
         cv = CurveInput.from_poly(parse("x^4 + y^4 + 1"))
         skipped = []
         for x0, ring in _usable_abscissas(cv, 49):
@@ -246,13 +253,76 @@ class TestPairRoute:
                 skipped.append((x0, ring))
         [(x0, ring)] = skipped
         assert x0 == 0
+        with pytest.raises(ZeroDivisionError):
+            ring.invert_vec(fiber_evaluator(theta(cv, 4).T)(x0, ring).coeff_fractions(0))
+        pair = classifying_pair(cv, GroupId.A2)
+        for den in (pair.K1.den, pair.K2.den):
+            ring.invert_vec(fiber_evaluator(den)(x0, ring).coeff_fractions(0))
         table = FiberTable(cv, GroupId.A2)
-        one = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-        for den in (table.pair.K1.den, table.pair.K2.den):
-            value = fiber_evaluator(den)(x0, ring)
-            inverse = ring.element(ring.invert_vec(value.coeff_fractions(0)))
-            assert (value * inverse).coeff_fractions(0) == one
-        assert table.fiber(0).k1.coeff_fractions(0) == [Fraction(-50, 7), 0, 0, 0]
+        [(x1, ring1)] = _usable_abscissas(cv, 2)[1:]
+        first = fiber_invariants(cv, GroupId.A2, x1, ring1)[0]
+        assert table.fiber(0).k1.coeff_fractions(0) == first.coeff_fractions(0)
+        sig = signature_polynomial(cv, GroupId.A2)
+        assert serialize(sig.S) == (
+            "13720*k2^3 + 49*k1^2 - 13230*k1*k2 + 176400*k2^2 + 76300*k1 + 231000*k2 + 80000"
+        )
+        assert (sig.certificate.deg_N, sig.certificate.fibers) == (72, 73)
+
+
+class TestNoPairOnAGenericCurve:
+    """Where T_b is prime to T_a and T_c the table reads everything from the
+    T_i: fibers, the constant test and ``deg_line``."""
+
+    @staticmethod
+    def refuse_pair(monkeypatch, allowed=()):
+        real = signature_module.classifying_pair
+
+        def guarded(curve, group):
+            if curve not in allowed:
+                raise AssertionError(f"classifying_pair built for {serialize(curve.F)}")
+            return real(curve, group)
+
+        monkeypatch.setattr(signature_module, "classifying_pair", guarded)
+
+    def test_table_certificate_and_signature(self, ellipse, monkeypatch):
+        self.refuse_pair(monkeypatch)
+        cv = CurveInput.from_poly(parse("y^2 - x^3 - x - 1"))
+        table = FiberTable(cv, GroupId.SE2)
+        assert table.constant() is None
+        assert table.deg_line == 12
+        assert certify_signature(table, parse("k1^2 - k2^2 + 1", SIG_RING)) is None
+        sig = signature_polynomial(ellipse, GroupId.SE2)
+        assert serialize(sig.S) == ELLIPSE_S_REFERENCE
+        assert (sig.certificate.deg_N, sig.certificate.fibers) == (36, 37)
+
+    def test_equivalent_on_the_pgl3_image(self, monkeypatch):
+        """The Fermat cubic's T_i share factors, so its own table builds the
+        pair for ``deg_line``; its dense image G never does."""
+        F = fermat_curve(3)
+        self.refuse_pair(monkeypatch, allowed=(F,))
+        G = apply_group_element(F, [[1, 1, 0], [0, 1, 1], [2, 0, 1]], GroupId.PGL3)
+        verdict = equivalent(F, G, GroupId.PGL3)
+        assert verdict.equivalent is True
+        cert = verdict.right.certificate
+        assert (cert.deg_N, cert.fibers) == (432, 433)
+
+    @pytest.mark.parametrize(
+        "curve, group, reduced, from_thetas",
+        [
+            ("x^3 + y^3 + 1", GroupId.A2, 12, 36),
+            ("x^2*y + y^2 + y + 64/121", GroupId.SA2, 34, 40),
+        ],
+    )
+    def test_shared_factors_fall_back_to_the_pair(self, curve, group, reduced, from_thetas):
+        """T_b shares a factor with T_a or T_c: ``deg_line`` reads the reduced
+        pair, whose bound is smaller than the T_i's degrees give."""
+        cv = CurveInput.from_poly(parse(curve))
+        table = FiberTable(cv, group)
+        assert table.deg_line == reduced
+        assert "pair" in table.__dict__
+        ((na, p), (nb, q)), ((nc, r), (_, s)) = CLASSIFYING_RECIPES[group]
+        a, b, c = (int(theta(cv, i).T.total_degree()) for i in (na, nb, nc))
+        assert line_degree(p * a, q * b, r * c, s * b, max(q, s) * b) == from_thetas
 
 
 def _reduced_reference(P, x0, q):
@@ -347,20 +417,20 @@ class TestCertificate:
             ("x", "(x + 1)^2*(x - y)", "y", "(x + 1)^2*(y + 2)"),  # deg L binds
         ],
     )
-    def test_deg_line_is_the_degree_of_a_pulled_back_line(self, ellipse, monkeypatch, A, B, C, E):
-        """On synthetic pairs, each of the three terms of deg_line in turn the
-        largest: a generic line a k1 + b k2 + c pulls back to a curve of
-        degree deg_line, and N = L^D S(A/B, C/E) of a dense S of degree 2
-        has degree 2 deg_line."""
+    def test_deg_line_is_the_degree_of_a_pulled_back_line(self, A, B, C, E):
+        """On synthetic pairs, each of the three terms of ``line_degree`` in
+        turn the largest: a generic line a k1 + b k2 + c pulls back to a
+        curve of degree deg_line, and N = L^D S(A/B, C/E) of a dense S of
+        degree 2 has degree 2 deg_line."""
         K1, K2 = RatFunc.build(parse(A), parse(B)), RatFunc.build(parse(C), parse(E))
-        monkeypatch.setattr(
-            signature_module, "classifying_pair", lambda curve, group: ClassifyingPair(group, K1, K2)
+        lcm = exact_div(K1.den * K2.den, gcd(K1.den, K2.den))
+        deg_line = line_degree(
+            *(int(p.total_degree()) for p in (K1.num, K1.den, K2.num, K2.den, lcm))
         )
-        table = FiberTable(ellipse, GroupId.SE2)
         line = parse("3*k1 - 5*k2 + 7", SIG_RING)
         dense = parse("2*k1^2 + 3*k1*k2 - k2^2 + 5*k1 - 7*k2 + 11", SIG_RING)
-        assert _pullback_numerator(line, K1, K2).total_degree() == table.deg_line
-        assert _pullback_numerator(dense, K1, K2).total_degree() == 2 * table.deg_line
+        assert _pullback_numerator(line, K1, K2).total_degree() == deg_line
+        assert _pullback_numerator(dense, K1, K2).total_degree() == 2 * deg_line
 
     def test_rejects_another_curves_signature(self):
         """The quartic's PGL3 closed form has the cubic's degree but does
