@@ -20,8 +20,10 @@ of its own ``perfbench/workloads.py`` (imported, not edited):
   cusp (an exact-zero PGL3 component), the worked cubic, the elliptic
   curve, the refusals of conics past SE2 and of the cubic graph, a quartic
   whose Theta_1 vanishes at the circular points on its fiber at infinity
-  (so the Theta products keep their full cap under SE2), and the singular
-  quartic that ``degree-generic`` draws at seed 10, round 85;
+  (so the Theta products keep their full cap under SE2), a dense quartic
+  with no y^4 term (a smooth point at [0:0:1], so a corner piece at
+  infinity and the exact affine route), and the singular quartic that
+  ``degree-generic`` draws at seed 10, round 85;
 * signature-special, once: the ``repr`` of ``signature_polynomial`` of
   every curve and group of ``SIGNATURE_SPECIAL`` (the ellipse, the circle's
   point signature, the cusp, the Fermat cubic and quartic), of
@@ -56,6 +58,7 @@ DEGREE_SPECIAL = (
     "x^3+y^3+1", "x^4+y^4+1", "x^5+y^5+1", "y^2-x^3", "x^2*y+y^2+y+64/121",
     "x^2+y^2-1", "x^2+x*y+2*y^2-3", "y^2-x^3-x-1", "y-x^3", "x*y-1",
     "x^4-y^4+x^2+1",
+    "-x*y^3+4*x^2*y^2+x^3*y-2*x^4-4*y^3+5*x*y^2-8*x^2*y+3*x^3-5*y^2+4*x*y+8*x^2-y-2*x+6",
     "-y^4+x*y^3+8*x^2*y^2-8*x^3*y+8*x^4-y^3+8*x*y^2+3*x^2*y-x^3+9*y^2-6*x*y-2*x^2+3*y+4*x+7",
 )
 

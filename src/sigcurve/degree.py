@@ -16,16 +16,19 @@ evaluated there; the canonical triple is assembled from the jet series and
 never builds the T_i products, the only feasible way for PGL(3) at d >= 4),
 one driver runs the trial lines, the lower bound and the truncation
 doubling, and one affine routine adds the affine base points of special
-curves.  On a generic curve that routine takes one exact resultant: images
-mod a 31-bit prime prove the resultant gcd constant, and further exact
+curves.  On a generic curve images mod a 31-bit prime prove Res_y(F, T_a)
+and Res_y(F, T_b) coprime (T_a, T_b the cut of the canonical triple); exact
 resultants and gcds run only where the images cannot decide.  The canonical
 components share a factor x0^deg(sigma) * F_y^k, counted once by its
-valuation.  Two lemmas spare series built for one valuation: (a) F_y(1/v,
-w/v) = v^-(d-1) H_w(v, w(v)) with H = Fh(v, 1, w), and H_w(0, W) = c q'(W)
-is a unit mod the squarefree q, so F_y has order -(d-1) on each fiber
-branch; (b) when each Theta_i's first coefficient is a unit mod q, every
-component has one valuation on each branch, read from its first term (a
-trial line whose first terms cancel raises TruncationError and doubles).
+valuation.  Three lemmas spare series and polynomials built for one number:
+(a) F_y(1/v, w/v) = v^-(d-1) H_w(v, w(v)) with H = Fh(v, 1, w), and
+H_w(0, W) = c q'(W) is a unit mod the squarefree q, so F_y has order -(d-1)
+on each fiber branch; (b) when each Theta_i's first coefficient is a unit
+mod q, every component has one valuation on each branch, read from its
+first term (a trial line whose first terms cancel raises TruncationError
+and doubles); (c) with [0:0:1] off the curve, lc_y F is constant and
+T_a = Theta_a F_y^d_a on the d fiber branches y_i(x), so deg_x Res_y(F, T_a)
+= -sum ord T_a(x, y_i(x)) = d d_a (d-1) - sum_fiber val Theta_a by (a).
 
 Along a branch Theta_5..Theta_8 come from Theta_4 by ``jets._chain``.  Every
 series carries its own trusted order (``derivative`` lowers it by one,
@@ -316,9 +319,10 @@ def _fy_valuation(curve: CurveInput, piece: BranchPiece) -> int:
 
 def canonical_components_on_piece(
     curve: CurveInput, group: GroupId, piece: BranchPiece, trunc: int, rel: int
-) -> tuple[list[TruncatedSeries], int]:
+) -> tuple[list[TruncatedSeries], int, Optional[int]]:
     """The three canonical sigma components along a branch piece with their
-    common factor divided out, and the valuation of that factor.
+    common factor divided out, the valuation of that factor, and lemma (c)'s
+    fiber sum of val Theta_a (None at the corner or when unresolved).
 
     T_i restricts to x0^tau_i * Theta_i(jets) * F_y^d_i, so every component
     x0^e * prod T_i^p is x0^deg(sigma) * F_y^k (k = 6, 24, 24, 96) times the
@@ -341,7 +345,12 @@ def canonical_components_on_piece(
     comps = [reduce(mul, (thetas[i] ** p for i, p in fs)) for _x0p, fs in SIGMA_RECIPES[group]]
     a, b = SIGMA_DEGREE[group]
     k = sum(FY_EXPONENT[i] * p for i, p in SIGMA_RECIPES[group][0][1])
-    return comps, (a * curve.d + b) * _piece_val(piece.x0, piece) + k * _fy_valuation(curve, piece)
+    common = (a * curve.d + b) * _piece_val(piece.x0, piece) + k * _fy_valuation(curve, piece)
+    theta_a = theta_series[needed.index(CANONICAL_AFFINE_PAIR[group][0])]
+    try:  # its first term resolves every branch when its coefficient is a unit
+        return comps, common, None if piece.q is None else fiber_valuation_sum(theta_a, piece.q)
+    except TruncationError:
+        return comps, common, None
 
 
 def _certify_zero_components(
@@ -391,7 +400,7 @@ def _view(p: SparsePoly, images: Optional[tuple]) -> SparsePoly:
     return p if images is None else p.compose_linear(images)
 
 
-def _affine_projections(curve: CurveInput, cut: Callable[[], Sequence[SparsePoly]]):
+def _affine_projections(curve: CurveInput, cut: Callable, degree: Optional[int] = None):
     """Project the common zeros of ``cut()`` on the curve to the x-axis: in
     the given coordinates, after the shears x -> x + k*y, and with x and y
     swapped.  Yields (images, F, gsf, res) for every view whose squarefree
@@ -402,18 +411,21 @@ def _affine_projections(curve: CurveInput, cut: Callable[[], Sequence[SparsePoly
     (resultant 0) constrains nothing.  ``cut()`` is called when the first
     view is reached.
 
-    The first resultant with a nonzero value is exact.  In the first view,
-    before each later one, ``resultant_coprime_image`` tries to prove from
-    images mod a 31-bit prime that its gcd with the exact one so far is
-    constant; when it does, the view yields gsf None at once and ``res``
-    lacks that resultant, which no caller reads then.  A generic curve is
-    settled so, after one exact resultant, unless the prime is unlucky; the
-    exact resultant and gcd run only when the image cannot decide.  Later
-    views are reached only when the first gcd is nonconstant, which on the
-    special curves means affine base points that every view sees, so the
-    image is not tried there."""
+    In the first view, given ``degree`` = deg Res_y(F, cut[0]) (lemma (c)),
+    ``resultant_coprime_image`` first tries to prove the two resultants of
+    the cut coprime from their images mod a 31-bit prime, so a generic curve
+    takes no exact resultant unless the prime is unlucky.  Otherwise the
+    first resultant with a nonzero value is exact, and before each later one
+    the image tries to prove its gcd with the exact one so far constant.  A
+    proof yields gsf None at once, and ``res`` lacks the resultants not
+    built, which no caller reads then.  Later views are reached only when
+    the first gcd is nonconstant, which on the special curves means affine
+    base points that every view sees, so the image is not tried there."""
     x, y = SparsePoly.var(CURVE_RING, "x"), SparsePoly.var(CURVE_RING, "y")
     cut = cut()
+    if degree is not None and resultant_coprime_image(cut[0], curve.F, cut[1], "y", degree=degree):
+        yield None, curve.F, None, {}
+        return
     for images in [None] + [(x + y.scale(k), y) for k in (1, 2, 3)] + [(y, x)]:
         F = _view(curve.F, images)
         res: dict[SparsePoly, SparsePoly] = {}
@@ -730,7 +742,8 @@ def canonical_affine_part(curve: CurveInput, group: GroupId, views: Iterable) ->
     the required T_7/T_8 polynomials are not built at that scale); sparse
     inputs such as the Fermat family are always checked.  Status
     ``per-line`` means the sum is 0 and each trial line adds its own count.
-    ``views`` are the ``_affine_projections`` of the canonical cut.
+    ``views`` are the ``_affine_projections`` of the canonical cut, given
+    deg Res_y(F, T_a) by lemma (c) unless [0:0:1] lies on the curve.
     """
     if group is GroupId.PGL3 and curve.d >= 4 and len(curve.F.terms) > 6:
         return 0, "assumed-generic"
@@ -753,9 +766,13 @@ def mult_min_canonical(
     """
     chart = infinity_chart(curve, group, seed)
     work = chart.curve
+    deg_res: Optional[int] = None  # deg_x Res_y(F, T_a) by lemma (c)
 
     def components(piece: BranchPiece, t: int, rel: int) -> tuple[list[TruncatedSeries], int]:
-        comps, common = canonical_components_on_piece(work, group, piece, t, rel)
+        nonlocal deg_res
+        comps, common, val = canonical_components_on_piece(work, group, piece, t, rel)
+        if val is not None and len(piece.q) == work.d + 1:  # [0:0:1] is off the curve
+            deg_res = work.d * (work.d - 1) * FY_EXPONENT[CANONICAL_AFFINE_PAIR[group][0]] - val
         # a component empty at the starting cap is settled by a doubling far
         # more cheaply than by the exact T_i; only one still empty after a
         # doubling needs the exact check
@@ -764,7 +781,7 @@ def mult_min_canonical(
         return comps, common
 
     def affine_part(trial_lines: list) -> tuple[list[int], int, str]:
-        views, first = tee(_affine_projections(work, lambda: _canonical_cut(work, group)))
+        views, first = tee(_affine_projections(work, lambda: _canonical_cut(work, group), deg_res))
         lower, status = canonical_affine_part(work, group, views)
         if status != "per-line":
             return [lower] * len(trial_lines), lower, status

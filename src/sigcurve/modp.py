@@ -9,9 +9,10 @@ Two uses.  ``poly.gcd`` lifts the gcd images of ``_modp_gcd_dict`` (Brown,
 JACM 1971) by Chinese remaindering.  And an image answers "no" where only
 "yes" needs the exact computation: ``pseudo_remainder_image`` proves a
 pseudo-remainder nonzero, and ``resultant_coprime_image`` proves the gcd of
-a polynomial and a resultant constant from the resultant's image (Collins,
-JACM 1971).  Their callers run the exact routes of ``poly`` only when an
-image cannot decide.
+a polynomial, or of a resultant whose exact degree is known, and a
+resultant constant from their images (Collins, JACM 1971), each taken by
+Euclid at points.  Their callers run the exact routes of ``poly`` only when
+an image cannot decide.
 """
 
 from __future__ import annotations
@@ -80,16 +81,7 @@ def _modp_gcd_dict(a: dict, b: dict, prime: int, start: int) -> dict:
 def _modp_gcd(a: list[int], b: list[int], prime: int) -> list[int]:
     """Monic gcd of dense coefficient lists over F_p (ascending order);
     [] when both are zero, as gcd(0, 0) = 0."""
-    a = [c % prime for c in a]
-    b = [c % prime for c in b]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    trim(a)
-    trim(b)
+    a, b = _trim([c % prime for c in a]), _trim([c % prime for c in b])
     while b:
         if len(a) < len(b):
             a, b = b, a
@@ -100,12 +92,19 @@ def _modp_gcd(a: list[int], b: list[int], prime: int) -> list[int]:
             sh = len(a) - len(b)
             for k, c in enumerate(b):
                 a[k + sh] = (a[k + sh] - f * c) % prime
-            trim(a)
+            _trim(a)
         a, b = b, a
     if not a:
         return a
     inv = pow(a[-1], -1, prime)
     return [c * inv % prime for c in a]
+
+
+def _trim(v: list[int]) -> list[int]:
+    """v without its trailing zeros, in place."""
+    while v and not v[-1]:
+        v.pop()
+    return v
 
 
 def _primes_31bit():
@@ -233,8 +232,7 @@ def _modp_ylists(p: SparsePoly, name: str, prime: int) -> Optional[list[list[int
         v.extend([0] * (k + 1 - len(v)))
         v[k] = c * inv % prime
     for v in out:
-        while v and not v[-1]:
-            v.pop()
+        _trim(v)
     return out
 
 
@@ -247,10 +245,7 @@ def _modp_axpy(a: list[int], x: list[int], b: list[int], y: list[int], prime: in
                 c *= s
                 for j, d in enumerate(v):
                     out[i + j] += c * d
-    out = [c % prime for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim([c % prime for c in out])
 
 
 def _modp_prem(t: list[list[int]], f: list[list[int]], prime: int) -> list[list[int]]:
@@ -275,35 +270,12 @@ def _modp_prem(t: list[list[int]], f: list[list[int]], prime: int) -> list[list[
     return r
 
 
-def _modp_det(rows: list[list[int]], prime: int) -> int:
-    """Determinant over F_p by Gaussian elimination; each step drops the
-    pivot row and the first column."""
-    det = 1
-    while rows:
-        piv = next((r for r, row in enumerate(rows) if row[0]), None)
-        if piv is None:
-            return 0
-        if piv:
-            rows[0], rows[piv] = rows[piv], rows[0]
-            det = -det
-        pivot, *rows = rows
-        det = det * pivot[0] % prime
-        inv = pow(pivot[0], -1, prime)
-        rows = [
-            [(u - k * v) % prime for u, v in zip(row[1:], pivot[1:])]
-            if (k := row[0] * inv % prime)
-            else row[1:]
-            for row in rows
-        ]
-    return det
-
-
 def _modp_resultant(f: list[list[int]], g: list[list[int]], prime: int) -> Optional[list[int]]:
     """Res_y over F_p[x] of two y-lists with formal degrees m = len(f) - 1 and
     n = len(g) - 1 (m + n >= 1): the Sylvester determinant, by its values at
-    x = 0, 1, ..., N and Newton interpolation.  With a and b the total
-    degrees (deg_x of the y^j coefficient is at most a - j), every term of
-    the determinant has degree at most N = n*a + m*b - m*n.  None when the
+    x = 0, 1, ..., N (by Euclid) and Newton interpolation.  With a and b the
+    total degrees (deg_x of the y^j coefficient is at most a - j), every term
+    of the determinant has degree at most N = n*a + m*b - m*n.  None when the
     prime is not above N.  (Collins, *The calculation of multivariate
     polynomial resultants*, JACM 1971, takes the same images.)"""
     m, n = len(f) - 1, len(g) - 1
@@ -314,16 +286,37 @@ def _modp_resultant(f: list[list[int]], g: list[list[int]], prime: int) -> Optio
     interp: list[int] = []
     basis = [1]
     for point in range(bound + 1):
-        fv = [_horner(c, point, prime) for c in reversed(f)]
-        gv = [_horner(c, point, prime) for c in reversed(g)]
-        rows = [[0] * r + fv + [0] * (n - 1 - r) for r in range(n)]
-        rows += [[0] * s + gv + [0] * (m - 1 - s) for s in range(m)]
+        fv, gv = ([_horner(c, point, prime) for c in h] for h in (f, g))
         inv = pow(_horner(basis, point, prime), -1, prime)
-        _newton_step(interp, _modp_det(rows, prime), basis, inv, point, prime)
+        _newton_step(interp, _modp_univariate_resultant(fv, gv, prime), basis, inv, point, prime)
         basis = [(lo - point * hi) % prime for lo, hi in zip([0, *basis], [*basis, 0])]
-    while interp and not interp[-1]:
-        interp.pop()
-    return interp
+    return _trim(interp)
+
+
+def _modp_univariate_resultant(f: list[int], g: list[int], prime: int) -> int:
+    """The Sylvester determinant over F_p of ascending lists (consumed) of
+    formal degrees m = len(f) - 1, n = len(g) - 1, by Euclid in O(mn): a zero
+    f_m (g_n) drops m (n) at a factor (-1)^n g_n (f_m), and for m >= n
+    Res(f, g) = (-1)^(mn) g_n^(m-n+1) Res(g, f mod g); m < n swaps sign-free."""
+    acc = 1
+    while len(f) > 1 and len(g) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        if not (f[-1] and g[-1]):  # drop a zero formal leading coefficient
+            acc = acc * (f[-1] or (-1) ** n * g[-1]) % prime
+            (g if f[-1] else f).pop()
+            continue
+        if m < n:
+            f, g, m, n = g, f, n, m
+        elif m * n % 2:
+            acc = -acc
+        acc = acc * pow(g[-1], m - n + 1, prime) % prime
+        inv = pow(g[-1], -1, prime)
+        for k in range(m - n, -1, -1):
+            if c := f[k + n] * inv % prime:
+                for j in range(n):
+                    f[k + j] = (f[k + j] - c * g[j]) % prime
+        f, g = g, f[:n]
+    return acc * pow(f[0], len(g) - 1, prime) * pow(g[0], len(f) - 1, prime) % prime  # m or n is 0
 
 
 def pseudo_remainder_image(
@@ -345,27 +338,36 @@ def pseudo_remainder_image(
 
 
 def resultant_coprime_image(
-    a: SparsePoly, p: SparsePoly, q: SparsePoly, name: str, prime: int = IMAGE_PRIME
+    a: SparsePoly, p: SparsePoly, q: SparsePoly, name: str, prime: int = IMAGE_PRIME,
+    degree: Optional[int] = None,
 ) -> bool:
-    """True when images mod prime prove that gcd(a, Res_name(p, q)) is
-    constant, for a nonzero a free of ``name`` in a ring of two variables;
-    False when they cannot decide.
+    """True when images mod prime prove that gcd(A, Res_name(p, q)) is
+    constant, for A a nonzero polynomial a free of ``name`` in a ring of two
+    variables, or, given its ``degree``, A = Res_name(p, a); False when they
+    cannot decide.
 
     B_p is the image of Res(p, prem(q, p)) with the remainder's formal degree
     deg p - 1, which is lc(p)^e Res(p, q) for some e >= 0 (q itself when
-    deg q < deg p).  Let G be a primitive common divisor of a and B over Z.
+    deg q < deg p).  Let G be a primitive common divisor of A and B over Z.
     When prime divides no denominator of p or q, nor lc(p) in ``name``, nor
-    lc of the primitive part of a, then G divides both images, and prime
-    does not divide lc(G) (a factor of lc(a)), so deg G = deg(G mod prime),
-    which divides gcd(a mod prime, B_p).  A gcd 1 of nonzero images
-    therefore leaves G constant."""
-    other = p.ring[1 - p.ring.index(name)]
-    prim = a.primitive_part()
-    ap = _modp_ylists(prim, name, prime)
-    rp = pseudo_remainder_image(q, p, name, prime)
-    if ap is None or len(ap) != 1 or len(ap[0]) != int(prim.degree_in(other)) + 1:
+    lc of the primitive part of A, then G divides both images, and prime
+    does not divide lc(G) (a factor of lc(A)), so deg G = deg(G mod prime),
+    which divides gcd(A_p, B_p): a gcd 1 of nonzero images leaves G
+    constant.  The image of a resultant A needs its exact degree, which it
+    keeps only when prime does not divide lc(A) (lc(p) a constant mod prime,
+    so that lc(p)^e changes no degree)."""
+    pp = _modp_ylists(p, name, prime)
+
+    def image(c: SparsePoly) -> Optional[list[int]]:  # of Res(p, prem(c, p))
+        rp = pseudo_remainder_image(c, p, name, prime)
+        return _modp_resultant(pp, rp, prime) if rp is not None and any(rp) else None
+
+    if degree is None:
+        a = a.primitive_part()
+        ap, degree = (_modp_ylists(a, name, prime) or [None])[0], a.total_degree()
+    else:
+        ap = image(a) if pp and len(pp[-1]) == 1 else None
+    if not ap or len(ap) - 1 != degree:
         return False
-    if rp is None or not any(rp):
-        return False
-    bp = _modp_resultant(_modp_ylists(p, name, prime), rp, prime)
-    return bool(bp) and len(_modp_gcd(ap[0], bp, prime)) == 1
+    bp = image(q)
+    return bool(bp) and len(_modp_gcd(ap, bp, prime)) == 1

@@ -284,11 +284,9 @@ class SparsePoly:
         # in radix deg_i(p) + deg_i(q) + 1 no sum of two exponents carries,
         # so adding two packed keys adds the exponent vectors
         bases = [a + b + 1 for a, b in zip(_degrees(pn), _degrees(qn))]
-        pairs = len(pn) * len(qn)
-        dense = (
-            pairs >= KRONECKER_MIN_PAIRS
-            and KRONECKER_PAIRS_PER_SLOT * math.prod(bases) <= pairs
-        )
+        pairs, slots = len(pn) * len(qn), KRONECKER_PAIRS_PER_SLOT * math.prod(bases)
+        dense = KRONECKER_MIN_PAIRS <= pairs >= slots and slots**3 * _kronecker_width(
+            pn, qn) <= KRONECKER_PAIRS_PER_SLOT * KRONECKER_PACKED_BYTES * pairs**2
         product = (_mul_kronecker if dense else _mul_loop)(pn, qn, bases)
         return SparsePoly._from_ints(self.ring, dict(product), pd * qd)
 
@@ -586,11 +584,14 @@ def _unpack(k: int, scales: Sequence[int]) -> Exponent:
 # A product of integer numerators pn * qn (#pn <= #qn) whose exponents lie
 # in the box of ``bases`` (base_i = deg_i pn + deg_i qn + 1) takes the
 # Kronecker route when it has at least KRONECKER_MIN_PAIRS term pairs and at
-# least KRONECKER_PAIRS_PER_SLOT of them per slot of the box.  The box holds
-# more than #qn slots unless pn is a constant, so an operand of at most 8
-# terms always takes the loop.
+# least KRONECKER_PAIRS_PER_SLOT of them per slot of the box, times
+# sqrt(box * width / KRONECKER_PACKED_BYTES) when that exceeds 1 (width the
+# slot bytes): Karatsuba's cost per slot grows with the packed size, a loop
+# pair's hardly.  The box holds more than #qn slots unless pn is a constant,
+# so an operand of at most 8 terms always takes the loop.
 KRONECKER_MIN_PAIRS = 256
 KRONECKER_PAIRS_PER_SLOT = 8
+KRONECKER_PACKED_BYTES = 12_000
 
 
 def _mul_loop(pn: dict[Exponent, int], qn: dict[Exponent, int], bases: Sequence[int]):
@@ -621,13 +622,7 @@ def _mul_kronecker(pn: dict[Exponent, int], qn: dict[Exponent, int], bases: Sequ
     its bytes with no borrow from a neighbour."""
     scales = _radix_scales(bases)
     box = math.prod(bases)
-    bits = (
-        max(map(abs, pn.values())).bit_length()
-        + max(map(abs, qn.values())).bit_length()
-        + len(pn).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
+    width = _kronecker_width(pn, qn)
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * box, "little")
     packed = _kronecker_pack(pn, scales, width)
@@ -640,6 +635,12 @@ def _mul_kronecker(pn: dict[Exponent, int], qn: dict[Exponent, int], bases: Sequ
         if c:
             out.append((e, c))
     return out
+
+
+def _kronecker_width(pn: dict[Exponent, int], qn: dict[Exponent, int]) -> int:
+    """The slot width w of ``_mul_kronecker`` in bytes."""
+    bits = max(map(abs, pn.values())).bit_length() + max(map(abs, qn.values())).bit_length()
+    return (bits + len(pn).bit_length() + 8) // 8
 
 
 def _kronecker_pack(terms: dict[Exponent, int], scales: Sequence[int], width: int) -> int:

@@ -66,14 +66,14 @@ def intpoly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return intpoly_from_poly(gcd(as_poly(a), as_poly(b)), "w")
 
 
-def intpoly_coprime(q: Sequence[int], c: Sequence[int]) -> bool:
+def intpoly_coprime(q: Sequence[int], c: Sequence[int], exact: bool = True) -> bool:
     """Whether gcd(q, c) is constant (q nonconstant).  A coprime image mod
     p = ``IMAGE_PRIME`` answers yes when p does not divide lc(q): a common
     factor h over Z keeps its degree mod p and divides both images.  The
-    exact gcd runs only when that image cannot decide."""
+    exact gcd runs only when that image cannot decide, and only if ``exact``."""
     if q[-1] % IMAGE_PRIME and len(_modp_gcd(q, c, IMAGE_PRIME)) == 1:
         return True
-    return len(intpoly_gcd(q, c)) == 1
+    return exact and len(intpoly_gcd(q, c)) == 1
 
 
 def intpoly_squarefree(q: Sequence[int]) -> bool:
@@ -515,7 +515,7 @@ def _fiber_scan(components: list[TruncatedSeries], q: IntPoly) -> int:
         for s in components:
             c = s.coeff_vec(j)
             if any(c):
-                g = intpoly_gcd(g, c)
+                g = [1] if intpoly_coprime(g, c, exact=False) else intpoly_gcd(g, c)
                 if len(g) == 1:
                     break
         resolved = len(modulus) - len(g)

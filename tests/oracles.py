@@ -27,6 +27,10 @@ slower or narrower, and the tests compare them against the package:
 * ``sylvester_resultant``: the resultant of two univariate coefficient lists
   as the determinant of their Sylvester matrix, against which the sign and
   value of ``poly.resultant`` (subresultant PRS) are checked.
+* ``modp_sylvester_resultant``: the image mod p of a resultant in two
+  variables from Sylvester determinants over F_p at each point
+  (``_modp_det``), against which ``modp._modp_resultant`` (Euclid at each
+  point) is checked, zero formal leading coefficients included.
 * ``evaluate_polys_at_series_reference``: polynomials at truncated series
   monomial by monomial on power tables, against which the Horner route of
   ``series.evaluate_polys_at_series`` is checked.
@@ -109,6 +113,7 @@ from sigcurve.jets import (
     theta_table,
     thetas_for_group,
 )
+from sigcurve.modp import _horner, _newton_step
 from sigcurve.poly import SparsePoly, _int_form, exact_div, gcd, resultant, square_free_part
 from sigcurve.series import (
     SeriesRing, TruncatedSeries, evaluate_polys_at_series, newton_branch,
@@ -767,6 +772,57 @@ def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
             f = rows[r][col] / pv
             if f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def modp_sylvester_resultant(
+    f: list[list[int]], g: list[list[int]], prime: int
+) -> Optional[list[int]]:
+    """Res_y over F_p[x] of two y-lists (``modp._modp_ylists``) with formal
+    degrees m = len(f) - 1 and n = len(g) - 1 (m + n >= 1): the Sylvester
+    determinant at x = 0, 1, ..., N by ``_modp_det``, and Newton
+    interpolation, with the bound N of ``modp._modp_resultant`` (None when
+    the prime is not above it), against which its Euclid route is checked."""
+    m, n = len(f) - 1, len(g) - 1
+    a, b = (max((len(c) - 1 + j for j, c in enumerate(h) if c), default=0) for h in (f, g))
+    bound = n * a + m * b - m * n
+    if bound >= prime:
+        return None
+    interp: list[int] = []
+    basis = [1]
+    for point in range(bound + 1):
+        fv = [_horner(c, point, prime) for c in reversed(f)]
+        gv = [_horner(c, point, prime) for c in reversed(g)]
+        rows = [[0] * r + fv + [0] * (n - 1 - r) for r in range(n)]
+        rows += [[0] * s + gv + [0] * (m - 1 - s) for s in range(m)]
+        inv = pow(_horner(basis, point, prime), -1, prime)
+        _newton_step(interp, _modp_det(rows, prime), basis, inv, point, prime)
+        basis = [(lo - point * hi) % prime for lo, hi in zip([0, *basis], [*basis, 0])]
+    while interp and not interp[-1]:
+        interp.pop()
+    return interp
+
+
+def _modp_det(rows: list[list[int]], prime: int) -> int:
+    """Determinant over F_p by Gaussian elimination; each step drops the
+    pivot row and the first column."""
+    det = 1
+    while rows:
+        piv = next((r for r, row in enumerate(rows) if row[0]), None)
+        if piv is None:
+            return 0
+        if piv:
+            rows[0], rows[piv] = rows[piv], rows[0]
+            det = -det
+        pivot, *rows = rows
+        det = det * pivot[0] % prime
+        inv = pow(pivot[0], -1, prime)
+        rows = [
+            [(u - k * v) % prime for u, v in zip(row[1:], pivot[1:])]
+            if (k := row[0] * inv % prime)
+            else row[1:]
+            for row in rows
+        ]
     return det
 
 

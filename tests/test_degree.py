@@ -2,6 +2,7 @@ import itertools
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,12 @@ from oracles import (
     canonical_components_reference, fy_series_horner, jet_series_horner, mult_sum_line_resultant,
 )
 from sigcurve.degree import (
+    CANONICAL_AFFINE_PAIR,
     CANONICAL_REL_CAP,
     GROUP_START_TRUNC,
     _branch_jets,
     _certify_zero_components,
+    _chart_polys,
     _fy_valuation,
     _jet_series,
     _mult_report,
@@ -42,6 +45,7 @@ from sigcurve.jets import (
     GroupId,
     jet_order,
     projective_extension,
+    theta,
     theta_table,
 )
 from sigcurve.parser import parse
@@ -212,10 +216,10 @@ def test_sized_branches_give_the_same_components(curve, group, doublings):
     sized = infinity_pieces(work, t, rel)
     assert [p.q for p in full] == [p.q for p in sized]
     for pf, ps in zip(full, sized):
-        cf, common_f = canonical_components_on_piece(work, group, pf, t, rel)
-        cs, common_s = canonical_components_on_piece(work, group, ps, t, rel)
+        cf, common_f, val_f = canonical_components_on_piece(work, group, pf, t, rel)
+        cs, common_s, val_s = canonical_components_on_piece(work, group, ps, t, rel)
         assert [(c.terms, c.den, c.trunc) for c in cf] == [(c.terms, c.den, c.trunc) for c in cs]
-        assert common_f == common_s
+        assert (common_f, val_f) == (common_s, val_s)
 
 
 CANONICAL_CURVES = {
@@ -259,7 +263,7 @@ def _reports_agree_with_reference(work: CurveInput, group: GroupId, lines=None) 
         return _certify_zero_components(work, group, comps), 0
 
     def counted_once(piece, t, rel):
-        comps, common = canonical_components_on_piece(work, group, piece, t, rel)
+        comps, common, _val = canonical_components_on_piece(work, group, piece, t, rel)
         return _certify_zero_components(work, group, comps), common
 
     def report(components):
@@ -328,7 +332,7 @@ def test_components_are_read_to_their_first_term_on_a_dense_quartic(doublings):
         t = GROUP_START_TRUNC[group] << doublings
         rel = CANONICAL_REL_CAP << doublings
         [piece] = infinity_pieces(work, t, rel)
-        comps, _common = canonical_components_on_piece(work, group, piece, t, rel)
+        comps, _common, _val = canonical_components_on_piece(work, group, piece, t, rel)
         assert [c.trunc - c.valuation() for c in comps] == [1 << doublings] * 3, group
 
 
@@ -352,7 +356,7 @@ def test_a_non_unit_first_coefficient_keeps_the_full_cap():
     work = infinity_chart(CANONICAL_CURVES["circular-quartic"](), GroupId.SE2).curve
     t = GROUP_START_TRUNC[GroupId.SE2]
     [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
-    comps, _common = canonical_components_on_piece(work, GroupId.SE2, piece, t, CANONICAL_REL_CAP)
+    comps, _, _ = canonical_components_on_piece(work, GroupId.SE2, piece, t, CANONICAL_REL_CAP)
     assert [c.trunc - c.min_exp() for c in comps] == [16, 14, 14]
 
 
@@ -540,12 +544,15 @@ def test_theta_chain_along_branches_matches_horner(name, curve, group):
     assert _chain_agrees_with_horner(curve(), group) >= 1
 
 
+# exponents of the curves of degree at most 4
+TRIANGLE = [(i, j) for i in range(5) for j in range(5 - i)]
+
+
 @settings(max_examples=15, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-5, 5)),
-                min_size=2, max_size=10),
+@given(st.lists(st.tuples(st.sampled_from(TRIANGLE), st.integers(-5, 5)), min_size=2, max_size=10),
        st.sampled_from(ALL_GROUPS))
 def test_theta_chain_along_branches_matches_horner_on_random_curves(terms, group):
-    F = SparsePoly.from_terms(R, [((i, j), c) for i, j, c in terms if i + j <= 4])
+    F = SparsePoly.from_terms(R, terms)
     try:
         cv = CurveInput.from_poly(F)
         infinity_chart(cv, group)
@@ -596,23 +603,144 @@ def test_coprime_image_never_certifies_a_common_factor(text):
     assert predict_degree(cv, GroupId.A2).affine_status == "included"
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# a dense quartic with no y^4 term: [0:0:1] is a smooth point of the curve,
+# so the branches at infinity have a corner piece
+CORNER_QUARTIC = ("-x*y^3+4*x^2*y^2+x^3*y-2*x^4-4*y^3+5*x*y^2-8*x^2*y+3*x^3-5*y^2+4*x*y"
+                  "+8*x^2-y-2*x+6")
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_generic_affine_check_takes_one_exact_resultant(monkeypatch, seed):
-    # on dense quartics the image certifies the first view after the exact
-    # resultant of the cheaper cut polynomial; PGL3 skips the check
+    # on dense quartics the lemma (c) image certifies the first view with no
+    # exact resultant; where it cannot decide, the image certifies it after
+    # the exact resultant of the cheaper cut polynomial.  PGL3 skips the check
     calls = []
-    exact = degree_mod.resultant
+    exact, image = degree_mod.resultant, degree_mod.resultant_coprime_image
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
+    def count(group):
+        calls.clear()
+        rep = predict_degree(cv, group)
+        assert rep.affine_status == "verified-empty", group
+        return rep, len(calls)
+
     monkeypatch.setattr(degree_mod, "resultant", counted)
     cv = rand_curve(random.Random(seed), 4)
-    for group in (GroupId.SE2, GroupId.SA2, GroupId.A2):
-        calls.clear()
-        assert predict_degree(cv, group).affine_status == "verified-empty"
-        assert len(calls) == 1, group
+    groups = (GroupId.SE2, GroupId.SA2, GroupId.A2)
+    reports = []
+    for group in groups:
+        rep, n = count(group)
+        assert n == 0, group
+        reports.append(rep)
+    monkeypatch.setattr(degree_mod, "resultant_coprime_image",
+                        lambda *args, degree=None: degree is None and image(*args))
+    assert [count(group) for group in groups] == [(rep, 1) for rep in reports]
+
+
+def test_generic_affine_check_takes_no_exact_resultant(monkeypatch):
+    # on the degree-generic benchmark's seed-1 curves lemma (c) reads
+    # deg Res_y(F, T_a) from the branches at infinity, and two coprime
+    # images mod p settle the first view: no exact resultant is built, and
+    # the reports equal the exact route's
+    import sigcurve.poly as poly_mod
+
+    predict, exact = degree_mod.predict_degree, poly_mod.resultant
+    resultants, calls = [], []
+
+    def counted(*args):
+        resultants.append(args)
+        return exact(*args)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, predict(*args, **kwargs)))
+        return calls[-1][2]
+
+    for module in (degree_mod, poly_mod):
+        monkeypatch.setattr(module, "resultant", counted)
+    monkeypatch.setattr(degree_mod, "predict_degree", recorded)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for r in (0, 1):
+        for op in workloads.degree_generic(workloads.round_rng("degree-generic", 1, r)):
+            assert op.check(op.call()) is None, op.label
+    assert len(calls) == 10 and not resultants
+    assert [rep.affine_status for *_, rep in calls if rep.group is not GroupId.PGL3] == [
+        "verified-empty"] * 8
+    monkeypatch.setattr(degree_mod, "resultant_coprime_image", lambda *args, **kwargs: False)
+    for args, kwargs, rep in calls:
+        assert predict(*args, **kwargs) == rep
+    assert resultants
+
+
+# perfbench.workloads.dense_curve(Random(seed), d): (d, seed)
+BENCH_CURVES = {f"bench-{name}-{seed}": (d, seed)
+                for d, name in ((4, "quartic"), (5, "quintic")) for seed in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("group", [GroupId.SE2, GroupId.SA2, GroupId.A2])
+@pytest.mark.parametrize("name", [*CANONICAL_CURVES, *BENCH_CURVES])
+def test_cut_resultant_degree_is_read_from_the_branches(monkeypatch, name, group):
+    # lemma (c): with [0:0:1] off the curve, deg_x Res_y(F, T_a) =
+    # d * d_a * (d - 1) - the fiber sum of val Theta_a; with a corner piece
+    # no degree is read
+    if name in CANONICAL_CURVES:
+        cv = CANONICAL_CURVES[name]()
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        d, seed = BENCH_CURVES[name]
+        cv = workloads._curve_input(workloads.dense_curve(random.Random(seed), d))
+    read = []
+    projections = degree_mod._affine_projections
+
+    def recorded(curve, cut, degree=None):
+        read.append(degree)
+        return projections(curve, cut, degree)
+
+    monkeypatch.setattr(degree_mod, "_affine_projections", recorded)
+    mult_min_canonical(cv, group)
+    work = infinity_chart(cv, group).curve
+    if _chart_polys(work)[2] == 0:
+        assert read == [None]
+        return
+    T = theta(work, CANONICAL_AFFINE_PAIR[group][0]).T
+    assert read == [int(resultant(work.F, T, "y").total_degree())]
+
+
+@pytest.mark.parametrize(
+    "text, images, total, status",
+    [
+        # the images share the factor of the affine base points
+        ("x^4 + y^4 + 1", [False], 96, "included"),
+        # corner pieces: no degree is read, so no image is taken
+        ("x^2*y + y^2 + y + 64/121", [], 48, "included"),
+        (CORNER_QUARTIC, [], 192, "verified-empty"),
+    ],
+    ids=["fermat-quartic", "worked-cubic", "corner-quartic"],
+)
+def test_the_exact_route_answers_where_the_images_cannot(monkeypatch, text, images, total, status):
+    cv = CurveInput.from_poly(parse(text))
+    tried = []
+    coprime = degree_mod.resultant_coprime_image
+
+    def recorded(*args, **kwargs):
+        if "degree" in kwargs:  # the images of both resultants of the cut
+            tried.append(coprime(*args, **kwargs))
+            return tried[-1]
+        return coprime(*args, **kwargs)
+
+    monkeypatch.setattr(degree_mod, "resultant_coprime_image", recorded)
+    rep = predict_degree(cv, GroupId.A2)
+    assert tried == images
+    assert (rep.n_times_deg_S, rep.affine_status) == (total, status)
+    monkeypatch.setattr(degree_mod, "resultant_coprime_image", lambda *args, **kwargs: False)
+    assert predict_degree(cv, GroupId.A2) == rep
 
 
 class TestBaseLocus:

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from oracles import (
     evaluate_fraction_terms,
     exact_div_grevlex,
     mat_inverse_gauss_jordan,
+    modp_sylvester_resultant,
     mul_tuple_keys,
     sylvester_resultant,
 )
@@ -439,6 +442,49 @@ class TestKroneckerProduct:
         calls, pq = self.routes_of(lambda: p * q)
         assert calls == ["kronecker"]
         assert pq == mul_tuple_keys(p, q)
+
+    @pytest.mark.parametrize("bits, route", [(64, "kronecker"), (512, "loop")])
+    def test_wide_coefficients_take_the_loop(self, bits, route):
+        # a dense square of degree 16 fills 21.5 pairs per slot of its box:
+        # enough at 18 bytes per slot, not at 130, where the packed product
+        # is as slow as the loop
+        rng = random.Random(1)
+        p = SparsePoly.from_terms(R, [
+            ((i, j), rng.getrandbits(bits) | 1) for i in range(17) for j in range(17 - i)
+        ])
+        calls, square = self.routes_of(lambda: p * p)
+        assert calls == [route]
+        assert square == mul_tuple_keys(p, p)
+
+    def test_benchmark_products_keep_the_density_rule(self, monkeypatch):
+        # the slot width changes no kernel of the projective extensions and
+        # degree predictions of the benchmark (seed 1, rounds 0 and 1): each
+        # product takes the kernel of the density rule without it
+        from sigcurve import jets
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        kernels = []
+
+        def spy(name, kernel):
+            def run(pn, qn, bases):
+                kernels.append((name, len(pn) * len(qn), math.prod(bases)))
+                return kernel(pn, qn, bases)
+            return run
+
+        monkeypatch.setattr(poly, "_mul_kronecker", spy("kronecker", _mul_kronecker))
+        monkeypatch.setattr(poly, "_mul_loop", spy("loop", _mul_loop))
+        for name in ("sigma-extension", "degree-generic"):
+            for r in (0, 1):
+                jets.theta.cache_clear()
+                jets.implicit_jet.cache_clear()
+                for op in workloads.IN_PROCESS[name](workloads.round_rng(name, 1, r)):
+                    assert op.check(op.call()) is None, op.label
+        assert sum(name == "kronecker" for name, _, _ in kernels) >= 50
+        for name, pairs, box in kernels:
+            dense = poly.KRONECKER_PAIRS_PER_SLOT * box <= pairs >= poly.KRONECKER_MIN_PAIRS
+            assert (name == "kronecker") == dense, (pairs, box)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -876,6 +922,46 @@ class TestImages:
         images = {p: (_modp_ylists(f, "y", p), _modp_ylists(g, "y", p)) for p in (7, 13)}
         assert _modp_resultant(*images[7], 7) is None  # degree bound 1*5 + 3*3 - 3*1 = 11
         assert _modp_resultant(*images[13], 13) == reduced(resultant(f, g, "y"), 13, 1)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from((101, IMAGE_PRIME)))
+    def test_euclid_image_is_the_sylvester_image(self, data, prime):
+        # y-lists with random formal degrees whose leading (and other)
+        # coefficients are often zero lists: Euclid at each point keeps the
+        # Sylvester determinant's formal-degree semantics
+        coeff = st.one_of(st.just(0), st.integers(0, prime - 1))
+
+        def ylists(m):
+            lists = data.draw(st.lists(st.lists(coeff, max_size=4), min_size=m + 1, max_size=m + 1))
+            for v in lists:
+                while v and not v[-1]:
+                    v.pop()
+            return lists
+
+        m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        if m + n == 0:
+            return
+        f, g = ylists(m), ylists(n)
+        assert _modp_resultant(f, g, prime) == modp_sylvester_resultant(f, g, prime)
+
+    def test_coprime_resultants_need_the_exact_degree(self):
+        F = parse("y^2 - x")
+        Ta, Tb = parse("y - x - 1"), parse("y")  # Res: x^2 + x + 1 and -x
+        assert resultant_coprime_image(Ta, F, Tb, "y", degree=2)
+        assert not resultant_coprime_image(Ta, F, Tb, "y", degree=3)
+        # a common factor x^2 + x + 1
+        assert not resultant_coprime_image(Ta, F, parse("(y - x - 1)*(y + 5)"), "y", degree=2)
+        # lc_y F is not a constant: lc^e would change the image's degree
+        assert not resultant_coprime_image(Ta, parse("x*y^2 - 1"), Tb, "y", degree=3)
+
+    def test_coprime_resultants_refuse_a_prime_dividing_lc_a(self):
+        # A = (7x + 1)(x + 2) and B = (7x + 1)(x + 3) share 7x + 1; mod 7 the
+        # images x + 2 and x + 3 are coprime, but A's image has lost a degree
+        F = parse("y - x")
+        Ta, Tb = parse("(7*y + 1)*(y + 2)"), parse("(7*y + 1)*(y + 3)")
+        assert gcd(resultant(F, Ta, "y"), resultant(F, Tb, "y")).total_degree() == 1
+        for prime in (7, 101, IMAGE_PRIME):
+            assert not resultant_coprime_image(Ta, F, Tb, "y", prime, degree=2)
 
     def test_coprime_certificate(self):
         F, T = parse("y^2 - x"), parse("y - x - 1")  # Res = x^2 + x + 1

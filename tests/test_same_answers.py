@@ -93,8 +93,9 @@ def test_theta_answers_cover_each_curve_and_index(monkeypatch):
 
 def test_degree_special_answers_cover_each_curve_and_group(monkeypatch):
     # the cusp's PGL3 signature is a point; conics are refused past SE2; the
-    # singular quartic of degree-generic seed 10, round 85 falls below the
-    # generic 72 under SE2
+    # dense quartic with a corner piece is answered by the exact affine
+    # route; the singular quartic of degree-generic seed 10, round 85 falls
+    # below the generic 72 under SE2
     module = load_same_answers()
     monkeypatch.chdir(SCRIPT.parent.parent)
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -105,8 +106,10 @@ def test_degree_special_answers_cover_each_curve_and_group(monkeypatch):
     assert answers["degree-special x*y-1 A2"].startswith("raised ExceptionalCurveError")
     singular = module.DEGREE_SPECIAL[-1]
     assert "n_times_deg_S=60," in answers[f"degree-special {singular} SE2"]
-    assert not any(answers[f"degree-special x^4-y^4+x^2+1 {g}"].startswith("raised")
-                   for g in groups)
+    corner = module.DEGREE_SPECIAL[-2]  # no y^4 term: a corner piece at infinity
+    assert not any(answers[f"degree-special {c} {g}"].startswith("raised")
+                   for c in ("x^4-y^4+x^2+1", corner) for g in groups)
+    assert "affine_status='verified-empty'" in answers[f"degree-special {corner} A2"]
 
 
 def test_signature_special_answers_cover_each_question(monkeypatch):
