@@ -20,7 +20,8 @@ of its own ``perfbench/workloads.py`` (imported, not edited):
   cusp (an exact-zero PGL3 component), the worked cubic, the elliptic
   curve, the refusals of conics past SE2 and of the cubic graph, a quartic
   whose Theta_1 vanishes at the circular points on its fiber at infinity
-  (so the Theta products keep their full cap under SE2), a dense quartic
+  (so the Theta products keep the group's full cap under SE2, and that cap
+  of 4 takes one doubling, as on the circle), a dense quartic
   with no y^4 term (a smooth point at [0:0:1], so a corner piece at
   infinity and the exact affine route), and the singular quartic that
   ``degree-generic`` draws at seed 10, round 85;

@@ -92,12 +92,18 @@ DEFAULT_TRUNC = 80  # starting truncation of explicit triples and valuation tabl
 MAX_TRUNC = 320
 SHEAR_RETRIES = 5  # group elements tried before the chart at infinity is refused
 
-# relative cap of the canonical route: every series is known this many
-# orders past its first term.  The deepest cancellation is in Theta_8 on the
-# fiber piece, which keeps 8 known orders on the dense quartics and quintics
-# scanned (Theta_7 keeps 9, Theta_5 and Theta_6 11, the rest 14-16);
-# TruncationError doubles cap and truncation together for special curves
-CANONICAL_REL_CAP = 16
+# relative cap per group of the canonical route: every series is known this
+# many orders past its first term.  It is the orders lost by the deepest
+# Theta_i the group reads, plus a margin of 2: on the fiber piece of dense
+# quartics and quintics Theta_1..Theta_4 lose at most 2, Theta_5 and Theta_6
+# 5, Theta_7 7 and Theta_8 8.  TruncationError doubles the truncation and
+# quadruples the cap for special curves (see _mult_report)
+GROUP_REL_CAP = {
+    GroupId.SE2: 4,  # Theta_3
+    GroupId.SA2: 7,  # Theta_5
+    GroupId.A2: 7,  # Theta_5, Theta_6
+    GroupId.PGL3: 10,  # Theta_8
+}
 
 # starting truncation per group for the canonical route: the per-branch
 # valuations are degree-independent (0 / 16 / 12 / 72).  The branches at
@@ -332,13 +338,15 @@ def canonical_components_on_piece(
 
     ``rel`` caps every series ``rel`` orders past its first known term; too
     small a cap, or precision lost in ``_jet_series``'s chain, surfaces as
-    TruncationError downstream.  By lemma (b) the Theta_i are capped at
-    max(1, rel // CANONICAL_REL_CAP) when their first coefficients are units."""
+    TruncationError downstream; the group's starting cap is
+    ``GROUP_REL_CAP[group]``.  By lemma (b) the Theta_i are capped at
+    max(1, rel // GROUP_REL_CAP[group]) when their first coefficients are
+    units."""
     needed = GROUP_THETAS[group]
     theta_series = _jet_series(piece, trunc, rel, needed)
     if all(th.terms and intpoly_coprime(piece.ring.q, th.coeff_vec(th.min_exp()))
            for th in theta_series):
-        rel = max(1, rel // CANONICAL_REL_CAP)
+        rel = max(1, rel // GROUP_REL_CAP[group])
     # products of series known at most ``rel`` orders past their first term
     # are again so: the Theta products need no further cap
     thetas = {i: th.rel_capped(rel) for i, th in zip(needed, theta_series)}
@@ -633,14 +641,16 @@ def _mult_report(
     cap, and the branches are expanded to the full truncation), and the
     valuation of a factor common to all three that the series leave out;
     ``affine(lines)`` gives the per-line affine terms, the affine term of
-    the lower bound and its status.  Truncation and the relative cap double
-    together until every valuation is certified; the trial lines are drawn
-    once, so the report does not depend on the doublings.
+    the lower bound and its status.  The truncation doubles and the relative
+    cap quadruples until every valuation is certified, so a starting cap
+    sized to the group's Theta_i still reaches deep caps before MAX_TRUNC
+    (4096, 1792, 1792 and 160 from ``GROUP_REL_CAP``); the trial lines are
+    drawn once, so the report does not depend on the doublings.
     """
     lines = list(lines)
 
     def attempt(t: int):
-        cap = None if rel is None else rel * t // trunc
+        cap = None if rel is None else rel * (t // trunc) ** 2
         on_pieces = [(p, *components(p, t, cap)) for p in infinity_pieces(curve, t, cap)]
         results = [
             sum(
@@ -794,7 +804,7 @@ def mult_min_canonical(
         affine_part,
         _random_lines(seed, max(trials, 3)),
         GROUP_START_TRUNC[group],
-        rel=CANONICAL_REL_CAP,
+        rel=GROUP_REL_CAP[group],
     )
     return report, chart, status
 

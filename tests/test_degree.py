@@ -15,7 +15,7 @@ from oracles import (
 )
 from sigcurve.degree import (
     CANONICAL_AFFINE_PAIR,
-    CANONICAL_REL_CAP,
+    GROUP_REL_CAP,
     GROUP_START_TRUNC,
     _branch_jets,
     _certify_zero_components,
@@ -38,6 +38,7 @@ from sigcurve.degree import (
 )
 from sigcurve.errors import (
     InvalidCurveError, NonIntegralSymmetryError, ShearRequiredError, SigcurveError,
+    TruncationError,
 )
 from sigcurve.jets import (
     GROUP_THETAS,
@@ -211,7 +212,7 @@ def test_sized_branches_give_the_same_components(curve, group, doublings):
     # relative cap; the components must equal those from the full branch
     work = infinity_chart(curve(), group).curve
     t = GROUP_START_TRUNC[group] << doublings
-    rel = CANONICAL_REL_CAP << doublings
+    rel = GROUP_REL_CAP[group] << 2 * doublings
     full = infinity_pieces(work, t)
     sized = infinity_pieces(work, t, rel)
     assert [p.q for p in full] == [p.q for p in sized]
@@ -270,7 +271,7 @@ def _reports_agree_with_reference(work: CurveInput, group: GroupId, lines=None) 
         no_affine = lambda lines: ([0] * len(lines), 0, "none")
         return _mult_report(
             work, components, no_affine, lines or _random_lines(3, 4), GROUP_START_TRUNC[group],
-            CANONICAL_REL_CAP,
+            GROUP_REL_CAP[group],
         )[0]
 
     want, got = report(reference), report(counted_once)
@@ -297,9 +298,9 @@ def test_fy_order_is_the_horner_series_valuation(name, group):
     # Wronskian order on the corner piece: both equal the valuation of F_y
     # evaluated by Horner along the piece
     work = infinity_chart(FY_CURVES[name](), group).curve
-    t = GROUP_START_TRUNC[group]
-    for piece in infinity_pieces(work, t, CANONICAL_REL_CAP):
-        fy = fy_series_horner(work, piece, t, CANONICAL_REL_CAP)
+    t, rel = GROUP_START_TRUNC[group], GROUP_REL_CAP[group]
+    for piece in infinity_pieces(work, t, rel):
+        fy = fy_series_horner(work, piece, t, rel)
         assert _fy_valuation(work, piece) == _piece_val(fy, piece), piece.q
 
 
@@ -315,9 +316,9 @@ def test_fiber_piece_evaluates_no_fy_series(monkeypatch):
     monkeypatch.setattr(degree_mod, "evaluate_polys_at_series", recorded)
     for group in ALL_GROUPS:
         work = infinity_chart(cv, group).curve
-        t = GROUP_START_TRUNC[group]
-        [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
-        canonical_components_on_piece(work, group, piece, t, CANONICAL_REL_CAP)
+        t, rel = GROUP_START_TRUNC[group], GROUP_REL_CAP[group]
+        [piece] = infinity_pieces(work, t, rel)
+        canonical_components_on_piece(work, group, piece, t, rel)
         assert evaluated and work.fy() not in evaluated, group
         evaluated.clear()
 
@@ -325,15 +326,16 @@ def test_fiber_piece_evaluates_no_fy_series(monkeypatch):
 @pytest.mark.parametrize("doublings", [0, 1])
 def test_components_are_read_to_their_first_term_on_a_dense_quartic(doublings):
     # every Theta_i has a unit first coefficient on the fiber, so each
-    # component is known max(1, rel // CANONICAL_REL_CAP) orders past it
+    # component is known max(1, rel // GROUP_REL_CAP[group]) orders past it;
+    # a doubling of the truncation quadruples the cap
     cv = rand_curve(random.Random(4), 4)
     for group in ALL_GROUPS:
         work = infinity_chart(cv, group).curve
         t = GROUP_START_TRUNC[group] << doublings
-        rel = CANONICAL_REL_CAP << doublings
+        rel = GROUP_REL_CAP[group] << 2 * doublings
         [piece] = infinity_pieces(work, t, rel)
         comps, _common, _val = canonical_components_on_piece(work, group, piece, t, rel)
-        assert [c.trunc - c.valuation() for c in comps] == [1 << doublings] * 3, group
+        assert [c.trunc - c.valuation() for c in comps] == [1 << 2 * doublings] * 3, group
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS)
@@ -354,10 +356,10 @@ def test_a_non_unit_first_coefficient_keeps_the_full_cap():
     # the relative cap (the jets behind Theta_2, Theta_3 lose two orders); the
     # report equals the reference's (CANONICAL_CURVES)
     work = infinity_chart(CANONICAL_CURVES["circular-quartic"](), GroupId.SE2).curve
-    t = GROUP_START_TRUNC[GroupId.SE2]
-    [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
-    comps, _, _ = canonical_components_on_piece(work, GroupId.SE2, piece, t, CANONICAL_REL_CAP)
-    assert [c.trunc - c.min_exp() for c in comps] == [16, 14, 14]
+    t, rel = GROUP_START_TRUNC[GroupId.SE2], GROUP_REL_CAP[GroupId.SE2]
+    [piece] = infinity_pieces(work, t, rel)
+    comps, _, _ = canonical_components_on_piece(work, GroupId.SE2, piece, t, rel)
+    assert [c.trunc - c.min_exp() for c in comps] == [rel, rel - 2, rel - 2]
 
 
 def _count_pieces(monkeypatch) -> list:
@@ -372,19 +374,33 @@ def _count_pieces(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("d, seed", [(4, 3), (4, 11), (5, 6)])
+def _theta_margin(work: CurveInput, group: GroupId, rel: int) -> int:
+    """The fewest orders any Theta_i of the group is known past its first
+    term, over the branch pieces at the group's starting truncation."""
+    t = GROUP_START_TRUNC[group]
+    return min(
+        th.trunc - th.valuation()
+        for piece in infinity_pieces(work, t, rel)
+        for th in _jet_series(piece, t, rel, GROUP_THETAS[group])
+    )
+
+
+@pytest.mark.parametrize("d, seed", [(4, 3), (4, 11), (5, 6), (4, "bench")])
 def test_relative_cap_leaves_a_margin_on_generic_curves(monkeypatch, d, seed):
-    # the cap's justification: at the starting cap every Theta series along
-    # every branch piece keeps at least 2 known orders past its first
-    # nonzero term, and predict_degree never doubles the truncation
-    cv = rand_curve(random.Random(seed), d)
+    # the table's justification: at the group's starting cap every Theta
+    # series along every branch piece keeps at least 2 known orders past its
+    # first nonzero term, and predict_degree never doubles the truncation;
+    # one order less leaves some Theta_i a margin of 1, so each cap is the
+    # smallest with that margin
+    if seed == "bench":
+        cv, seed = CurveInput.from_poly(SparsePoly.from_terms(R, list(BENCH_QUARTIC.items()))), 341
+    else:
+        cv = rand_curve(random.Random(seed), d)
     calls = _count_pieces(monkeypatch)
     for group in ALL_GROUPS:
         work = infinity_chart(cv, group).curve
-        t = GROUP_START_TRUNC[group]
-        for piece in infinity_pieces(work, t, CANONICAL_REL_CAP):
-            thetas = _jet_series(piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
-            assert all(th.trunc - th.valuation() >= 2 for th in thetas), (group, piece.q)
+        assert _theta_margin(work, group, GROUP_REL_CAP[group]) >= 2, group
+        assert _theta_margin(work, group, GROUP_REL_CAP[group] - 1) == 1, group
         calls.clear()
         rep = predict_degree(cv, group, n=1, seed=seed)
         assert rep.deg_S_predicted == generic_degree(group, d)
@@ -396,10 +412,41 @@ def test_report_does_not_depend_on_the_doublings(monkeypatch):
     # and the report, trial lines included, is the unforced one
     cv = CurveInput.from_poly(parse("x^3 + y^3 + 1"))
     want = predict_degree(cv, GroupId.A2, seed=4)
-    monkeypatch.setattr(degree_mod, "CANONICAL_REL_CAP", 2)
+    monkeypatch.setitem(degree_mod.GROUP_REL_CAP, GroupId.A2, 2)
     calls = _count_pieces(monkeypatch)
     assert predict_degree(cv, GroupId.A2, seed=4) == want
     assert len(calls) == 2
+
+
+def test_the_doubling_reaches_deep_caps_from_small_starting_caps(monkeypatch):
+    # the cap quadruples while the truncation doubles, so the last attempt
+    # reads at least as deep as a cap of 16 doubling with the truncation did
+    # (512 / 256 / 256 / 64 orders); from a starting cap of 1 the Fermat
+    # cubic under A(2) and x^4 - y^4 + x^2 + 1 under SE(2) still get their
+    # reports
+    cv = rand_curve(random.Random(4), 4)
+    tried = []
+
+    def refused(curve, t, rel=None):
+        tried.append(rel)
+        raise TruncationError("refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(degree_mod, "infinity_pieces", refused)
+        for group, reach in zip(ALL_GROUPS, (512, 256, 256, 64)):
+            tried.clear()
+            with pytest.raises(TruncationError):
+                mult_min_canonical(cv, group)
+            assert tried[0] == GROUP_REL_CAP[group] and tried[-1] >= reach, group
+
+    cases = [("x^3 + y^3 + 1", GroupId.A2), ("x^4 - y^4 + x^2 + 1", GroupId.SE2)]
+    curves = [(CurveInput.from_poly(parse(text)), group) for text, group in cases]
+    want = [predict_degree(c, group) for c, group in curves]
+    for group in ALL_GROUPS:
+        monkeypatch.setitem(degree_mod.GROUP_REL_CAP, group, 1)
+    calls = _count_pieces(monkeypatch)
+    assert [predict_degree(c, group) for c, group in curves] == want
+    assert len(calls) > len(curves)
 
 
 # the degree-generic benchmark's seed-1 round-0 quartic and trial seed
@@ -428,7 +475,7 @@ def test_an_empty_component_doubles_before_its_exact_check(monkeypatch):
 
     monkeypatch.setattr(jets_mod, "theta", recorded)
     monkeypatch.setattr(degree_mod, "theta", recorded)
-    monkeypatch.setattr(degree_mod, "CANONICAL_REL_CAP", 8)
+    monkeypatch.setitem(degree_mod.GROUP_REL_CAP, GroupId.PGL3, 8)
     calls = _count_pieces(monkeypatch)
     assert predict_degree(cv, GroupId.PGL3, n=1, seed=341) == want
     assert len(calls) == 2
@@ -449,10 +496,11 @@ def test_branch_at_a_zero_root_is_sized_past_its_valuation():
     # branch starts at v^3: the cap reads it to order 3 + the cap
     cubic = CurveInput.from_poly(parse("x^2*y + y^2 + y + 64/121"))
     work = infinity_chart(cubic, GroupId.PGL3).curve
-    fiber = infinity_pieces(work, 80, CANONICAL_REL_CAP)[0]
+    rel = GROUP_REL_CAP[GroupId.PGL3]
+    fiber = infinity_pieces(work, 80, rel)[0]
     assert fiber.q == (0, 1)
     assert fiber.x2.min_exp() == 3
-    assert fiber.x2.trunc == 3 + CANONICAL_REL_CAP
+    assert fiber.x2.trunc == 3 + rel
 
 
 def _count_products(monkeypatch) -> list:
@@ -492,10 +540,10 @@ def test_theta_chain_along_a_branch_takes_few_products(monkeypatch):
     # over the expanded Theta_5, Theta_7, Theta_8 takes 147
     group = GroupId.PGL3
     work = infinity_chart(rand_curve(random.Random(4), 4), group).curve
-    t = GROUP_START_TRUNC[group]
-    [piece] = infinity_pieces(work, t, CANONICAL_REL_CAP)
+    t, rel = GROUP_START_TRUNC[group], GROUP_REL_CAP[group]
+    [piece] = infinity_pieces(work, t, rel)
     products = _count_products(monkeypatch)
-    _jet_series(piece, t, CANONICAL_REL_CAP, GROUP_THETAS[group])
+    _jet_series(piece, t, rel, GROUP_THETAS[group])
     assert len(products) <= 55
 
 
@@ -506,19 +554,20 @@ def _fractions_below(s: TruncatedSeries, order: int) -> dict:
 def _chain_agrees_with_horner(cv: CurveInput, group: GroupId) -> int:
     """Theta_1..Theta_8 of ``_jet_series`` equal the Horner oracle's below
     their common trusted order on every branch piece at the group's
-    starting truncation, or both routes raise the same error (from the
-    branch jets they share); the number of pieces."""
+    starting truncation and PGL(3)'s cap (the one sized for Theta_8), or
+    both routes raise the same error (from the branch jets they share); the
+    number of pieces."""
     work = infinity_chart(cv, group).curve
-    t = GROUP_START_TRUNC[group]
-    pieces = infinity_pieces(work, t, CANONICAL_REL_CAP)
+    t, rel = GROUP_START_TRUNC[group], GROUP_REL_CAP[GroupId.PGL3]
+    pieces = infinity_pieces(work, t, rel)
     for piece in pieces:
         try:
-            horner = jet_series_horner(piece, t, CANONICAL_REL_CAP, range(1, 9))
+            horner = jet_series_horner(piece, t, rel, range(1, 9))
         except (SigcurveError, ZeroDivisionError) as err:
             with pytest.raises(type(err)):
-                _jet_series(piece, t, CANONICAL_REL_CAP, range(1, 9))
+                _jet_series(piece, t, rel, range(1, 9))
             continue
-        chain = _jet_series(piece, t, CANONICAL_REL_CAP, range(1, 9))
+        chain = _jet_series(piece, t, rel, range(1, 9))
         for i, (c, h) in enumerate(zip(chain, horner), 1):
             common = min(c.trunc, h.trunc)
             assert _fractions_below(c, common) == _fractions_below(h, common), (i, piece.q)
